@@ -31,14 +31,12 @@ from .fields import (
     shear_x,
     shear_y,
 )
-from .multipoly import MPoly
 from .ring import (
     ChartElement,
     SurfaceConfig,
     SurfacePolynomial,
     UniPoly,
     chart_constant_quotient,
-    chart_eval_unipoly,
     from_chart,
     to_chart,
 )
@@ -113,7 +111,8 @@ def _gen_images(surface: SurfaceConfig, g: Generator):
         img_z = SurfacePolynomial(
             s, {(e + 1, 0): v for e, v in g.f.c.items()}, {}, UniPoly.var()
         )
-        img_y = from_chart(chart_eval_unipoly(s.p, to_chart(img_z)).shift(-1))
+        one = ChartElement(s, {0: UniPoly.const(1)})
+        img_y = from_chart(s.p.eval_generic(to_chart(img_z), one).shift(-1))
         return s.x(), img_y, img_z
     if isinstance(g, YShear):
         img_z = SurfacePolynomial(
@@ -330,42 +329,16 @@ def volume_factor(phi: PolynomialAutomorphism) -> Fraction:
 
 
 # -- flows of shear fields -----------------------------------------------------
-#
-# In the chart adapted to the shear kind (u = x for x-shears, u = y for
-# y-shears), the flow of SF_i is (u, z) -> (u, z + t u^(i+1)).  Flow maps are
-# Laurent polynomials in u with polynomial dependence on z and t (MPoly
-# variables 0 = u, 1 = z, 2 = t).
-
-U, Z, T = 0, 1, 2
-
-
-def _surface_to_adapted_mpoly(e: SurfacePolynomial, kind: str, nvars: int = 3) -> MPoly:
-    """Normal-form element as a Laurent polynomial in the adapted chart."""
-    s = e.surface
-    p_mp = MPoly(nvars, {tuple(ee if k == Z else 0 for k in range(nvars)): v
-                         for ee, v in s.p.c.items()})
-    own, other = ("x", "y") if kind == "x" else ("y", "x")
-    parts = {"x": e.xpart, "y": e.ypart}
-    r = MPoly(nvars)
-    for (i, j), v in parts[own].items():
-        key = [0] * nvars
-        key[U], key[Z] = i, j
-        r = r + MPoly(nvars, {tuple(key): v})
-    for (i, j), v in parts[other].items():
-        key = [0] * nvars
-        key[U], key[Z] = -i, j
-        r = r + MPoly(nvars, {tuple(key): v}) * p_mp**i
-    for j, v in e.zpart.c.items():
-        key = [0] * nvars
-        key[Z] = j
-        r = r + MPoly(nvars, {tuple(key): v})
-    return r
 
 
 class FlowMap:
-    """Symbolic flow over Q[t] of a shear field SF_i (x- or y-kind)."""
+    """The flow t -> F_t of a shear field SF_i (x- or y-kind).
 
-    __slots__ = ("surface", "kind", "i", "img_u", "img_z", "img_other")
+    F_t is the single shear with parameter t*u^i (u = x for x-shears, u = y
+    for y-shears): in the chart u != 0 it is (u, z) -> (u, z + t u^(i+1)).
+    """
+
+    __slots__ = ("surface", "kind", "i")
 
     def __init__(self, surface: SurfaceConfig, kind: str, i: int):
         if kind not in ("x", "y"):
@@ -375,23 +348,14 @@ class FlowMap:
         self.surface = surface
         self.kind = kind
         self.i = i
-        u = MPoly.var(3, U)
-        t_mono = MPoly(3, {(i + 1, 0, 1): 1})
-        self.img_u = u
-        self.img_z = MPoly.var(3, Z) + t_mono
-        p_of_z = _surface_to_adapted_mpoly(
-            surface.from_unipoly(surface.p), kind
-        ).subs({Z: self.img_z})
-        self.img_other = p_of_z * u.inverse_monomial()
-        # relation u * img_other = p(img_z) identically in t
-        if not (self.img_u * self.img_other - p_of_z).is_zero():
-            raise InternalInvariantViolation("flow map breaks the surface relation")
+
+    def _shear(self, t) -> Generator:
+        f = UniPoly.monomial(self.i, t)
+        return XShear(f) if self.kind == "x" else YShear(f)
 
     def at(self, t) -> PolynomialAutomorphism:
-        """The time-t automorphism: a single shear with parameter t*u^i."""
-        f = UniPoly.monomial(self.i, t)
-        gen = XShear(f) if self.kind == "x" else YShear(f)
-        return PolynomialAutomorphism(self.surface, [gen])
+        """The time-t automorphism (its constructor checks the surface relation)."""
+        return PolynomialAutomorphism(self.surface, [self._shear(t)])
 
     def generator_field(self) -> AlgebraicVectorField:
         return (shear_x if self.kind == "x" else shear_y)(self.surface, self.i)
@@ -402,17 +366,24 @@ def flow_of_shear(surface: SurfaceConfig, kind: str, i: int) -> FlowMap:
 
 
 def flow_group_law(flow: FlowMap) -> bool:
-    """F(t) o F(s) = F(t+s) identically in two formal parameters.
+    """F_r o F_t = F_(t+r) identically in t and r.
 
-    Variables: 0 = u, 1 = z, 2 = t, 3 = s.
+    The word [F_t, F_r] is composed by substitution, without the merge rule
+    of ``normalize_word``.  Its coordinate images, like those of F_(t+r),
+    have degree <= d = deg p in t and in r separately: u goes to u, z to
+    z + (t + r) u^(i+1), and the third coordinate to
+    p(z + (t + r) u^(i+1))/u.  A polynomial of degree <= d in each of two
+    variables that vanishes on the grid {0..d}^2 is zero, so agreement on
+    that grid proves the identity.
     """
-    i = flow.i
-    z = MPoly.var(4, 1)
-    step_t = z + MPoly(4, {(i + 1, 0, 1, 0): 1})
-    step_s = z + MPoly(4, {(i + 1, 0, 0, 1): 1})
-    composed = step_s.subs({1: step_t})
-    both = z + MPoly(4, {(i + 1, 0, 1, 0): 1}) + MPoly(4, {(i + 1, 0, 0, 1): 1})
-    return composed == both
+    d = flow.surface.degree
+    for t in range(d + 1):
+        for r in range(d + 1):
+            word = [flow._shear(t), flow._shear(r)]
+            composed = PolynomialAutomorphism(flow.surface, word, _normalize=False)
+            if composed != flow.at(t + r):
+                return False
+    return True
 
 
 # -- polynomial Taylor expansion of flow conjugation ----------------------------
@@ -438,30 +409,36 @@ def taylor_conjugation(
 
 
 def taylor_flow_identity(flow: FlowMap, psi: AlgebraicVectorField) -> bool:
-    """(F_t)_* psi = sum_k t^k ad^k(psi)/k!, identically in t.
+    """(F_t)_* psi = sum_k t^k ad_theta^k(psi)/k! identically in t.
 
-    Verified in the adapted chart on both coordinate functions u and z,
-    with the conjugated field computed as psi(g o F_{-t}) o F_t.
+    Both sides are compared exactly at t = 0..B, the left one computed by
+    ``conjugate_field`` as psi(g o F_-t) o F_t.  In the chart u != 0 of
+    the flow's own variable the coordinates are (u, z) and F_t only sends
+    z -> z + t u^(i+1).  Let D be the largest z-degree among the chart
+    coefficients of psi(u) and psi(z).  Then
+
+        (F_t)_* psi (u) = psi(u) o F_t                          has t-degree <= D,
+        (F_t)_* psi (z) = (psi(z) - t (i+1) u^i psi(u)) o F_t   has t-degree <= D + 1,
+
+    and the series has t-degree len(terms) - 1.  On u and z the two sides
+    therefore differ by a polynomial in t of degree <= B, with
+    B = max(len(terms) - 1, D + 1), which vanishes once it vanishes at
+    B + 1 points.  The third image follows from the other two by tangency,
+    x*img_y + y*img_x = p'(z)*img_z, since the ring is a domain.
     """
     terms = taylor_conjugation(flow.generator_field(), psi)
-    i = flow.i
-    kind = flow.kind
-    u_img = "img_x" if kind == "x" else "img_y"
-    psi_u = _surface_to_adapted_mpoly(getattr(psi, u_img), kind)
-    psi_z = _surface_to_adapted_mpoly(psi.img_z, kind)
-    fwd = MPoly.var(3, Z) + MPoly(3, {(i + 1, 0, 1): 1})
-    back = MPoly.var(3, Z) - MPoly(3, {(i + 1, 0, 1): 1})
-    for coord in ("u", "z"):
-        if coord == "u":
-            pre = MPoly.var(3, U)  # u o F_{-t} = u
-        else:
-            pre = back  # z o F_{-t} = z - t u^(i+1)
-        lhs = (psi_u * pre.diff(U) + psi_z * pre.diff(Z)).subs({Z: fwd})
-        rhs = MPoly(3)
-        for k, field in enumerate(terms):
-            img = getattr(field, u_img) if coord == "u" else field.img_z
-            t_k = MPoly(3, {(0, 0, k): 1})
-            rhs = rhs + _surface_to_adapted_mpoly(img, kind) * t_k
-        if lhs != rhs:
-            return False
+    if flow.kind == "x":
+        charts = (to_chart(psi.img_x), to_chart(psi.img_z))
+    else:
+        charts = (to_chart(psi.img_y.swap_xy()), to_chart(psi.img_z.swap_xy()))
+    d = max((q.degree for c in charts for q in c.coeffs.values()), default=0)
+    s = flow.surface
+    for t in range(max(len(terms) - 1, d + 1) + 1):
+        lhs = conjugate_field(flow.at(t), psi)
+        for name in ("img_x", "img_y", "img_z"):
+            rhs = s.zero()
+            for k, field in enumerate(terms):
+                rhs = rhs + getattr(field, name).scale(t**k)
+            if getattr(lhs, name) != rhs:
+                return False
     return True

@@ -2,8 +2,9 @@
 
 Every subcommand takes --surface "poly in z" and --format text|json (the
 DANIELEWSKI_FORMAT environment variable sets the default).  Exit codes:
-0 success/accepted, 1 rejected/false, 2 usage or parse error, 3 internal
-invariant violation.
+0 success/accepted, 1 rejected/false, 2 usage or parse error (a malformed
+certificate file included), 3 internal invariant violation.  A library
+error exits with its class's ``exit_code``.
 """
 
 from __future__ import annotations
@@ -48,23 +49,6 @@ from .parsing import (
     parse_word,
 )
 from .ring import make_surface
-
-_USAGE_ERRORS = (
-    "zero-polynomial",
-    "repeated-root",
-    "syntax-error",
-    "negative-exponent",
-    "invalid-generator",
-    "degree-gate",
-    "wrong-surface",
-    "parity-violation",
-    "point-not-on-surface",
-    "tangency-violation",
-    "malformed-nesting",
-    "not-on-surface",
-    "division-by-zero-polynomial",
-)
-
 
 class _Output:
     def __init__(self, fmt: str):
@@ -253,12 +237,9 @@ def main(argv=None) -> int:
     out = _Output(args.format)
     try:
         return _run(args, out)
-    except InternalInvariantViolation as exc:
-        _emit_error(out, exc)
-        return 3
     except DanielewskiError as exc:
         _emit_error(out, exc)
-        return 2 if exc.code in _USAGE_ERRORS else 1
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

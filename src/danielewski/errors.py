@@ -1,12 +1,14 @@
 """Exception hierarchy.
 
 Every error carries a stable machine-readable ``code`` used by the CLI's
-structured output.
+structured output, and the ``exit_code`` the CLI returns for it: 1 for a
+rejection, 2 for a usage or input error, 3 for an internal defect.
 """
 
 
 class DanielewskiError(Exception):
     code = "error"
+    exit_code = 1
 
     def __init__(self, message: str = ""):
         super().__init__(message or self.__doc__ or self.code)
@@ -16,36 +18,42 @@ class ZeroPolynomial(DanielewskiError):
     """The defining polynomial must be nonzero of degree >= 1."""
 
     code = "zero-polynomial"
+    exit_code = 2
 
 
 class RepeatedRoot(DanielewskiError):
     """The defining polynomial has a repeated root (gcd(p, p') non-constant)."""
 
     code = "repeated-root"
+    exit_code = 2
 
 
 class NotOnSurface(DanielewskiError):
     """A chart element does not descend to the surface."""
 
     code = "not-on-surface"
+    exit_code = 2
 
 
 class DivisionByZeroPolynomial(DanielewskiError):
     """Polynomial division by zero."""
 
     code = "division-by-zero-polynomial"
+    exit_code = 2
 
 
 class InternalInvariantViolation(DanielewskiError):
     """An internal invariant failed; this is a defect, not a user error."""
 
     code = "internal-invariant-violation"
+    exit_code = 3
 
 
 class TangencyViolation(DanielewskiError):
     """The images do not define a derivation of the coordinate ring."""
 
     code = "tangency-violation"
+    exit_code = 2
 
 
 class NotVolumePreserving(DanielewskiError):
@@ -64,6 +72,7 @@ class PointNotOnSurface(DanielewskiError):
     """The given point does not satisfy x*y = p(z)."""
 
     code = "point-not-on-surface"
+    exit_code = 2
 
 
 class NotNilpotent(DanielewskiError):
@@ -76,12 +85,14 @@ class DegreeGate(DanielewskiError):
     """Operation requires a higher degree of the defining polynomial or bound."""
 
     code = "degree-gate"
+    exit_code = 2
 
 
 class InvalidGenerator(DanielewskiError):
     """Automorphism generator parameters are invalid for this surface."""
 
     code = "invalid-generator"
+    exit_code = 2
 
 
 class MembershipRejected(DanielewskiError):
@@ -100,24 +111,28 @@ class MalformedNesting(DanielewskiError):
     """Expected a left-nested bracket of shear leaves."""
 
     code = "malformed-nesting"
+    exit_code = 2
 
 
 class WrongSurface(DanielewskiError):
     """This operation is only defined on the surface x*y = z^2 - 1."""
 
     code = "wrong-surface"
+    exit_code = 2
 
 
 class ParityViolation(DanielewskiError):
     """Target monomial must be anti-invariant (odd total parity)."""
 
     code = "parity-violation"
+    exit_code = 2
 
 
 class ParseError(DanielewskiError):
     """Syntax error in an input expression."""
 
     code = "syntax-error"
+    exit_code = 2
 
     def __init__(self, message: str, position: int = -1):
         self.position = position

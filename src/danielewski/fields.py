@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .errors import (
     InternalInvariantViolation,
+    NotOnSurface,
     NotVolumePreserving,
     PointNotOnSurface,
     ResidueObstruction,
@@ -27,6 +28,7 @@ from .ring import (
     SurfacePolynomial,
     UniPoly,
     from_chart,
+    row_reduce,
     to_chart,
 )
 
@@ -209,7 +211,7 @@ def hamiltonian_of(f: SurfacePolynomial) -> AlgebraicVectorField:
     c_y = (p_prime * c_z - y_chart * c_x).shift(-1)
     try:
         return AlgebraicVectorField(from_chart(c_x), from_chart(c_y), from_chart(c_z))
-    except Exception as exc:
+    except (NotOnSurface, TangencyViolation) as exc:
         raise InternalInvariantViolation(f"hamiltonian construction failed: {exc}")
 
 
@@ -248,23 +250,6 @@ def lnd_check(theta: AlgebraicVectorField, max_iter: int = 64) -> LndVerdict:
     return LndVerdict(True, worst, max_iter)
 
 
-def _rank(vectors: list[tuple[Fraction, Fraction, Fraction]]) -> int:
-    rows = [list(v) for v in vectors]
-    rank = 0
-    for col in range(3):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col] / pr[col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], pr)]
-        rank += 1
-    return rank
-
-
 def default_flex_fields(surface: SurfaceConfig) -> list[AlgebraicVectorField]:
     """SF_0^x, SF_0^y and the shear-conjugated fields that cover the
     critical points of p' (one conjugate per distinct root of p')."""
@@ -292,5 +277,5 @@ def flex_check(
         raise PointNotOnSurface(f"({x0}, {y0}, {z0}) does not satisfy xy = p(z)")
     if fields is None:
         fields = default_flex_fields(surface)
-    vectors = [th.eval_at(x0, y0, z0) for th in fields]
-    return _rank(vectors) == 2
+    rows = [list(th.eval_at(x0, y0, z0)) for th in fields]
+    return len(row_reduce(rows, 3)) == 2

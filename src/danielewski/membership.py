@@ -42,6 +42,7 @@ from .ring import (
     UniPoly,
     antiderivative,
     poly_divrem,
+    row_reduce,
 )
 
 # -- bracket expressions ---------------------------------------------------
@@ -265,31 +266,12 @@ def solve_linear(
     rows = sorted(exps)
     m = len(columns)
     a = [[columns[k].coeff(e) for k in range(m)] + [target.coeff(e)] for e in rows]
-    piv_rows: list[int] = []
-    piv_cols: list[int] = []
-    r = 0
-    for col in range(m):
-        pivot = next((i for i in range(r, len(a)) if a[i][col]), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][col]
-        a[r] = [v * inv for v in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][col]:
-                fac = a[i][col]
-                a[i] = [v - fac * w for v, w in zip(a[i], a[r])]
-        piv_rows.append(r)
-        piv_cols.append(col)
-        r += 1
-        if r == len(a):
-            break
-    for i in range(r, len(a)):
-        if a[i][m]:
-            return None
+    pivots = row_reduce(a, m)
+    if any(row[m] for row in a[len(pivots):]):
+        return None
     sol = [Fraction(0)] * m
-    for row, col in zip(piv_rows, piv_cols):
-        sol[col] = a[row][m]
+    for row, col in zip(a, pivots):
+        sol[col] = row[m]
     return sol
 
 

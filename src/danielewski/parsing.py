@@ -345,23 +345,36 @@ def cert_to_obj(expr) -> dict:
 
 
 def cert_from_obj(obj) -> "membership.BracketExpression":
+    """Inverse of ``cert_to_obj``; raises ParseError on any other shape."""
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ParseError("certificate node must have exactly one of leaf/sum/bracket")
     if "leaf" in obj:
         leaf = obj["leaf"]
+        if not isinstance(leaf, dict):
+            raise ParseError("'leaf' must be an object with a 'kind'")
         kind = leaf.get("kind")
         if kind == "HF":
+            if not isinstance(leaf.get("poly"), str):
+                raise ParseError("an HF leaf needs a string 'poly'")
             return membership.Leaf("HF", poly=parse_unipoly(leaf["poly"]))
         if kind in ("SFx", "SFy"):
-            return membership.Leaf(kind, int(leaf["i"]))
+            i = leaf.get("i")
+            if not isinstance(i, int) or isinstance(i, bool):
+                raise ParseError(f"an {kind} leaf needs an integer 'i'")
+            return membership.Leaf(kind, i)
         raise ParseError(f"unknown leaf kind {kind!r}")
     if "sum" in obj:
-        return membership.Sum(
-            tuple((_parse_rational(w), cert_from_obj(t)) for w, t in obj["sum"])
-        )
+        terms = obj["sum"]
+        if not isinstance(terms, list) or not all(
+            isinstance(t, list) and len(t) == 2 and isinstance(t[0], str) for t in terms
+        ):
+            raise ParseError("'sum' must be a list of [weight, node] pairs")
+        return membership.Sum(tuple((_parse_rational(w), cert_from_obj(t)) for w, t in terms))
     if "bracket" in obj:
-        left, right = obj["bracket"]
-        return membership.Bracket(cert_from_obj(left), cert_from_obj(right))
+        pair = obj["bracket"]
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ParseError("'bracket' must be a list of two nodes")
+        return membership.Bracket(cert_from_obj(pair[0]), cert_from_obj(pair[1]))
     raise ParseError("certificate node must have one of leaf/sum/bracket")
 
 
@@ -383,9 +396,14 @@ def load_certificate_file(text: str):
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid certificate file: {exc}")
+    if not isinstance(obj, dict):
+        raise ParseError("certificate file must hold a JSON object")
     for key in ("p", "claimed", "certificate"):
         if key not in obj:
             raise ParseError(f"certificate file is missing {key!r}")
+    for key in ("p", "claimed"):
+        if not isinstance(obj[key], str):
+            raise ParseError(f"certificate file's {key!r} must be a string")
     surface = make_surface(parse_unipoly(obj["p"]))
     claimed = parse_expression(surface, obj["claimed"])
     return surface, claimed, cert_from_obj(obj["certificate"])

@@ -110,16 +110,7 @@ class UniPoly:
         return r
 
     def __pow__(self, n: int) -> "UniPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = UniPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, UniPoly.const(1))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, UniPoly) and self.c == other.c
@@ -142,33 +133,67 @@ class UniPoly:
         return acc
 
     def compose(self, other: "UniPoly") -> "UniPoly":
-        """self(other(z)), by Horner's scheme on descending exponents."""
-        acc = UniPoly()
-        prev = None
-        for e in sorted(self.c, reverse=True):
-            if prev is not None:
-                acc = acc * other ** (prev - e)
-            acc = acc + UniPoly.const(self.c[e])
-            prev = e
-        if prev is not None and prev > 0:
-            acc = acc * other**prev
-        return acc
+        """self(other(z))."""
+        return self.eval_generic(other, UniPoly.const(1))
 
     def eval_generic(self, x, one):
-        """Evaluate at an element of any commutative ring.
+        """Evaluate at an element of any commutative ring, by Horner's scheme.
 
         ``x`` and ``one`` must support ``+``, ``*`` and ``scale``.
         """
         acc = one.scale(0)
+        prev = max(self.c, default=0)
         for e in sorted(self.c, reverse=True):
-            power = one
-            for _ in range(e):
-                power = power * x
-            acc = acc + power.scale(self.c[e])
+            for _ in range(prev - e):
+                acc = acc * x
+            acc = acc + one.scale(self.c[e])
+            prev = e
+        for _ in range(prev):
+            acc = acc * x
         return acc
 
     def __repr__(self):
         return f"UniPoly({self.c!r})"
+
+
+def power(base, n: int, one):
+    """base**n by binary powering; ``one`` is the unit of base's ring."""
+    if n < 0:
+        raise ValueError("negative power of a polynomial")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
+def row_reduce(rows: list[list[Fraction]], ncols: int) -> list[int]:
+    """Gauss-Jordan elimination, in place, on the first ``ncols`` columns.
+
+    Pivots are taken in column order.  Returns the pivot columns: row k then
+    has a 1 in column pivots[k] and 0 in every other pivot column, and the
+    rows past the last pivot are zero in the first ``ncols`` columns.
+    """
+    pivots: list[int] = []
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][col]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                fac = rows[i][col]
+                rows[i] = [v - fac * w for v, w in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
 
 
 def poly_divrem(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
@@ -419,14 +444,7 @@ class SurfacePolynomial:
             raise InternalInvariantViolation(f"chart product left the surface: {exc}")
 
     def __pow__(self, n: int) -> "SurfacePolynomial":
-        result = self.surface.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, self.surface.const(1))
 
     def _check(self, other: "SurfacePolynomial"):
         if self.surface != other.surface:
@@ -562,9 +580,6 @@ class ChartElement:
             return ChartElement(self.surface)
         return ChartElement(self.surface, {k: q.scale(v) for k, q in self.coeffs.items()})
 
-    def scale_poly(self, q: UniPoly) -> "ChartElement":
-        return ChartElement(self.surface, {k: w * q for k, w in self.coeffs.items()})
-
     def shift(self, d: int) -> "ChartElement":
         """Multiply by x^d (d may be negative)."""
         return ChartElement(self.surface, {k + d: q for k, q in self.coeffs.items()})
@@ -621,24 +636,6 @@ def from_chart(c: ChartElement) -> SurfacePolynomial:
             for e, v in quot.c.items():
                 ypart[(-k, e)] = v
     return SurfacePolynomial(s, xpart, ypart, zpart)
-
-
-def chart_eval_unipoly(q: UniPoly, elem: ChartElement) -> ChartElement:
-    """q(elem) for a chart element, by Horner's scheme."""
-    s = elem.surface
-    acc = ChartElement(s)
-    one = ChartElement(s, {0: UniPoly.const(1)})
-    prev = None
-    for e in sorted(q.c, reverse=True):
-        if prev is not None:
-            for _ in range(prev - e):
-                acc = acc * elem
-        acc = acc + one.scale(q.c[e])
-        prev = e
-    if prev is not None and prev > 0:
-        for _ in range(prev):
-            acc = acc * elem
-    return acc
 
 
 def chart_constant_quotient(num: ChartElement, den: ChartElement) -> Fraction:

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from danielewski import automorphisms
 from danielewski import (
     DegreeGate,
     Hyperbolic,
@@ -344,3 +345,19 @@ def test_taylor_conjugation_terminates_for_lnd(cubic):
 def test_taylor_conjugation_rejects_non_lnd(cubic):
     with pytest.raises(NotNilpotent):
         taylor_conjugation(hyperbolic(cubic, UniPoly.const(1)), shear_x(cubic, 0))
+
+
+@pytest.mark.parametrize("kind", ["x", "y"])
+@pytest.mark.parametrize("edit", ["drop", "double"])
+def test_taylor_flow_identity_rejects_a_wrong_series(cubic, monkeypatch, kind, edit):
+    psi = hyperbolic(cubic, UniPoly.const(1))
+    flow = flow_of_shear(cubic, kind, 0)
+    assert taylor_flow_identity(flow, psi)
+    exact = automorphisms.taylor_conjugation
+
+    def wrong(theta, field):
+        terms = exact(theta, field)
+        return terms[:-1] + ([] if edit == "drop" else [terms[-1].scale(2)])
+
+    monkeypatch.setattr(automorphisms, "taylor_conjugation", wrong)
+    assert not taylor_flow_identity(flow, psi)

@@ -1,7 +1,12 @@
 """End-to-end CLI checks: output, formats, exit codes."""
 
 import json
+import re
+from pathlib import Path
 
+import pytest
+
+from danielewski import errors
 from danielewski.cli import main
 
 
@@ -128,3 +133,48 @@ def test_error_json(capsys):
 
 def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate", "--surface", "z^2-1"]) == 2
+
+
+_LEAF = {"leaf": {"kind": "SFx", "i": 0}}
+
+
+def _cert_file(node):
+    return {"p": "z^3 - z", "claimed": "x", "certificate": node}
+
+
+MALFORMED_CERTS = {
+    "top-level number": 5,
+    "numeric p": {"p": 3, "claimed": "x", "certificate": _LEAF},
+    "leaf without i": _cert_file({"leaf": {"kind": "SFx"}}),
+    "non-integer i": _cert_file({"leaf": {"kind": "SFx", "i": "a"}}),
+    "HF leaf without poly": _cert_file({"leaf": {"kind": "HF"}}),
+    "leaf not an object": _cert_file({"leaf": "SFx"}),
+    "bracket with one child": _cert_file({"bracket": [_LEAF]}),
+    "sum entry of length 3": _cert_file({"sum": [["1", _LEAF, "extra"]]}),
+    "sum not a list": _cert_file({"sum": 7}),
+}
+
+
+@pytest.mark.parametrize("obj", MALFORMED_CERTS.values(), ids=MALFORMED_CERTS.keys())
+def test_malformed_certificate_is_syntax_error(capsys, tmp_path, obj):
+    cert = tmp_path / "bad.json"
+    cert.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "verify-cert", str(cert), "--surface", "z^3-z",
+                       "--format", "json")
+    assert code == 2 and json.loads(out)["error"] == "syntax-error"
+
+
+def test_exit_code_table_matches_error_classes():
+    doc = (Path(__file__).parents[1] / "docs" / "grammar.md").read_text()
+    table = doc.split("## Exit codes and error codes", 1)[1]
+    listed = {}
+    for exit_code, meaning in re.findall(r"^\| (\d) \|(.*)\|$", table, re.M):
+        for code in re.findall(r"`([a-z-]+)`", meaning):
+            listed[code] = int(exit_code)
+    classes = {
+        c.code: c for c in vars(errors).values()
+        if isinstance(c, type) and issubclass(c, errors.DanielewskiError)
+    }
+    assert set(listed) == set(classes) - {"error"}
+    for code, exit_code in listed.items():
+        assert classes[code].exit_code == exit_code, code

@@ -184,3 +184,20 @@ def test_to_chart_is_ring_homomorphism(cubic):
         b = random_surface_polynomial(cubic, rng, 4)
         assert to_chart(a * b) == to_chart(a) * to_chart(b)
         assert to_chart(a + b) == to_chart(a) + to_chart(b)
+
+
+def test_negative_power_is_rejected(cubic):
+    with pytest.raises(ValueError):
+        UniPoly.var() ** -1
+    with pytest.raises(ValueError):
+        cubic.x() ** -1
+
+
+def test_power_matches_repeated_product(cubic):
+    rng = random.Random(RNG_SEED + 5)
+    f = random_surface_polynomial(cubic, rng, 3)
+    q = upoly({0: 2, 1: -1, 3: Fraction(1, 2)})
+    acc_f, acc_q = cubic.const(1), UniPoly.const(1)
+    for n in range(6):
+        assert f**n == acc_f and q**n == acc_q
+        acc_f, acc_q = acc_f * f, acc_q * q
