@@ -1,10 +1,11 @@
 """Exact computer algebra on the surfaces x*y = p(z).
 
 The coordinate ring Q[x,y,z]/(x*y - p(z)) is represented in a normal form
-with x-part, y-part and z-part; volume-preserving algebraic vector fields
-are manipulated through their potentials, and membership of a potential in
-the Lie algebra generated by the standard locally nilpotent fields is
-decided and certified by explicit bracket expressions.
+graded by weight (x has weight 1, y weight -1, z weight 0), one polynomial
+in z per weight, stored as {weight: q(z)}; volume-preserving algebraic
+vector fields are manipulated through their potentials, and membership of a
+potential in the Lie algebra generated by the standard locally nilpotent
+fields is decided and certified by explicit bracket expressions.
 """
 
 from .errors import (

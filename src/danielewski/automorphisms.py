@@ -108,18 +108,14 @@ def _gen_images(surface: SurfaceConfig, g: Generator):
     """Coordinate images (pullbacks of x, y, z) of a single generator."""
     s = surface
     if isinstance(g, XShear):
-        img_z = SurfacePolynomial(
-            s, {(e + 1, 0): v for e, v in g.f.c.items()}, {}, UniPoly.var()
-        )
+        coeffs = {e + 1: UniPoly.const(v) for e, v in g.f.c.items()}
+        img_z = SurfacePolynomial(s, {0: UniPoly.var(), **coeffs})
         one = ChartElement(s, {0: UniPoly.const(1)})
         img_y = from_chart(s.p.eval_generic(to_chart(img_z), one).shift(-1))
         return s.x(), img_y, img_z
     if isinstance(g, YShear):
-        img_z = SurfacePolynomial(
-            s, {}, {(e + 1, 0): v for e, v in g.f.c.items()}, UniPoly.var()
-        )
-        xi, yi, zi = _gen_images(s, XShear(g.f))
-        return yi.swap_xy(), s.y(), img_z
+        _, img_y, img_z = _gen_images(s, XShear(g.f))
+        return img_y.swap_xy(), s.y(), img_z.swap_xy()
     if isinstance(g, Hyperbolic):
         return s.x(v=g.lam), s.y(v=1 / g.lam), s.z()
     if isinstance(g, Involution):
@@ -137,14 +133,12 @@ def substitute(
     img_z: SurfacePolynomial,
 ) -> SurfacePolynomial:
     """e(img_x, img_y, img_z), reduced to normal form."""
-    s = e.surface
-    acc = s.zero()
-    for (i, j), v in e.xpart.items():
-        acc = acc + (img_x**i * img_z**j).scale(v)
-    for (i, j), v in e.ypart.items():
-        acc = acc + (img_y**i * img_z**j).scale(v)
-    for j, v in e.zpart.c.items():
-        acc = acc + (img_z**j).scale(v)
+    acc = e.surface.zero()
+    for n, q in e.coeffs.items():
+        base = (img_x if n > 0 else img_y) ** abs(n) if n else None
+        for j, v in q.c.items():
+            t = img_z**j if base is None else base * img_z**j
+            acc = acc + t.scale(v)
     return acc
 
 
@@ -303,9 +297,7 @@ def z_x_degree(phi: PolynomialAutomorphism) -> ZDegreeVerdict:
             raise InvalidGenerator("z_x_degree expects a word of shears only")
     if not phi.word:
         return ZDegreeVerdict(0, True)
-    img = phi.img_z
-    d = max((i for (i, _) in list(img.xpart) + list(img.ypart)), default=0)
-    return ZDegreeVerdict(int(d), False)
+    return ZDegreeVerdict(max((abs(n) for n in phi.img_z.coeffs), default=0), False)
 
 
 def conjugate_field(

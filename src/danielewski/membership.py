@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     DegreeGate,
@@ -157,7 +158,7 @@ class MembershipVerdict:
 def decide(f: SurfacePolynomial) -> MembershipVerdict:
     """Accept iff rem(antiderivative(a0), p) has degree <= 1."""
     norm = canonical_potential(f)
-    a0 = norm.zpart
+    a0 = norm.coeff(0)
     _, rem = poly_divrem(antiderivative(a0), f.surface.p)
     return MembershipVerdict(rem.degree <= 1, rem, norm)
 
@@ -197,16 +198,11 @@ def classify_bracket_potential(
 
     check(expr)
     f = potential_of(evaluate(surface, expr))
-    if f.ypart or f.xpart:
-        part, kind = (f.xpart, "x") if f.xpart else (f.ypart, "y")
-        if (f.xpart and f.ypart) or not f.zpart.is_zero():
-            raise InternalInvariantViolation("nested shear potential has mixed shape")
-        powers = {i for (i, _j) in part}
-        if len(powers) != 1:
-            raise InternalInvariantViolation("nested shear potential has mixed shape")
-        (j,) = powers
-        return PotentialShape(kind, j, UniPoly({e: v for (_i, e), v in part.items()}))
-    q = f.zpart
+    if len(f.coeffs) > 1:
+        raise InternalInvariantViolation("nested shear potential has mixed shape")
+    n, q = next(iter(f.coeffs.items()), (0, UniPoly()))
+    if n:
+        return PotentialShape("x" if n > 0 else "y", abs(n), q)
     # q is the canonical (constant-free) representative of some (p*h)', so
     # the antiderivative lies in p*Q[z] + span{1, z}
     _, rem = poly_divrem(antiderivative(q), surface.p)
@@ -228,19 +224,16 @@ def avdp_decompose(f: SurfacePolynomial) -> BracketExpression:
     """
     s = f.surface
     terms = []
-    for (i, j), v in sorted(f.xpart.items()):
-        if j == 0:
-            terms.append((-i * v, Leaf("SFx", i - 1)))
-        else:
-            terms.append((v, Bracket(Leaf("SFx", i - 1), Leaf("HF", poly=UniPoly.monomial(j)))))
-    for (i, j), v in sorted(f.ypart.items()):
-        if j == 0:
-            terms.append((i * v, Leaf("SFy", i - 1)))
-        else:
-            terms.append((v, Bracket(Leaf("SFy", i - 1), Leaf("HF", poly=UniPoly.monomial(j)))))
-    for j, v in sorted(f.zpart.c.items()):
-        if j >= 1:
-            terms.append((j * v, Leaf("HF", poly=UniPoly.monomial(j - 1))))
+    for n in f.weights():
+        kind, i = "SFx" if n > 0 else "SFy", abs(n)
+        for j, v in sorted(f.coeffs[n].c.items()):
+            if n == 0:
+                if j >= 1:
+                    terms.append((j * v, Leaf("HF", poly=UniPoly.monomial(j - 1))))
+            elif j == 0:
+                terms.append((-i * v if n > 0 else i * v, Leaf(kind, i - 1)))
+            else:
+                terms.append((v, Bracket(Leaf(kind, i - 1), Leaf("HF", poly=UniPoly.monomial(j)))))
     expr = make_sum(terms)
     if not verify_certificate(s, expr, f):
         raise InternalInvariantViolation("decomposition failed verification")
@@ -405,14 +398,9 @@ class SpanningFamily:
                     i += 1
 
 
-_FAMILY_CACHE: dict = {}
-
-
+@lru_cache(maxsize=16)
 def build_spanning_family(surface: SurfaceConfig, max_deg: int) -> SpanningFamily:
-    key = (surface.p, max_deg)
-    if key not in _FAMILY_CACHE:
-        _FAMILY_CACHE[key] = SpanningFamily(surface, max_deg)
-    return _FAMILY_CACHE[key]
+    return SpanningFamily(surface, max_deg)
 
 
 # -- shears-only certification -------------------------------------------------
@@ -530,30 +518,38 @@ class _Certifier:
         return make_sum(terms)
 
     def certify(self, f: SurfacePolynomial) -> BracketExpression:
-        by_xi: dict[int, UniPoly] = {}
-        by_yi: dict[int, UniPoly] = {}
-        for (i, j), v in f.xpart.items():
-            by_xi[i] = by_xi.get(i, UniPoly()) + UniPoly.monomial(j, v)
-        for (i, j), v in f.ypart.items():
-            by_yi[i] = by_yi.get(i, UniPoly()) + UniPoly.monomial(j, v)
         terms: list = []
-        for i in sorted(by_xi):
-            terms.append((Fraction(1), self.x_part(i, by_xi[i])))
-        for i in sorted(by_yi):
-            # mirroring negates the potential and swaps x with y
-            terms.append((Fraction(-1), mirror_expr(self.x_part(i, by_yi[i]))))
-        a0 = f.zpart
-        if not UniPoly({e: v for e, v in a0.c.items() if e != 0}).is_zero():
-            terms.append((Fraction(1), self.pure_z(a0)))
+        for n in f.weights():
+            q = f.coeffs[n]
+            if n > 0:
+                terms.append((Fraction(1), self.x_part(n, q)))
+            elif n < 0:
+                # mirroring negates the potential and swaps x with y
+                terms.append((Fraction(-1), mirror_expr(self.x_part(-n, q))))
+            elif q.degree > 0:
+                terms.append((Fraction(1), self.pure_z(q)))
         return make_sum(terms)
 
 
-_CERTIFIER_CACHE: dict = {}
+@lru_cache(maxsize=16)
+def _certifier(surface: SurfaceConfig, max_deg: int) -> _Certifier:
+    return _Certifier(surface, max_deg)
+
+
+# Ceiling on the degree bound of certify_shears_only, the default bound
+# included.  The family build dominates and grows steeply with the bound:
+# certifying x on z^3 - z took 7 s at 24 and 23 s at 32.
+MAX_CERTIFY_DEGREE = 32
 
 
 def certify_shears_only(
     f: SurfacePolynomial, max_deg: int | None = None
 ) -> BracketExpression:
+    """A verified shears-only certificate for an accepted potential.
+
+    ``max_deg`` defaults to ``default_certify_bound(f)``; a bound above
+    MAX_CERTIFY_DEGREE raises DegreeGate.
+    """
     s = f.surface
     verdict = decide(f)
     if not verdict.accepted:
@@ -563,10 +559,12 @@ def certify_shears_only(
         )
     if max_deg is None:
         max_deg = default_certify_bound(f)
-    key = (s.p, max_deg)
-    if key not in _CERTIFIER_CACHE:
-        _CERTIFIER_CACHE[key] = _Certifier(s, max_deg)
-    expr = _CERTIFIER_CACHE[key].certify(f)
+    if max_deg > MAX_CERTIFY_DEGREE:
+        raise DegreeGate(
+            f"degree bound {max_deg} exceeds the ceiling "
+            f"MAX_CERTIFY_DEGREE = {MAX_CERTIFY_DEGREE}"
+        )
+    expr = _certifier(s, max_deg).certify(f)
     if not verify_certificate(s, expr, f):
         raise InternalInvariantViolation("shears-only certificate failed verification")
     return expr
@@ -574,8 +572,7 @@ def certify_shears_only(
 
 def default_certify_bound(f: SurfacePolynomial) -> int:
     n = f.surface.degree
-    deg_z = max(int(f.zpart.degree) if not f.zpart.is_zero() else 0, 0)
-    deg_mixed = max(
-        [j for (_i, j) in f.xpart] + [j for (_i, j) in f.ypart] + [0]
-    )
+    deg = {k: int(q.degree) for k, q in f.coeffs.items()}
+    deg_z = deg.pop(0, 0)
+    deg_mixed = max(deg.values(), default=0)
     return max(4 * n, deg_z + 2 * n, deg_mixed + 3 * n, 12)

@@ -97,6 +97,11 @@ class _Tokens:
 
 _VARS = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}
 
+# Ceiling on an exponent: a power is expanded by repeated multiplication, so
+# the parse makes as many products as the exponent says (x^100000 took 0.9 s;
+# (1 + z)^1000, whose products grow, took 7.4 s).
+MAX_EXPONENT = 1000
+
 
 def _parse_exponent(t: _Tokens) -> int:
     if t.peek() == "(":
@@ -109,10 +114,13 @@ def _parse_exponent(t: _Tokens) -> int:
         t.expect(")")
         if neg:
             raise NegativeExponent("exponents must be non-negative integers", t.pos)
-        return n
-    if t.peek() == "-":
+    elif t.peek() == "-":
         raise NegativeExponent("exponents must be non-negative integers", t.pos)
-    return t.integer()
+    else:
+        n = t.integer()
+    if n > MAX_EXPONENT:
+        raise ParseError(f"exponent {n} exceeds the ceiling MAX_EXPONENT = {MAX_EXPONENT}", t.pos)
+    return n
 
 
 def _parse_atom(t: _Tokens) -> dict:
@@ -228,15 +236,13 @@ def format_unipoly(q: UniPoly, var: str = "z") -> str:
 
 def format_surface_polynomial(f: SurfacePolynomial) -> str:
     terms = []
-    for name, part in (("x", f.xpart), ("y", f.ypart)):
-        for (i, j), v in sorted(part.items()):
-            parts = [_var_power(name, i)]
-            if j:
-                parts.append(_var_power("z", j))
-            terms.append(_monomial(v, parts))
-    for e in sorted(f.zpart.c):
-        parts = [] if e == 0 else [_var_power("z", e)]
-        terms.append(_monomial(f.zpart.c[e], parts))
+    for n in f.weights():
+        q = f.coeffs[n]
+        for e in sorted(q.c):
+            parts = [_var_power("x" if n > 0 else "y", abs(n))] if n else []
+            if e:
+                parts.append(_var_power("z", e))
+            terms.append(_monomial(q.c[e], parts))
     return _join(terms)
 
 
@@ -344,8 +350,23 @@ def cert_to_obj(expr) -> dict:
     return {"bracket": [cert_to_obj(expr.left), cert_to_obj(expr.right)]}
 
 
-def cert_from_obj(obj) -> "membership.BracketExpression":
-    """Inverse of ``cert_to_obj``; raises ParseError on any other shape."""
+# Ceiling on the nesting depth of a certificate read from a file: reading,
+# evaluating and printing a certificate recurse once per level, so this
+# keeps them far from the interpreter's recursion limit.  The deepest
+# certificate that certify or z2-certify emits on the test and benchmark
+# inputs has depth 13.
+MAX_CERT_DEPTH = 100
+_TOO_DEEP = f"certificate is nested deeper than MAX_CERT_DEPTH = {MAX_CERT_DEPTH}"
+
+
+def cert_from_obj(obj, depth: int = 1) -> "membership.BracketExpression":
+    """Inverse of ``cert_to_obj``; raises ParseError on any other shape.
+
+    ``depth`` is the level of ``obj`` in the whole tree; a node below level
+    MAX_CERT_DEPTH is rejected.
+    """
+    if depth > MAX_CERT_DEPTH:
+        raise ParseError(_TOO_DEEP)
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ParseError("certificate node must have exactly one of leaf/sum/bracket")
     if "leaf" in obj:
@@ -369,12 +390,16 @@ def cert_from_obj(obj) -> "membership.BracketExpression":
             isinstance(t, list) and len(t) == 2 and isinstance(t[0], str) for t in terms
         ):
             raise ParseError("'sum' must be a list of [weight, node] pairs")
-        return membership.Sum(tuple((_parse_rational(w), cert_from_obj(t)) for w, t in terms))
+        return membership.Sum(
+            tuple((_parse_rational(w), cert_from_obj(t, depth + 1)) for w, t in terms)
+        )
     if "bracket" in obj:
         pair = obj["bracket"]
         if not isinstance(pair, list) or len(pair) != 2:
             raise ParseError("'bracket' must be a list of two nodes")
-        return membership.Bracket(cert_from_obj(pair[0]), cert_from_obj(pair[1]))
+        return membership.Bracket(
+            cert_from_obj(pair[0], depth + 1), cert_from_obj(pair[1], depth + 1)
+        )
     raise ParseError("certificate node must have one of leaf/sum/bracket")
 
 
@@ -396,6 +421,8 @@ def load_certificate_file(text: str):
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid certificate file: {exc}")
+    except RecursionError:
+        raise ParseError(_TOO_DEEP)
     if not isinstance(obj, dict):
         raise ParseError("certificate file must hold a JSON object")
     for key in ("p", "claimed", "certificate"):

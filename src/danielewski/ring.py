@@ -1,10 +1,19 @@
 """Exact arithmetic in the coordinate ring of the surface x*y = p(z).
 
-Every element has a unique normal form with three parts: terms x^i z^j
-(i >= 1), terms y^i z^j (i >= 1) and a pure-z absolute term.  Products are
-computed in the chart x != 0, where elements become Laurent polynomials in
-x with coefficients in Q[z]; a Laurent element descends back to the surface
-exactly when the coefficient of x^(-i) is divisible by p^i.
+The ring is graded by the hyperbolic action (x, y, z) -> (l*x, y/l, z):
+x has weight 1, y weight -1 and z weight 0.  Every element has a unique
+normal form sum_n u_n q_n(z), one nonzero coefficient q_n in Q[z] per
+weight n, where u_n = x^n for n > 0, y^(-n) for n < 0 and 1 for n = 0; it
+is stored as the dict ``coeffs = {n: q_n}``.  Other modules build elements
+with the SurfaceConfig constructors or from such a dict and read them
+through ``coeffs``; the term views ``xpart``/``ypart``/``zpart`` are for
+readers outside the library.
+
+Products are computed in the chart x != 0, where y = p(z)/x and an element
+becomes a Laurent polynomial in x with coefficients in Q[z]: the chart map
+sends y^n q(z) to x^(-n) p^n q(z) and leaves the other weights alone.  A
+Laurent element descends back to the surface exactly when the coefficient
+of x^(-n) is divisible by p^n.
 """
 
 from __future__ import annotations
@@ -18,8 +27,6 @@ from .errors import (
     RepeatedRoot,
     ZeroPolynomial,
 )
-
-Frac = Fraction
 
 NEG_INF = float("-inf")
 
@@ -270,22 +277,24 @@ class SurfaceConfig:
     # -- element constructors -------------------------------------------------
 
     def zero(self) -> "SurfacePolynomial":
-        return SurfacePolynomial(self, {}, {}, UniPoly())
+        return SurfacePolynomial(self)
 
     def const(self, v) -> "SurfacePolynomial":
-        return SurfacePolynomial(self, {}, {}, UniPoly.const(v))
+        return SurfacePolynomial(self, {0: UniPoly.const(v)})
 
     def x(self, i: int = 1, j: int = 0, v=1) -> "SurfacePolynomial":
-        return SurfacePolynomial(self, {(i, j): _frac(v)}, {}, UniPoly())
+        """v * x^i * z^j."""
+        return SurfacePolynomial(self, {i: UniPoly.monomial(j, v)})
 
     def y(self, i: int = 1, j: int = 0, v=1) -> "SurfacePolynomial":
-        return SurfacePolynomial(self, {}, {(i, j): _frac(v)}, UniPoly())
+        """v * y^i * z^j."""
+        return SurfacePolynomial(self, {-i: UniPoly.monomial(j, v)})
 
     def z(self) -> "SurfacePolynomial":
         return self.from_unipoly(UniPoly.var())
 
     def from_unipoly(self, q: UniPoly) -> "SurfacePolynomial":
-        return SurfacePolynomial(self, {}, {}, q)
+        return SurfacePolynomial(self, {0: q})
 
 
 def make_surface(p: UniPoly) -> SurfaceConfig:
@@ -331,110 +340,95 @@ def reduce(surface: SurfaceConfig, raw: dict) -> "SurfacePolynomial":
     """Rewrite every occurrence of x*y to p(z); result is in normal form.
 
     Order of rewriting does not matter: x^a y^b z^c always collapses to
-    x^(a-m) y^(b-m) z^c p^m with m = min(a, b).
+    weight a - b with coefficient z^c p^m, m = min(a, b).
     """
-    xpart: dict = {}
-    ypart: dict = {}
-    zpart = UniPoly()
-    p = surface.p
+    coeffs: dict[int, UniPoly] = {}
     for (a, b, c), v in raw.items():
         m = min(a, b)
-        zq = (p**m).scale(v) * UniPoly.monomial(c) if m else UniPoly.monomial(c, v)
-        i = a - m
-        k = b - m
-        if i > 0:
-            for e, w in zq.c.items():
-                key = (i, e)
-                u = xpart.get(key, Fraction(0)) + w
-                if u:
-                    xpart[key] = u
-                else:
-                    xpart.pop(key, None)
-        elif k > 0:
-            for e, w in zq.c.items():
-                key = (k, e)
-                u = ypart.get(key, Fraction(0)) + w
-                if u:
-                    ypart[key] = u
-                else:
-                    ypart.pop(key, None)
-        else:
-            zpart = zpart + zq
-    return SurfacePolynomial(surface, xpart, ypart, zpart)
+        q = surface.p**m * UniPoly.monomial(c, v) if m else UniPoly.monomial(c, v)
+        n = a - b
+        coeffs[n] = coeffs[n] + q if n in coeffs else q
+    return SurfacePolynomial(surface, coeffs)
 
 
-class SurfacePolynomial:
-    """Normal-form element of the coordinate ring."""
+class _Graded:
+    """A finite map from integer weights to nonzero ``UniPoly`` coefficients.
 
-    __slots__ = ("surface", "xpart", "ypart", "zpart")
+    The linear operations of surface elements and chart elements, which share
+    this layout (in the chart, weight n is the power x^n).  Operands must be
+    of one class and on one surface.
+    """
 
-    def __init__(self, surface: SurfaceConfig, xpart: dict, ypart: dict, zpart: UniPoly):
+    __slots__ = ("surface", "coeffs")
+
+    def __init__(self, surface: SurfaceConfig, coeffs=None):
         self.surface = surface
-        self.xpart = {k: _frac(v) for k, v in xpart.items() if v}
-        self.ypart = {k: _frac(v) for k, v in ypart.items() if v}
-        self.zpart = zpart
-        for (i, _j) in self.xpart:
-            if i < 1:
-                raise InternalInvariantViolation("x-part exponent must be >= 1")
-        for (i, _j) in self.ypart:
-            if i < 1:
-                raise InternalInvariantViolation("y-part exponent must be >= 1")
+        self.coeffs = (
+            {int(k): q for k, q in coeffs.items() if not q.is_zero()} if coeffs else {}
+        )
+
+    def _new(self, coeffs: dict):
+        """An element of the same class; every value of ``coeffs`` is nonzero."""
+        r = object.__new__(type(self))
+        r.surface = self.surface
+        r.coeffs = coeffs
+        return r
+
+    def _check(self, other):
+        if type(other) is not type(self):
+            raise InternalInvariantViolation(
+                f"mixing {type(self).__name__} with {type(other).__name__}"
+            )
+        if other.surface is not self.surface and other.surface != self.surface:
+            raise InternalInvariantViolation("mixing elements of different surfaces")
 
     def is_zero(self) -> bool:
-        return not self.xpart and not self.ypart and self.zpart.is_zero()
+        return not self.coeffs
+
+    def coeff(self, k: int) -> UniPoly:
+        return self.coeffs.get(k, UniPoly())
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, SurfacePolynomial)
+            type(other) is type(self)
             and self.surface == other.surface
-            and self.xpart == other.xpart
-            and self.ypart == other.ypart
-            and self.zpart == other.zpart
+            and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
-        return hash(
-            (
-                frozenset(self.xpart.items()),
-                frozenset(self.ypart.items()),
-                self.zpart,
-            )
-        )
+        return hash(frozenset(self.coeffs.items()))
 
-    def __add__(self, other: "SurfacePolynomial") -> "SurfacePolynomial":
+    def __add__(self, other):
         self._check(other)
-        x = dict(self.xpart)
-        for k, v in other.xpart.items():
-            w = x.get(k, Fraction(0)) + v
-            if w:
-                x[k] = w
-            else:
-                x.pop(k, None)
-        y = dict(self.ypart)
-        for k, v in other.ypart.items():
-            w = y.get(k, Fraction(0)) + v
-            if w:
-                y[k] = w
-            else:
-                y.pop(k, None)
-        return SurfacePolynomial(self.surface, x, y, self.zpart + other.zpart)
+        c = dict(self.coeffs)
+        for k, q in other.coeffs.items():
+            if k in c:
+                q = c[k] + q
+                if q.is_zero():
+                    del c[k]
+                    continue
+            c[k] = q
+        return self._new(c)
 
-    def __neg__(self) -> "SurfacePolynomial":
-        return self.scale(-1)
+    def __neg__(self):
+        return self._new({k: -q for k, q in self.coeffs.items()})
 
-    def __sub__(self, other: "SurfacePolynomial") -> "SurfacePolynomial":
+    def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, v) -> "SurfacePolynomial":
+    def scale(self, v):
         v = _frac(v)
-        if not v:
-            return self.surface.zero()
-        return SurfacePolynomial(
-            self.surface,
-            {k: w * v for k, w in self.xpart.items()},
-            {k: w * v for k, w in self.ypart.items()},
-            self.zpart.scale(v),
-        )
+        return self._new({k: q.scale(v) for k, q in self.coeffs.items()} if v else {})
+
+
+class SurfacePolynomial(_Graded):
+    """Normal-form element of the coordinate ring, graded by weight.
+
+    ``coeffs[n]`` is q(z) for the term x^n q(z) when n > 0, y^(-n) q(z) when
+    n < 0 and the pure-z part when n = 0.
+    """
+
+    __slots__ = ()
 
     def __mul__(self, other: "SurfacePolynomial") -> "SurfacePolynomial":
         self._check(other)
@@ -446,71 +440,64 @@ class SurfacePolynomial:
     def __pow__(self, n: int) -> "SurfacePolynomial":
         return power(self, n, self.surface.const(1))
 
-    def _check(self, other: "SurfacePolynomial"):
-        if self.surface != other.surface:
-            raise InternalInvariantViolation("mixing elements of different surfaces")
+    def weights(self) -> list[int]:
+        """The weights present, in printing order: x-terms by ascending power,
+        then y-terms by ascending power, then the pure-z part."""
+        return sorted(self.coeffs, key=lambda n: (n == 0, n < 0, abs(n)))
+
+    # -- read-only views in the (power of x or y, power of z) layout ----------
+
+    @property
+    def xpart(self) -> dict:
+        """{(i, j): coefficient of x^i z^j}, a fresh dict."""
+        return {(n, e): v for n, q in self.coeffs.items() if n > 0 for e, v in q.c.items()}
+
+    @property
+    def ypart(self) -> dict:
+        """{(i, j): coefficient of y^i z^j}, a fresh dict."""
+        return {(-n, e): v for n, q in self.coeffs.items() if n < 0 for e, v in q.c.items()}
+
+    @property
+    def zpart(self) -> UniPoly:
+        return self.coeff(0)
 
     # -- calculus on the normal-form representative ---------------------------
 
+    def _lower(self, sign: int) -> "SurfacePolynomial":
+        """d/du for u = x (sign 1) or u = y (sign -1): u^m q(z) -> m u^(m-1) q(z)."""
+        return self._new(
+            {n - sign: q.scale(n * sign) for n, q in self.coeffs.items() if n * sign > 0}
+        )
+
     def partial_x(self) -> "SurfacePolynomial":
         """Formal d/dx of the normal-form representative."""
-        xp = {}
-        zp = UniPoly()
-        for (i, j), v in self.xpart.items():
-            if i == 1:
-                zp = zp + UniPoly.monomial(j, v)
-            else:
-                xp[(i - 1, j)] = xp.get((i - 1, j), Fraction(0)) + v * i
-        return SurfacePolynomial(self.surface, xp, {}, zp)
+        return self._lower(1)
 
     def partial_y(self) -> "SurfacePolynomial":
-        yp = {}
-        zp = UniPoly()
-        for (i, j), v in self.ypart.items():
-            if i == 1:
-                zp = zp + UniPoly.monomial(j, v)
-            else:
-                yp[(i - 1, j)] = yp.get((i - 1, j), Fraction(0)) + v * i
-        return SurfacePolynomial(self.surface, {}, yp, zp)
+        return self._lower(-1)
 
     def partial_z(self) -> "SurfacePolynomial":
-        xp = {}
-        for (i, j), v in self.xpart.items():
-            if j >= 1:
-                xp[(i, j - 1)] = v * j
-        yp = {}
-        for (i, j), v in self.ypart.items():
-            if j >= 1:
-                yp[(i, j - 1)] = v * j
-        return SurfacePolynomial(self.surface, xp, yp, self.zpart.derivative())
+        return SurfacePolynomial(
+            self.surface, {n: q.derivative() for n, q in self.coeffs.items()}
+        )
 
     def swap_xy(self) -> "SurfacePolynomial":
         """Image under the involution (x, y, z) -> (y, x, z)."""
-        return SurfacePolynomial(self.surface, dict(self.ypart), dict(self.xpart), self.zpart)
+        return self._new({-n: q for n, q in self.coeffs.items()})
 
     def eval_at(self, x0, y0, z0) -> Fraction:
         x0, y0, z0 = _frac(x0), _frac(y0), _frac(z0)
-        acc = self.zpart.eval(z0)
-        for (i, j), v in self.xpart.items():
-            acc += v * x0**i * z0**j
-        for (i, j), v in self.ypart.items():
-            acc += v * y0**i * z0**j
-        return acc
-
-    def to_formal(self) -> dict:
-        r = {}
-        for (i, j), v in self.xpart.items():
-            r[(i, 0, j)] = v
-        for (i, j), v in self.ypart.items():
-            r[(0, i, j)] = v
-        for e, v in self.zpart.c.items():
-            r[(0, 0, e)] = v
-        return r
+        return sum(
+            (q.eval(z0) * (x0**n if n >= 0 else y0**-n) for n, q in self.coeffs.items()),
+            Fraction(0),
+        )
 
     def drop_constant(self) -> "SurfacePolynomial":
         """Canonical representative modulo constants (zero absolute term)."""
-        z = UniPoly({e: v for e, v in self.zpart.c.items() if e != 0})
-        return SurfacePolynomial(self.surface, dict(self.xpart), dict(self.ypart), z)
+        c = dict(self.coeffs)
+        if 0 in c:
+            c[0] = UniPoly({e: v for e, v in c[0].c.items() if e})
+        return SurfacePolynomial(self.surface, c)
 
     def __repr__(self):
         from .parsing import format_surface_polynomial
@@ -518,7 +505,7 @@ class SurfacePolynomial:
         return f"<{format_surface_polynomial(self)}>"
 
 
-class ChartElement:
+class ChartElement(_Graded):
     """Laurent polynomial in x with coefficients in Q[z].
 
     General chart functions (one-form components, intermediate products).
@@ -526,45 +513,7 @@ class ChartElement:
     by p^i; ``from_chart`` checks that.
     """
 
-    __slots__ = ("surface", "coeffs")
-
-    def __init__(self, surface: SurfaceConfig, coeffs=None):
-        self.surface = surface
-        c = {}
-        if coeffs:
-            for k, q in coeffs.items():
-                if not q.is_zero():
-                    c[int(k)] = q
-        self.coeffs = c
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coeff(self, k: int) -> UniPoly:
-        return self.coeffs.get(k, UniPoly())
-
-    @property
-    def x_degree(self):
-        return max(self.coeffs) if self.coeffs else NEG_INF
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ChartElement)
-            and self.surface == other.surface
-            and self.coeffs == other.coeffs
-        )
-
-    def __add__(self, other: "ChartElement") -> "ChartElement":
-        c = dict(self.coeffs)
-        for k, q in other.coeffs.items():
-            c[k] = c[k] + q if k in c else q
-        return ChartElement(self.surface, c)
-
-    def __neg__(self) -> "ChartElement":
-        return ChartElement(self.surface, {k: -q for k, q in self.coeffs.items()})
-
-    def __sub__(self, other: "ChartElement") -> "ChartElement":
-        return self + (-other)
+    __slots__ = ()
 
     def __mul__(self, other: "ChartElement") -> "ChartElement":
         c: dict = {}
@@ -574,68 +523,44 @@ class ChartElement:
                 c[k] = c[k] + q1 * q2 if k in c else q1 * q2
         return ChartElement(self.surface, c)
 
-    def scale(self, v) -> "ChartElement":
-        v = _frac(v)
-        if not v:
-            return ChartElement(self.surface)
-        return ChartElement(self.surface, {k: q.scale(v) for k, q in self.coeffs.items()})
-
     def shift(self, d: int) -> "ChartElement":
         """Multiply by x^d (d may be negative)."""
-        return ChartElement(self.surface, {k + d: q for k, q in self.coeffs.items()})
+        return self._new({k + d: q for k, q in self.coeffs.items()})
 
     def diff_x(self) -> "ChartElement":
-        return ChartElement(
-            self.surface, {k - 1: q.scale(k) for k, q in self.coeffs.items() if k != 0}
-        )
+        return self._new({k - 1: q.scale(k) for k, q in self.coeffs.items() if k != 0})
 
     def diff_z(self) -> "ChartElement":
         return ChartElement(self.surface, {k: q.derivative() for k, q in self.coeffs.items()})
 
     def integrate_z(self) -> "ChartElement":
-        return ChartElement(self.surface, {k: q.antiderivative() for k, q in self.coeffs.items()})
+        return self._new({k: q.antiderivative() for k, q in self.coeffs.items()})
 
     def __repr__(self):
         return f"ChartElement({self.coeffs!r})"
 
 
 def to_chart(e: SurfacePolynomial) -> ChartElement:
-    """x^i z^j stays; y^i z^j becomes x^(-i) p^i z^j."""
+    """x^n q(z) stays; y^n q(z) becomes x^(-n) p^n q(z)."""
     s = e.surface
-    c: dict = {}
-    for (i, j), v in e.xpart.items():
-        q = UniPoly.monomial(j, v)
-        c[i] = c[i] + q if i in c else q
-    for (i, j), v in e.ypart.items():
-        q = (s.p**i).scale(v) * UniPoly.monomial(j)
-        k = -i
-        c[k] = c[k] + q if k in c else q
-    if not e.zpart.is_zero():
-        c[0] = c[0] + e.zpart if 0 in c else e.zpart
-    return ChartElement(s, c)
+    return ChartElement(
+        s, {n: q if n >= 0 else s.p ** (-n) * q for n, q in e.coeffs.items()}
+    )
 
 
 def from_chart(c: ChartElement) -> SurfacePolynomial:
     """Inverse of ``to_chart``; raises NotOnSurface on a divisibility failure."""
     s = c.surface
-    xpart: dict = {}
-    ypart: dict = {}
-    zpart = UniPoly()
+    coeffs: dict = {}
     for k, q in c.coeffs.items():
-        if k > 0:
-            for e, v in q.c.items():
-                xpart[(k, e)] = v
-        elif k == 0:
-            zpart = zpart + q
-        else:
-            quot, rem = poly_divrem(q, s.p ** (-k))
+        if k < 0:
+            q, rem = poly_divrem(q, s.p ** (-k))
             if not rem.is_zero():
                 raise NotOnSurface(
                     f"coefficient of x^{k} is not divisible by p^{-k}"
                 )
-            for e, v in quot.c.items():
-                ypart[(-k, e)] = v
-    return SurfacePolynomial(s, xpart, ypart, zpart)
+        coeffs[k] = q
+    return SurfacePolynomial(s, coeffs)
 
 
 def chart_constant_quotient(num: ChartElement, den: ChartElement) -> Fraction:

@@ -24,7 +24,7 @@ from .automorphisms import (
     apply_auto,
     conjugate_field,
 )
-from .errors import ParityViolation, WrongSurface
+from .errors import DegreeGate, InternalInvariantViolation, ParityViolation, WrongSurface
 from .fields import AlgebraicVectorField
 from .membership import (
     Bracket,
@@ -115,13 +115,11 @@ def z2_certificate(target: SurfacePolynomial) -> BracketExpression:
     """Invariant-leaf certificate for a single anti-invariant monomial."""
     s = target.surface
     _gate(s)
-    parts = []
-    for (j, i), v in target.xpart.items():
-        parts.append((v, i, j, "x"))
-    for (j, i), v in target.ypart.items():
-        parts.append((v, i, j, "y"))
-    for i, v in target.zpart.c.items():
-        parts.append((v, i, 0, "x"))
+    parts = [
+        (v, i, abs(n), "x" if n >= 0 else "y")
+        for n, q in target.coeffs.items()
+        for i, v in q.c.items()
+    ]
     if len(parts) != 1:
         raise ValueError("target must be a single monomial")
     v, i, j, kind = parts[0]
@@ -131,12 +129,8 @@ def z2_certificate(target: SurfacePolynomial) -> BracketExpression:
         )
     expr = make_sum([(v, _cert(i, j, kind))])
     if not verify_certificate(s, expr, target):
-        from .errors import InternalInvariantViolation
-
         raise InternalInvariantViolation("equivariant certificate failed verification")
     if not invariant_leaves_only(expr):
-        from .errors import InternalInvariantViolation
-
         raise InternalInvariantViolation("certificate uses a non-invariant leaf")
     return expr
 
@@ -148,9 +142,22 @@ class Z2ReportRow:
     verified: bool
 
 
+# Ceiling on z2_avdp_check's max_deg.  The targets and their certificates
+# grow quickly with the total degree: the check took 3.3 s at 9 and 7.7 s
+# at 11.
+MAX_Z2_DEGREE = 11
+
+
 def z2_avdp_check(surface: SurfaceConfig, max_deg: int) -> list[Z2ReportRow]:
-    """Certify every anti-invariant monomial potential up to total degree."""
+    """Certify every anti-invariant monomial potential up to total degree.
+
+    ``max_deg`` above MAX_Z2_DEGREE raises DegreeGate.
+    """
     _gate(surface)
+    if max_deg > MAX_Z2_DEGREE:
+        raise DegreeGate(
+            f"degree bound {max_deg} exceeds the ceiling MAX_Z2_DEGREE = {MAX_Z2_DEGREE}"
+        )
     rows = []
     targets: list[tuple[str, SurfacePolynomial]] = []
     for total in range(1, max_deg + 1):

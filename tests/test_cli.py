@@ -8,6 +8,10 @@ import pytest
 
 from danielewski import errors
 from danielewski.cli import main
+from danielewski.fields import MAX_LND_ITER
+from danielewski.membership import MAX_CERTIFY_DEGREE
+from danielewski.parsing import MAX_CERT_DEPTH, MAX_EXPONENT
+from danielewski.z2 import MAX_Z2_DEGREE
 
 
 def run(capsys, *argv):
@@ -178,3 +182,60 @@ def test_exit_code_table_matches_error_classes():
     assert set(listed) == set(classes) - {"error"}
     for code, exit_code in listed.items():
         assert classes[code].exit_code == exit_code, code
+
+
+def _bracket_chain(levels):
+    """A certificate file whose node tree has ``levels`` nested brackets."""
+    leaf = json.dumps(_LEAF)
+    node = ('{"bracket": [' + leaf + ", ") * levels + leaf + "]}" * levels
+    return '{"p": "z^3 - z", "claimed": "x", "certificate": ' + node + "}"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("levels", [MAX_CERT_DEPTH, 3000])
+def test_deeply_nested_certificate_is_syntax_error(capsys, tmp_path, levels, fmt):
+    cert = tmp_path / "deep.json"
+    cert.write_text(_bracket_chain(levels))
+    code, out, err = run(capsys, "verify-cert", str(cert), "--surface", "z^3-z",
+                         "--format", fmt)
+    assert code == 2
+    if fmt == "json":
+        assert json.loads(out)["error"] == "syntax-error"
+    else:
+        assert "syntax-error" in err and "MAX_CERT_DEPTH" in err
+
+
+def test_certificate_at_the_depth_ceiling_is_read(capsys, tmp_path):
+    cert = tmp_path / "deep.json"
+    cert.write_text(_bracket_chain(MAX_CERT_DEPTH - 1))
+    code, out, _ = run(capsys, "verify-cert", str(cert), "--surface", "z^3-z")
+    assert code == 1 and out == "false"  # [SFx(0), SFx(0)] = 0, not the field of x
+
+
+# Each case is one above its ceiling, except the iteration bound 0.
+CEILINGS = {
+    "certify --max-degree": (
+        ["certify", "x", "--shears-only", "--max-degree", str(MAX_CERTIFY_DEGREE + 1)],
+        "z^3-z", "degree-gate", "MAX_CERTIFY_DEGREE"),
+    "certify default bound": (
+        ["certify", "30*z^29 - 28*z^27", "--shears-only"],
+        "z^3-z", "degree-gate", "MAX_CERTIFY_DEGREE"),
+    "lnd-check --max-iter": (
+        ["lnd-check", "HF(z)", "--max-iter", str(MAX_LND_ITER + 1)],
+        "z^3-z", "degree-gate", "MAX_LND_ITER"),
+    "lnd-check --max-iter 0": (
+        ["lnd-check", "HF(z)", "--max-iter", "0"], "z^3-z", "degree-gate", "MAX_LND_ITER"),
+    "z2-check --max-degree": (
+        ["z2-check", "--max-degree", str(MAX_Z2_DEGREE + 1)],
+        "z^2-1", "degree-gate", "MAX_Z2_DEGREE"),
+    "parser exponent": (
+        ["reduce", f"x^{MAX_EXPONENT + 1}"], "z^3-z", "syntax-error", "MAX_EXPONENT"),
+}
+
+
+@pytest.mark.parametrize("argv, surface, error, ceiling", CEILINGS.values(),
+                         ids=CEILINGS.keys())
+def test_numeric_input_outside_its_range(capsys, argv, surface, error, ceiling):
+    code, out, _ = run(capsys, *argv, "--surface", surface, "--format", "json")
+    obj = json.loads(out)
+    assert code == 2 and obj["error"] == error and ceiling in obj["message"]

@@ -5,13 +5,16 @@ parametrized as (x0, p(z0)/x0, z0) with x0 != 0.
 """
 
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from danielewski import (
+    InternalInvariantViolation,
     NotOnSurface,
     RepeatedRoot,
     UniPoly,
@@ -20,7 +23,15 @@ from danielewski import (
     make_surface,
     to_chart,
 )
-from danielewski.ring import antiderivative, bezout, poly_divrem, poly_gcd
+from danielewski.ring import (
+    antiderivative,
+    bezout,
+    formal_add,
+    formal_mul,
+    poly_divrem,
+    poly_gcd,
+    reduce,
+)
 
 from conftest import P_CUBIC, P_QUAD, random_surface_polynomial, upoly
 
@@ -201,3 +212,86 @@ def test_power_matches_repeated_product(cubic):
     for n in range(6):
         assert f**n == acc_f and q**n == acc_q
         acc_f, acc_q = acc_f * f, acc_q * q
+
+
+# ---- the weight-graded layout ------------------------------------------------------
+
+
+def test_graded_layout_and_term_views(cubic):
+    f = cubic.x(2, 1) + cubic.y(3, 2, 3) - cubic.z() + cubic.const(1)
+    assert f.coeffs == {2: upoly({1: 1}), -3: upoly({2: 3}), 0: upoly({0: 1, 1: -1})}
+    # the (power of x or y, power of z) views that external readers use
+    assert f.xpart == {(2, 1): 1}
+    assert f.ypart == {(3, 2): 3}
+    assert f.zpart == upoly({0: 1, 1: -1})
+    assert cubic.zero().coeffs == {} and cubic.zero().zpart == UniPoly()
+
+
+def test_swap_xy_against_point_oracle(quad, cubic):
+    rng = random.Random(RNG_SEED + 6)
+    for s in (quad, cubic):
+        pts = surface_points(s, rng, 6)
+        for _ in range(15):
+            f = random_surface_polynomial(s, rng)
+            g = f.swap_xy()
+            assert g.swap_xy() == f
+            for (x0, y0, z0) in pts:
+                assert g.eval_at(x0, y0, z0) == f.eval_at(y0, x0, z0)
+
+
+def _random_formal(rng, max_exp, n_terms=5, normal=False):
+    """Random formal polynomial; with ``normal``, no monomial has both x and y."""
+    f = {}
+    for _ in range(n_terms):
+        a, b, c = (rng.randint(0, max_exp) for _ in range(3))
+        if normal:
+            a, b = rng.choice(((a, 0), (0, b)))
+        f = formal_add(f, {(a, b, c): Fraction(rng.randint(-9, 9), rng.randint(1, 4))})
+    return f
+
+
+def _formal_diff(f, axis):
+    out = {}
+    for k, v in f.items():
+        if k[axis]:
+            lower = tuple(e - (n == axis) for n, e in enumerate(k))
+            out = formal_add(out, {lower: v * k[axis]})
+    return out
+
+
+def test_partials_match_formal_derivative(quad, cubic):
+    rng = random.Random(RNG_SEED + 7)
+    for s in (quad, cubic):
+        for _ in range(20):
+            raw = _random_formal(rng, 5, normal=True)
+            f = reduce(s, raw)
+            assert f.partial_x() == reduce(s, _formal_diff(raw, 0))
+            assert f.partial_y() == reduce(s, _formal_diff(raw, 1))
+            assert f.partial_z() == reduce(s, _formal_diff(raw, 2))
+
+
+def test_product_matches_formal_reduction(quad, cubic):
+    # a chart-free oracle: multiply before reducing x*y to p(z)
+    rng = random.Random(RNG_SEED + 8)
+    for s in (quad, cubic):
+        for _ in range(20):
+            a, b = _random_formal(rng, 3), _random_formal(rng, 3)
+            assert reduce(s, formal_mul(a, b)) == reduce(s, a) * reduce(s, b)
+
+
+def test_mixing_classes_or_surfaces_is_an_invariant_violation(quad, cubic):
+    with pytest.raises(InternalInvariantViolation):
+        quad.x() + cubic.x()
+    with pytest.raises(InternalInvariantViolation):
+        quad.x() * cubic.x()
+    with pytest.raises(InternalInvariantViolation):
+        quad.x() + to_chart(quad.x())
+    with pytest.raises(InternalInvariantViolation):
+        to_chart(quad.x()) - to_chart(cubic.x())
+
+
+def test_only_ring_names_the_term_views():
+    src = Path(__file__).parents[1] / "src" / "danielewski"
+    for path in sorted(src.glob("*.py")):
+        if path.name != "ring.py":
+            assert not re.search(r"\b(xpart|ypart|zpart)\b", path.read_text()), path.name
