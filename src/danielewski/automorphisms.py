@@ -211,9 +211,9 @@ class PolynomialAutomorphism:
 
     __slots__ = ("surface", "word", "img_x", "img_y", "img_z")
 
-    def __init__(self, surface: SurfaceConfig, word: list, _normalize: bool = True):
+    def __init__(self, surface: SurfaceConfig, word: list):
         self.surface = surface
-        self.word = normalize_word(surface, list(word)) if _normalize else list(word)
+        self.word = normalize_word(surface, list(word))
         # Pullback along an o ... o a1 is subst_a1 o ... o subst_an.
         x, y, z = surface.x(), surface.y(), surface.z()
         for g in reversed(self.word):
@@ -360,20 +360,21 @@ def flow_of_shear(surface: SurfaceConfig, kind: str, i: int) -> FlowMap:
 def flow_group_law(flow: FlowMap) -> bool:
     """F_r o F_t = F_(t+r) identically in t and r.
 
-    The word [F_t, F_r] is composed by substitution, without the merge rule
-    of ``normalize_word``.  Its coordinate images, like those of F_(t+r),
-    have degree <= d = deg p in t and in r separately: u goes to u, z to
-    z + (t + r) u^(i+1), and the third coordinate to
-    p(z + (t + r) u^(i+1))/u.  A polynomial of degree <= d in each of two
-    variables that vanishes on the grid {0..d}^2 is zero, so agreement on
-    that grid proves the identity.
+    The composite is formed by substitution, without the merge rule of
+    ``normalize_word``: its coordinate images are those of F_r pulled back
+    along F_t.  They, like those of F_(t+r), have degree <= d = deg p in t
+    and in r separately: u goes to u, z to z + (t + r) u^(i+1), and the
+    third coordinate to p(z + (t + r) u^(i+1))/u.  A polynomial of degree
+    <= d in each of two variables that vanishes on the grid {0..d}^2 is
+    zero, so agreement on that grid proves the identity.
     """
     d = flow.surface.degree
+    at = [flow.at(s) for s in range(2 * d + 1)]
     for t in range(d + 1):
         for r in range(d + 1):
-            word = [flow._shear(t), flow._shear(r)]
-            composed = PolynomialAutomorphism(flow.surface, word, _normalize=False)
-            if composed != flow.at(t + r):
+            f_r, f_tr = at[r], at[t + r]
+            composed = [apply_auto(at[t], g) for g in (f_r.img_x, f_r.img_y, f_r.img_z)]
+            if composed != [f_tr.img_x, f_tr.img_y, f_tr.img_z]:
                 return False
     return True
 

@@ -5,25 +5,28 @@ DANIELEWSKI_FORMAT environment variable sets the default).  Exit codes:
 0 success/accepted, 1 rejected/false, 2 usage or parse error (a malformed
 certificate file included), 3 internal invariant violation.  A library
 error exits with its class's ``exit_code``.
+
+Each subcommand is declared once, in ``COMMANDS``: its own argparse
+arguments and a handler ``(surface, args) -> (text, data, exit_code)``.
+``main`` builds the surface from --surface (so a bad surface is reported
+first), calls the handler and prints ``json.dumps(data, sort_keys=True)``
+under --format json, or ``text`` in text mode and whenever ``data`` is
+None (a certificate prints as indented JSON in both formats).  A
+DanielewskiError prints ``{"error": CODE, "message": TEXT}`` on stdout
+under --format json, else ``error [CODE]: TEXT`` on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
-from fractions import Fraction
 
-from . import membership, parsing, z2
-from .automorphisms import compose as compose_words
-from .automorphisms import volume_factor
-from .automorphisms import conjugate_field
-from .errors import (
-    DanielewskiError,
-    InternalInvariantViolation,
-    ParseError,
-)
+from . import parsing, z2
+from .automorphisms import compose, conjugate_field, volume_factor
+from .errors import DanielewskiError
 from .fields import (
     bracket,
     flex_check,
@@ -32,12 +35,7 @@ from .fields import (
     lnd_check,
     potential_of,
 )
-from .membership import (
-    avdp_decompose,
-    certify_shears_only,
-    decide,
-    verify_certificate,
-)
+from .membership import avdp_decompose, certify_shears_only, decide, verify_certificate
 from .parsing import (
     format_field,
     format_surface_polynomial,
@@ -45,30 +43,116 @@ from .parsing import (
     format_word,
     parse_expression,
     parse_field,
+    parse_point,
     parse_unipoly,
     parse_word,
 )
 from .ring import make_surface
 
-class _Output:
-    def __init__(self, fmt: str):
-        self.fmt = fmt
 
-    def emit(self, text: str, data: dict) -> None:
-        if self.fmt == "json":
-            print(json.dumps(data, sort_keys=True))
-        else:
-            print(text)
+def _result(s: str):
+    return s, {"result": s}, 0
 
 
-def _add_common(sub):
-    sub.add_argument("--surface", required=True, help="defining polynomial p(z)")
-    sub.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default=os.environ.get("DANIELEWSKI_FORMAT", "text"),
-        help="output format (default from DANIELEWSKI_FORMAT, else text)",
-    )
+def _truth(ok: bool):
+    return "true" if ok else "false", {"result": ok}, 0 if ok else 1
+
+
+def _certificate(f, expr) -> str:
+    """The certificate file for ``expr`` evaluating to the potential ``f``."""
+    obj = parsing.certificate_file_obj(f.surface, f, expr)
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+def _lnd_check(s, a):
+    v = lnd_check(parse_field(s, a.field), a.max_iter)
+    data = {"nilpotent": v.nilpotent, "degree": v.degree, "bound": v.bound}
+    return str(v), data, 0 if v.nilpotent else 1
+
+
+def _decide(s, a):
+    v = decide(parse_expression(s, a.expr))
+    rem = format_unipoly(v.witness_remainder)
+    text = f"{'accepted' if v.accepted else 'rejected'}, remainder {rem}"
+    return text, {"accepted": v.accepted, "remainder": rem}, 0 if v.accepted else 1
+
+
+def _certify(s, a):
+    f = parse_expression(s, a.expr)
+    expr = certify_shears_only(f, a.max_degree) if a.shears_only else avdp_decompose(f)
+    text = _certificate(f, expr)
+    if not a.output:
+        return text, None, 0
+    with open(a.output, "w") as fh:
+        fh.write(text + "\n")
+    return f"certificate written to {a.output}", {"written": a.output}, 0
+
+
+def _verify_cert(s, a):
+    with open(a.file) as fh:
+        cert_surface, claimed, expr = parsing.load_certificate_file(fh.read())
+    if cert_surface.p != s.p:
+        return "false (different surface)", {"result": False}, 1
+    return _truth(verify_certificate(s, expr, claimed))
+
+
+def _z2_certify(s, a):
+    f = parse_expression(s, a.expr)
+    return _certificate(f, z2.z2_certificate(f)), None, 0
+
+
+def _z2_check(s, a):
+    rows = z2.z2_avdp_check(s, a.max_degree)
+    text = "\n".join(f"{r.monomial}\tsize {r.size}\t{'ok' if r.verified else 'FAIL'}"
+                     for r in rows)
+    data = {"rows": [dataclasses.asdict(r) for r in rows]}
+    return text, data, 0 if all(r.verified for r in rows) else 1
+
+
+# name -> ([(argument, add_argument keywords)], handler); the order is the
+# order of the usage line.
+COMMANDS = {
+    "reduce": ([("expr", {})],
+               lambda s, a: _result(format_surface_polynomial(parse_expression(s, a.expr)))),
+    "mul": ([("left", {}), ("right", {})],
+            lambda s, a: _result(format_surface_polynomial(
+                parse_expression(s, a.left) * parse_expression(s, a.right)))),
+    "bracket": ([("left", {}), ("right", {})],
+                lambda s, a: _result(format_field(
+                    bracket(parse_field(s, a.left), parse_field(s, a.right))))),
+    "potential": ([("field", {})],
+                  lambda s, a: _result(format_surface_polynomial(
+                      potential_of(parse_field(s, a.field))))),
+    "hamiltonian": ([("expr", {})],
+                    lambda s, a: _result(format_field(
+                        hamiltonian_of(parse_expression(s, a.expr))))),
+    "is-volume-preserving": ([("field", {})],
+                             lambda s, a: _truth(is_volume_preserving(parse_field(s, a.field)))),
+    "lnd-check": ([("field", {}), ("--max-iter", {"type": int, "default": 64})], _lnd_check),
+    "decide": ([("expr", {})], _decide),
+    "certify": ([
+        ("expr", {}),
+        ("--shears-only", {"action": "store_true"}),
+        ("--max-degree", {"type": int, "default": None}),
+        ("--output", {"default": None, "help": "write the certificate file here"}),
+    ], _certify),
+    "verify-cert": ([("file", {})], _verify_cert),
+    "conjugate": ([("word", {}), ("field", {})],
+                  lambda s, a: _result(format_field(
+                      conjugate_field(parse_word(s, a.word), parse_field(s, a.field))))),
+    "compose": ([("left", {}), ("right", {})],
+                lambda s, a: _result(format_word(
+                    compose(parse_word(s, a.left), parse_word(s, a.right))))),
+    "volume-factor": ([("word", {})],
+                      lambda s, a: _result(str(volume_factor(parse_word(s, a.word))))),
+    "flex-check": ([
+        ("point", {"help": "rational point as x,y,z"}),
+        ("fields", {"nargs": "*", "help": "optional field literals"}),
+    ], lambda s, a: _truth(flex_check(
+        s, parse_point(a.point), [parse_field(s, f) for f in a.fields] or None))),
+    "z2-certify": ([("expr", {})], _z2_certify),
+    "z2-check": ([("--max-degree", {"type": int, "default": 7})], _z2_check),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,177 +163,40 @@ def _build_parser() -> argparse.ArgumentParser:
         "automorphism words, and bracket-expression certificates.",
     )
     sp = ap.add_subparsers(dest="command", required=True)
-
-    cmds = {
-        "reduce": [("expr", {})],
-        "mul": [("left", {}), ("right", {})],
-        "bracket": [("left", {}), ("right", {})],
-        "potential": [("field", {})],
-        "hamiltonian": [("expr", {})],
-        "is-volume-preserving": [("field", {})],
-        "lnd-check": [("field", {}), ("--max-iter", {"type": int, "default": 64})],
-        "decide": [("expr", {})],
-        "certify": [
-            ("expr", {}),
-            ("--shears-only", {"action": "store_true"}),
-            ("--max-degree", {"type": int, "default": None}),
-            ("--output", {"default": None, "help": "write the certificate file here"}),
-        ],
-        "verify-cert": [("file", {})],
-        "conjugate": [("word", {}), ("field", {})],
-        "compose": [("left", {}), ("right", {})],
-        "volume-factor": [("word", {})],
-        "flex-check": [
-            ("point", {"help": "rational point as x,y,z"}),
-            ("fields", {"nargs": "*", "help": "optional field literals"}),
-        ],
-        "z2-certify": [("expr", {})],
-        "z2-check": [("--max-degree", {"type": int, "default": 7})],
-    }
-    for name, args in cmds.items():
+    for name, (arguments, _) in COMMANDS.items():
         sub = sp.add_parser(name)
-        for arg, kw in args:
+        for arg, kw in arguments:
             sub.add_argument(arg, **kw)
-        _add_common(sub)
+        sub.add_argument("--surface", required=True, help="defining polynomial p(z)")
+        sub.add_argument(
+            "--format",
+            choices=("text", "json"),
+            default=os.environ.get("DANIELEWSKI_FORMAT", "text"),
+            help="output format (default from DANIELEWSKI_FORMAT, else text)",
+        )
     return ap
 
 
-def _run(args, out: _Output) -> int:
-    surface = make_surface(parse_unipoly(args.surface))
-    cmd = args.command
-
-    if cmd == "reduce":
-        e = parse_expression(surface, args.expr)
-        s = format_surface_polynomial(e)
-        out.emit(s, {"result": s})
-        return 0
-    if cmd == "mul":
-        e = parse_expression(surface, args.left) * parse_expression(surface, args.right)
-        s = format_surface_polynomial(e)
-        out.emit(s, {"result": s})
-        return 0
-    if cmd == "bracket":
-        th = bracket(parse_field(surface, args.left), parse_field(surface, args.right))
-        s = format_field(th)
-        out.emit(s, {"result": s})
-        return 0
-    if cmd == "potential":
-        f = potential_of(parse_field(surface, args.field))
-        s = format_surface_polynomial(f)
-        out.emit(s, {"result": s})
-        return 0
-    if cmd == "hamiltonian":
-        th = hamiltonian_of(parse_expression(surface, args.expr))
-        s = format_field(th)
-        out.emit(s, {"result": s})
-        return 0
-    if cmd == "is-volume-preserving":
-        ok = is_volume_preserving(parse_field(surface, args.field))
-        out.emit("true" if ok else "false", {"result": ok})
-        return 0 if ok else 1
-    if cmd == "lnd-check":
-        v = lnd_check(parse_field(surface, args.field), args.max_iter)
-        out.emit(
-            str(v),
-            {"nilpotent": v.nilpotent, "degree": v.degree, "bound": v.bound},
-        )
-        return 0 if v.nilpotent else 1
-    if cmd == "decide":
-        verdict = decide(parse_expression(surface, args.expr))
-        rem = format_unipoly(verdict.witness_remainder)
-        out.emit(
-            f"{'accepted' if verdict.accepted else 'rejected'}, remainder {rem}",
-            {"accepted": verdict.accepted, "remainder": rem},
-        )
-        return 0 if verdict.accepted else 1
-    if cmd == "certify":
-        f = parse_expression(surface, args.expr)
-        if args.shears_only:
-            expr = certify_shears_only(f, args.max_degree)
-        else:
-            expr = avdp_decompose(f)
-        obj = parsing.certificate_file_obj(surface, f, expr)
-        text = json.dumps(obj, sort_keys=True, indent=2)
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text + "\n")
-            out.emit(f"certificate written to {args.output}", {"written": args.output})
-        else:
-            print(text)
-        return 0
-    if cmd == "verify-cert":
-        with open(args.file) as fh:
-            cert_surface, claimed, expr = parsing.load_certificate_file(fh.read())
-        if cert_surface.p != surface.p:
-            out.emit("false (different surface)", {"result": False})
-            return 1
-        ok = verify_certificate(surface, expr, claimed)
-        out.emit("true" if ok else "false", {"result": ok})
-        return 0 if ok else 1
-    if cmd == "conjugate":
-        th = conjugate_field(parse_word(surface, args.word), parse_field(surface, args.field))
-        s = format_field(th)
-        out.emit(s, {"result": s})
-        return 0
-    if cmd == "compose":
-        w = compose_words(parse_word(surface, args.left), parse_word(surface, args.right))
-        s = format_word(w)
-        out.emit(s, {"result": s})
-        return 0
-    if cmd == "volume-factor":
-        j = volume_factor(parse_word(surface, args.word))
-        out.emit(str(j), {"result": str(j)})
-        return 0
-    if cmd == "flex-check":
-        try:
-            point = tuple(Fraction(c) for c in args.point.split(","))
-            if len(point) != 3:
-                raise ValueError
-        except (ValueError, ZeroDivisionError):
-            raise ParseError("point must be three rationals: x,y,z")
-        fields = [parse_field(surface, f) for f in args.fields] or None
-        ok = flex_check(surface, point, fields)
-        out.emit("true" if ok else "false", {"result": ok})
-        return 0 if ok else 1
-    if cmd == "z2-certify":
-        f = parse_expression(surface, args.expr)
-        expr = z2.z2_certificate(f)
-        obj = parsing.certificate_file_obj(surface, f, expr)
-        print(json.dumps(obj, sort_keys=True, indent=2))
-        return 0
-    if cmd == "z2-check":
-        rows = z2.z2_avdp_check(surface, args.max_degree)
-        lines = [f"{r.monomial}\tsize {r.size}\t{'ok' if r.verified else 'FAIL'}" for r in rows]
-        out.emit(
-            "\n".join(lines),
-            {"rows": [{"monomial": r.monomial, "size": r.size, "verified": r.verified} for r in rows]},
-        )
-        return 0 if all(r.verified for r in rows) else 1
-    raise InternalInvariantViolation(f"unhandled command {cmd!r}")
-
-
 def main(argv=None) -> int:
-    ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    out = _Output(args.format)
+    as_json = args.format == "json"
     try:
-        return _run(args, out)
+        surface = make_surface(parse_unipoly(args.surface))
+        text, data, code = COMMANDS[args.command][1](surface, args)
+        print(json.dumps(data, sort_keys=True) if as_json and data is not None else text)
+        return code
     except DanielewskiError as exc:
-        _emit_error(out, exc)
+        if as_json:
+            print(json.dumps({"error": exc.code, "message": str(exc)}, sort_keys=True))
+        else:
+            print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _emit_error(out: _Output, exc: DanielewskiError):
-    if out.fmt == "json":
-        print(json.dumps({"error": exc.code, "message": str(exc)}, sort_keys=True))
-    else:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
 
 
 if __name__ == "__main__":

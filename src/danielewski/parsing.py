@@ -46,10 +46,18 @@ from .ring import (
 # -- tokenizer -----------------------------------------------------------------
 
 
+# Ceilings on the shape of a literal: the parser recurses four calls deep per
+# parenthesis level (the interpreter's limit was hit at about 250 levels), and
+# int() refuses strings of more than 4300 digits.
+MAX_PAREN_DEPTH = 100
+MAX_DIGITS = 1000
+
+
 class _Tokens:
     def __init__(self, src: str):
         self.src = src
         self.pos = 0
+        self.depth = 0  # open parentheses around the current position
 
     def _skip_ws(self):
         while self.pos < len(self.src) and self.src[self.pos].isspace():
@@ -77,6 +85,9 @@ class _Tokens:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", start)
+        n = self.pos - start
+        if n > MAX_DIGITS:
+            raise ParseError(f"{n} digits exceed the ceiling MAX_DIGITS = {MAX_DIGITS}", start)
         return int(self.src[start : self.pos])
 
     def rational(self) -> Fraction:
@@ -127,8 +138,15 @@ def _parse_atom(t: _Tokens) -> dict:
     c = t.peek()
     if c == "(":
         t.take()
+        t.depth += 1
+        if t.depth > MAX_PAREN_DEPTH:
+            raise ParseError(
+                f"parentheses nested deeper than the ceiling MAX_PAREN_DEPTH = {MAX_PAREN_DEPTH}",
+                t.pos,
+            )
         e = _parse_sum(t)
         t.expect(")")
+        t.depth -= 1
         return e
     if c in _VARS:
         t.take()
@@ -185,15 +203,23 @@ def parse_expression(surface: SurfaceConfig, src: str) -> SurfacePolynomial:
 
 
 def parse_unipoly(src: str) -> UniPoly:
-    """Parse a univariate polynomial (any one of x, y, z as the variable)."""
+    """Parse a univariate polynomial: any one of x, y, z as the variable,
+    the same one in every term."""
     formal = parse_formal(src)
-    out: dict[int, Fraction] = {}
-    for (a, b, c), v in formal.items():
-        if sum(1 for e in (a, b, c) if e) > 1:
-            raise ParseError("expected a polynomial in one variable")
-        e = a or b or c
-        out[e] = out.get(e, Fraction(0)) + v
-    return UniPoly(out)
+    if len({k for key in formal for k, e in enumerate(key) if e}) > 1:
+        raise ParseError("expected a polynomial in one variable")
+    return UniPoly({sum(key): v for key, v in formal.items()})
+
+
+def parse_point(src: str) -> tuple[Fraction, Fraction, Fraction]:
+    """A rational point written ``x,y,z`` (each part as ``Fraction`` reads it)."""
+    try:
+        point = tuple(Fraction(c) for c in src.split(","))
+    except (ValueError, ZeroDivisionError):
+        point = ()
+    if len(point) != 3:
+        raise ParseError("point must be three rationals: x,y,z")
+    return point
 
 
 # -- printers -------------------------------------------------------------------

@@ -24,7 +24,13 @@ from .automorphisms import (
     apply_auto,
     conjugate_field,
 )
-from .errors import DegreeGate, InternalInvariantViolation, ParityViolation, WrongSurface
+from .errors import (
+    DegreeGate,
+    InternalInvariantViolation,
+    ParityViolation,
+    ParseError,
+    WrongSurface,
+)
 from .fields import AlgebraicVectorField
 from .membership import (
     Bracket,
@@ -112,7 +118,11 @@ def _cert(i: int, j: int, kind: str) -> BracketExpression:
 
 
 def z2_certificate(target: SurfacePolynomial) -> BracketExpression:
-    """Invariant-leaf certificate for a single anti-invariant monomial."""
+    """Invariant-leaf certificate for a single anti-invariant monomial.
+
+    The certificate is verified before it is returned.  A target that is not
+    one monomial raises ParseError, a sigma-invariant one ParityViolation.
+    """
     s = target.surface
     _gate(s)
     parts = [
@@ -121,7 +131,7 @@ def z2_certificate(target: SurfacePolynomial) -> BracketExpression:
         for i, v in q.c.items()
     ]
     if len(parts) != 1:
-        raise ValueError("target must be a single monomial")
+        raise ParseError("target must be a single monomial")
     v, i, j, kind = parts[0]
     if (i + j) % 2 == 0:
         raise ParityViolation(
@@ -158,7 +168,6 @@ def z2_avdp_check(surface: SurfaceConfig, max_deg: int) -> list[Z2ReportRow]:
         raise DegreeGate(
             f"degree bound {max_deg} exceeds the ceiling MAX_Z2_DEGREE = {MAX_Z2_DEGREE}"
         )
-    rows = []
     targets: list[tuple[str, SurfacePolynomial]] = []
     for total in range(1, max_deg + 1):
         if total % 2 == 0:
@@ -170,8 +179,5 @@ def z2_avdp_check(surface: SurfaceConfig, max_deg: int) -> list[Z2ReportRow]:
             else:
                 targets.append((f"z^{i}*x^{j}" if i else f"x^{j}", surface.x(j, i)))
                 targets.append((f"z^{i}*y^{j}" if i else f"y^{j}", surface.y(j, i)))
-    for name, t in targets:
-        expr = z2_certificate(t)
-        ok = verify_certificate(surface, expr, t) and invariant_leaves_only(expr)
-        rows.append(Z2ReportRow(name, expression_size(expr), ok))
-    return rows
+    # z2_certificate verifies each certificate, and raises if one fails
+    return [Z2ReportRow(name, expression_size(z2_certificate(t)), True) for name, t in targets]

@@ -325,6 +325,20 @@ def test_flow_group_law(quad, cubic):
                 assert flow_group_law(flow_of_shear(s, kind, i))
 
 
+class _SquaredTimeFlow(automorphisms.FlowMap):
+    """t -> F_(t^2): each map is a shear, but the family is not a flow."""
+
+    def _shear(self, t):
+        return super()._shear(t * t)
+
+
+def test_flow_group_law_rejects_a_non_flow(quad, cubic):
+    for s in (quad, cubic):
+        for kind in ("x", "y"):
+            assert flow_group_law(flow_of_shear(s, kind, 1))
+            assert not flow_group_law(_SquaredTimeFlow(s, kind, 1))
+
+
 def test_flow_generator_field(quad):
     fl = flow_of_shear(quad, "x", 1)
     assert fl.generator_field() == shear_x(quad, 1)

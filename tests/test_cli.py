@@ -7,10 +7,10 @@ from pathlib import Path
 import pytest
 
 from danielewski import errors
-from danielewski.cli import main
+from danielewski.cli import COMMANDS, main
 from danielewski.fields import MAX_LND_ITER
 from danielewski.membership import MAX_CERTIFY_DEGREE
-from danielewski.parsing import MAX_CERT_DEPTH, MAX_EXPONENT
+from danielewski.parsing import MAX_CERT_DEPTH, MAX_DIGITS, MAX_EXPONENT, MAX_PAREN_DEPTH
 from danielewski.z2 import MAX_Z2_DEGREE
 
 
@@ -230,6 +230,11 @@ CEILINGS = {
         "z^2-1", "degree-gate", "MAX_Z2_DEGREE"),
     "parser exponent": (
         ["reduce", f"x^{MAX_EXPONENT + 1}"], "z^3-z", "syntax-error", "MAX_EXPONENT"),
+    "parser parentheses": (
+        ["reduce", "(" * (MAX_PAREN_DEPTH + 1) + "z" + ")" * (MAX_PAREN_DEPTH + 1)],
+        "z^3-z", "syntax-error", "MAX_PAREN_DEPTH"),
+    "parser digits": (
+        ["reduce", "9" * (MAX_DIGITS + 1)], "z^3-z", "syntax-error", "MAX_DIGITS"),
 }
 
 
@@ -239,3 +244,41 @@ def test_numeric_input_outside_its_range(capsys, argv, surface, error, ceiling):
     code, out, _ = run(capsys, *argv, "--surface", surface, "--format", "json")
     obj = json.loads(out)
     assert code == 2 and obj["error"] == error and ceiling in obj["message"]
+
+
+@pytest.mark.parametrize("expr, out", [
+    ("(" * MAX_PAREN_DEPTH + "x*y" + ")" * MAX_PAREN_DEPTH, "-z + z^3"),
+    ("9" * MAX_DIGITS + "*z", "9" * MAX_DIGITS + "*z"),
+], ids=["parentheses", "digits"])
+def test_literal_at_its_ceiling_is_read(capsys, expr, out):
+    assert run(capsys, "reduce", expr, "--surface", "z^3-z") == (0, out, "")
+
+
+def test_readme_lists_every_subcommand():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    listed = re.findall(r"^danielewski (\S+)", block, re.M)
+    assert sorted(listed) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_bad_surface_is_reported_first(capsys, name):
+    placeholders = ["x" for arg, _ in COMMANDS[name][0] if not arg.startswith("-")]
+    code, out, _ = run(capsys, name, *placeholders, "--surface", "z^2", "--format", "json")
+    assert code == 2 and json.loads(out)["error"] == "repeated-root"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("target", ["x + z", "0"])
+def test_z2_certify_needs_one_monomial(capsys, target, fmt):
+    code, out, err = run(capsys, "z2-certify", target, "--surface", "z^2-1", "--format", fmt)
+    assert code == 2
+    if fmt == "json":
+        assert json.loads(out)["error"] == "syntax-error"
+    else:
+        assert "syntax-error" in err and "single monomial" in err
+
+
+def test_surface_in_two_variables_is_syntax_error(capsys):
+    code, _, err = run(capsys, "reduce", "x", "--surface", "y + z")
+    assert code == 2 and "syntax-error" in err

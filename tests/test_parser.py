@@ -93,6 +93,16 @@ def test_unipoly_rejects_mixed_monomials():
         parse_unipoly("x*z")
 
 
+@pytest.mark.parametrize("src", ["x + z", "y^2 - z", "1 + x + y"])
+def test_unipoly_rejects_two_variables(quad, src):
+    with pytest.raises(ParseError):
+        parse_unipoly(src)
+    with pytest.raises(ParseError):
+        parse_field(quad, f"HF({src})")
+    with pytest.raises(ParseError):
+        parse_word(quad, f"Dx({src})")
+
+
 # ---- field literals -----------------------------------------------------------
 
 
