@@ -12,6 +12,7 @@ from .errors import (
     DanielewskiError,
     DegreeGate,
     DivisionByZeroPolynomial,
+    FileError,
     InternalInvariantViolation,
     InvalidGenerator,
     MalformedNesting,
@@ -24,7 +25,6 @@ from .errors import (
     ParseError,
     PointNotOnSurface,
     RepeatedRoot,
-    ResidueObstruction,
     SearchExhausted,
     TangencyViolation,
     WrongSurface,
@@ -46,7 +46,6 @@ from .fields import (
     default_flex_fields,
     flex_check,
     hamiltonian_of,
-    interior_product,
     is_volume_preserving,
     lnd_check,
     potential_of,

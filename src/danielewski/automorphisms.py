@@ -31,15 +31,7 @@ from .fields import (
     shear_x,
     shear_y,
 )
-from .ring import (
-    ChartElement,
-    SurfaceConfig,
-    SurfacePolynomial,
-    UniPoly,
-    chart_constant_quotient,
-    from_chart,
-    to_chart,
-)
+from .ring import SurfaceConfig, SurfacePolynomial, UniPoly, constant_quotient
 
 # -- generators ----------------------------------------------------------------
 
@@ -110,8 +102,10 @@ def _gen_images(surface: SurfaceConfig, g: Generator):
     if isinstance(g, XShear):
         coeffs = {e + 1: UniPoly.const(v) for e, v in g.f.c.items()}
         img_z = SurfacePolynomial(s, {0: UniPoly.var(), **coeffs})
-        one = ChartElement(s, {0: UniPoly.const(1)})
-        img_y = from_chart(s.p.eval_generic(to_chart(img_z), one).shift(-1))
+        # p(img_z) - p(z) has only positive weights, so dividing it by x
+        # lowers each weight by one.
+        rest = s.p.eval_generic(img_z, s.const(1)) - s.from_unipoly(s.p)
+        img_y = s.y() + SurfacePolynomial(s, {n - 1: q for n, q in rest.coeffs.items()})
         return s.x(), img_y, img_z
     if isinstance(g, YShear):
         _, img_y, img_z = _gen_images(s, XShear(g.f))
@@ -313,11 +307,14 @@ def conjugate_field(
 
 
 def volume_factor(phi: PolynomialAutomorphism) -> Fraction:
-    """The constant J with phi^* omega = J * omega, for omega = dx/x ^ dz."""
-    c_x = to_chart(phi.img_x)
-    c_z = to_chart(phi.img_z)
-    num = (c_x.diff_x() * c_z.diff_z() - c_x.diff_z() * c_z.diff_x()).shift(1)
-    return chart_constant_quotient(num, c_x)
+    """The constant J with phi^* omega = J * omega, for omega = dx/x ^ dz.
+
+    With X, Z the images of x, z, phi^* omega = dX/X ^ dZ, and in terms of
+    E = x d/dx and D = x d/dz (see ``fields``) J = (E X D Z - D X E Z)/(x X).
+    """
+    img_x, img_z = phi.img_x, phi.img_z
+    num = img_x.euler() * img_z.x_dz() - img_x.x_dz() * img_z.euler()
+    return constant_quotient(num, phi.surface.x() * img_x)
 
 
 # -- flows of shear fields -----------------------------------------------------
@@ -408,7 +405,9 @@ def taylor_flow_identity(flow: FlowMap, psi: AlgebraicVectorField) -> bool:
     ``conjugate_field`` as psi(g o F_-t) o F_t.  In the chart u != 0 of
     the flow's own variable the coordinates are (u, z) and F_t only sends
     z -> z + t u^(i+1).  Let D be the largest z-degree among the chart
-    coefficients of psi(u) and psi(z).  Then
+    coefficients of psi(u) and psi(z): a term u^n q(z) has degree deg q for
+    n >= 0 and deg q + (-n) deg p for n < 0, since v^m = u^(-m) p^m for the
+    other variable v.  Then
 
         (F_t)_* psi (u) = psi(u) o F_t                          has t-degree <= D,
         (F_t)_* psi (z) = (psi(z) - t (i+1) u^i psi(u)) o F_t   has t-degree <= D + 1,
@@ -420,12 +419,13 @@ def taylor_flow_identity(flow: FlowMap, psi: AlgebraicVectorField) -> bool:
     x*img_y + y*img_x = p'(z)*img_z, since the ring is a domain.
     """
     terms = taylor_conjugation(flow.generator_field(), psi)
-    if flow.kind == "x":
-        charts = (to_chart(psi.img_x), to_chart(psi.img_z))
-    else:
-        charts = (to_chart(psi.img_y.swap_xy()), to_chart(psi.img_z.swap_xy()))
-    d = max((q.degree for c in charts for q in c.coeffs.values()), default=0)
     s = flow.surface
+    if flow.kind == "x":
+        images = (psi.img_x, psi.img_z)
+    else:
+        images = (psi.img_y.swap_xy(), psi.img_z.swap_xy())
+    d = max((q.degree + max(-n, 0) * s.degree for e in images for n, q in e.coeffs.items()),
+            default=0)
     for t in range(max(len(terms) - 1, d + 1) + 1):
         lhs = conjugate_field(flow.at(t), psi)
         for name in ("img_x", "img_y", "img_z"):

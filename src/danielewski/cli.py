@@ -3,8 +3,9 @@
 Every subcommand takes --surface "poly in z" and --format text|json (the
 DANIELEWSKI_FORMAT environment variable sets the default).  Exit codes:
 0 success/accepted, 1 rejected/false, 2 usage or parse error (a malformed
-certificate file included), 3 internal invariant violation.  A library
-error exits with its class's ``exit_code``.
+certificate file, or a file that cannot be read or written, included), 3
+internal invariant violation.  A library error exits with its class's
+``exit_code``.
 
 Each subcommand is declared once, in ``COMMANDS``: its own argparse
 arguments and a handler ``(surface, args) -> (text, data, exit_code)``.
@@ -26,7 +27,7 @@ import sys
 
 from . import parsing, z2
 from .automorphisms import compose, conjugate_field, volume_factor
-from .errors import DanielewskiError
+from .errors import DanielewskiError, FileError, ParseError
 from .fields import (
     bracket,
     flex_check,
@@ -83,14 +84,23 @@ def _certify(s, a):
     text = _certificate(f, expr)
     if not a.output:
         return text, None, 0
-    with open(a.output, "w") as fh:
-        fh.write(text + "\n")
+    try:
+        with open(a.output, "w") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise FileError(f"cannot write the certificate: {exc}") from exc
     return f"certificate written to {a.output}", {"written": a.output}, 0
 
 
 def _verify_cert(s, a):
-    with open(a.file) as fh:
-        cert_surface, claimed, expr = parsing.load_certificate_file(fh.read())
+    try:
+        with open(a.file, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise FileError(f"cannot read the certificate: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"certificate file is not UTF-8 text: {exc}") from exc
+    cert_surface, claimed, expr = parsing.load_certificate_file(text)
     if cert_surface.p != s.p:
         return "false (different surface)", {"result": False}, 1
     return _truth(verify_certificate(s, expr, claimed))
@@ -194,9 +204,6 @@ def main(argv=None) -> int:
         else:
             print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return exc.exit_code
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -62,12 +62,6 @@ class NotVolumePreserving(DanielewskiError):
     code = "not-volume-preserving"
 
 
-class ResidueObstruction(InternalInvariantViolation):
-    """Nonzero x^(-1) residue while integrating a closed one-form."""
-
-    code = "residue-obstruction"
-
-
 class PointNotOnSurface(DanielewskiError):
     """The given point does not satisfy x*y = p(z)."""
 
@@ -125,6 +119,13 @@ class ParityViolation(DanielewskiError):
     """Target monomial must be anti-invariant (odd total parity)."""
 
     code = "parity-violation"
+    exit_code = 2
+
+
+class FileError(DanielewskiError):
+    """A file named on the command line could not be read or written."""
+
+    code = "file-error"
     exit_code = 2
 
 

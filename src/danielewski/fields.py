@@ -6,7 +6,23 @@ derivation annihilates xy - p(z)) is checked at construction.
 
 Volume-preserving fields are in bijection with polynomial functions modulo
 constants through the volume form omega = dx/x ^ dz on the chart x != 0:
-i_Theta omega = df defines the potential f of Theta.
+i_Theta omega = df defines the potential f of Theta.  On the weight grading
+this takes two graded operators of the ring, the chart derivations
+
+    E = x d/dx at fixed z:  the weight-n part times n,
+    D = x d/dz at fixed x:  x^n q -> x^(n+1) q',  y^m q -> y^(m-1) (m p' q + p q'),
+
+and the involution i = swap_xy.  Since i_Theta omega = (imgX dz - imgZ dx)/x,
+
+    H_f = (D f, -i D i f, -E f),
+
+where the y-image comes from omega = -dy/y ^ dz on the chart y != 0 (it is
+also the one tangency allows).  Conversely -E f = imgZ fixes the weight-n
+part of f as -(imgZ)_n / n for n != 0, and D f = imgX at weight 1 fixes the
+pure-z part as the z-antiderivative of (imgX)_1.  Theta is volume-preserving
+exactly when H_f = Theta for that f.  No residue check is needed: the
+surface is simply connected, so a closed i_Theta omega is exact, and the f
+above is the only candidate with zero constant term.
 """
 
 from __future__ import annotations
@@ -17,21 +33,11 @@ from fractions import Fraction
 from .errors import (
     DegreeGate,
     InternalInvariantViolation,
-    NotOnSurface,
     NotVolumePreserving,
     PointNotOnSurface,
-    ResidueObstruction,
     TangencyViolation,
 )
-from .ring import (
-    ChartElement,
-    SurfaceConfig,
-    SurfacePolynomial,
-    UniPoly,
-    from_chart,
-    row_reduce,
-    to_chart,
-)
+from .ring import SurfaceConfig, SurfacePolynomial, UniPoly, row_reduce
 
 
 class AlgebraicVectorField:
@@ -143,25 +149,22 @@ def bracket(theta: AlgebraicVectorField, psi: AlgebraicVectorField) -> Algebraic
     )
 
 
-@dataclass(frozen=True)
-class ChartOneForm:
-    """The 1-form gX dx + gZ dz on the chart x != 0."""
-
-    g_x: ChartElement
-    g_z: ChartElement
-
-
-def interior_product(theta: AlgebraicVectorField) -> ChartOneForm:
-    """i_Theta omega for omega = dx/x ^ dz: gX = -imgZ/x, gZ = imgX/x."""
-    g_x = (-to_chart(theta.img_z)).shift(-1)
-    g_z = to_chart(theta.img_x).shift(-1)
-    return ChartOneForm(g_x, g_z)
+def _candidate_potential(theta: AlgebraicVectorField) -> SurfacePolynomial:
+    """The only f with zero constant term that can have H_f = Theta."""
+    coeffs = {n: q.scale(Fraction(-1, n)) for n, q in theta.img_z.coeffs.items() if n}
+    coeffs[0] = theta.img_x.coeff(1).antiderivative()
+    return SurfacePolynomial(theta.surface, coeffs)
 
 
 def is_volume_preserving(theta: AlgebraicVectorField) -> bool:
-    """Exact closedness test for i_Theta omega."""
-    form = interior_product(theta)
-    return form.g_x.diff_z() == form.g_z.diff_x()
+    """True iff Theta = H_f for the candidate potential f.
+
+    Only the x- and z-images are compared: Theta and H_f are both tangent,
+    so x*imgY = p'*imgZ - y*imgX fixes their y-images, and x is not a zero
+    divisor.  That spares the construction of H_f and its tangency check.
+    """
+    f = _candidate_potential(theta)
+    return theta.img_x == f.x_dz() and theta.img_z == -f.euler()
 
 
 def canonical_potential(f: SurfacePolynomial) -> SurfacePolynomial:
@@ -173,37 +176,14 @@ def potential_of(theta: AlgebraicVectorField) -> SurfacePolynomial:
     """The f with i_Theta omega = df, canonicalized to zero constant term."""
     if not is_volume_preserving(theta):
         raise NotVolumePreserving("field has no potential: i_Theta omega is not closed")
-    form = interior_product(theta)
-    # Integrate gZ in z (zero integration constants), then fix up in x: the
-    # difference h = gX - dF/dx is independent of z by closedness.
-    f_chart = form.g_z.integrate_z()
-    h = form.g_x - f_chart.diff_x()
-    extra: dict = {}
-    for k, q in h.coeffs.items():
-        if q.degree > 0:
-            raise InternalInvariantViolation("closedness fix-up term depends on z")
-        if k == -1:
-            raise ResidueObstruction(
-                "nonzero x^-1 residue: the 1-form is closed but not exact"
-            )
-        extra[k + 1] = q.scale(Fraction(1, k + 1))
-    f_chart = f_chart + ChartElement(theta.surface, extra)
-    return from_chart(f_chart).drop_constant()
+    return _candidate_potential(theta)
 
 
 def hamiltonian_of(f: SurfacePolynomial) -> AlgebraicVectorField:
     """The volume-preserving field with potential f (inverse of potential_of)."""
-    s = f.surface
-    f_chart = to_chart(f)
-    c_x = f_chart.diff_z().shift(1)
-    c_z = (-f_chart.diff_x()).shift(1)
-    # Tangency determines imgY: x*imgY = p'(z)*imgZ - y*imgX.
-    p_prime = ChartElement(s, {0: s.p_prime})
-    y_chart = ChartElement(s, {-1: s.p})
-    c_y = (p_prime * c_z - y_chart * c_x).shift(-1)
     try:
-        return AlgebraicVectorField(from_chart(c_x), from_chart(c_y), from_chart(c_z))
-    except (NotOnSurface, TangencyViolation) as exc:
+        return AlgebraicVectorField(f.x_dz(), -f.swap_xy().x_dz().swap_xy(), -f.euler())
+    except TangencyViolation as exc:
         raise InternalInvariantViolation(f"hamiltonian construction failed: {exc}")
 
 

@@ -81,7 +81,7 @@ class _Tokens:
     def integer(self) -> int:
         self._skip_ws()
         start = self.pos
-        while self.pos < len(self.src) and self.src[self.pos].isdigit():
+        while self.pos < len(self.src) and self.src[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", start)
@@ -151,7 +151,7 @@ def _parse_atom(t: _Tokens) -> dict:
     if c in _VARS:
         t.take()
         return {_VARS[c]: Fraction(1)}
-    if c.isdigit():
+    if c.isdecimal():
         return {(0, 0, 0): t.rational()}
     raise ParseError(f"unexpected {c or 'end of input'!r}", t.pos)
 

@@ -9,11 +9,13 @@ with the SurfaceConfig constructors or from such a dict and read them
 through ``coeffs``; the term views ``xpart``/``ypart``/``zpart`` are for
 readers outside the library.
 
-Products are computed in the chart x != 0, where y = p(z)/x and an element
+Only the product uses the chart x != 0, where y = p(z)/x and an element
 becomes a Laurent polynomial in x with coefficients in Q[z]: the chart map
 sends y^n q(z) to x^(-n) p^n q(z) and leaves the other weights alone.  A
 Laurent element descends back to the surface exactly when the coefficient
-of x^(-n) is divisible by p^n.
+of x^(-n) is divisible by p^n.  The derivations the field calculus needs,
+x d/dx and x d/dz of the chart, are computed on the weights directly
+(``euler``, ``x_dz``).
 """
 
 from __future__ import annotations
@@ -481,6 +483,19 @@ class SurfacePolynomial(_Graded):
             self.surface, {n: q.derivative() for n, q in self.coeffs.items()}
         )
 
+    def euler(self) -> "SurfacePolynomial":
+        """E = x d/dx at fixed z in the chart: multiplies the weight-n part by n."""
+        return self._new({n: q.scale(n) for n, q in self.coeffs.items() if n})
+
+    def x_dz(self) -> "SurfacePolynomial":
+        """D = x d/dz at fixed x in the chart: x^n q -> x^(n+1) q' for n >= 0,
+        y^m q -> y^(m-1) (m p' q + p q') for m = -n > 0."""
+        s = self.surface
+        return SurfacePolynomial(s, {
+            n + 1: q.derivative() if n >= 0 else s.p_prime * q.scale(-n) + s.p * q.derivative()
+            for n, q in self.coeffs.items()
+        })
+
     def swap_xy(self) -> "SurfacePolynomial":
         """Image under the involution (x, y, z) -> (y, x, z)."""
         return self._new({-n: q for n, q in self.coeffs.items()})
@@ -508,9 +523,9 @@ class SurfacePolynomial(_Graded):
 class ChartElement(_Graded):
     """Laurent polynomial in x with coefficients in Q[z].
 
-    General chart functions (one-form components, intermediate products).
-    Only descends to the surface when the x^(-i) coefficient is divisible
-    by p^i; ``from_chart`` checks that.
+    The factors and the result of a surface product.  Only descends to the
+    surface when the x^(-i) coefficient is divisible by p^i; ``from_chart``
+    checks that.
     """
 
     __slots__ = ()
@@ -526,15 +541,6 @@ class ChartElement(_Graded):
     def shift(self, d: int) -> "ChartElement":
         """Multiply by x^d (d may be negative)."""
         return self._new({k + d: q for k, q in self.coeffs.items()})
-
-    def diff_x(self) -> "ChartElement":
-        return self._new({k - 1: q.scale(k) for k, q in self.coeffs.items() if k != 0})
-
-    def diff_z(self) -> "ChartElement":
-        return ChartElement(self.surface, {k: q.derivative() for k, q in self.coeffs.items()})
-
-    def integrate_z(self) -> "ChartElement":
-        return self._new({k: q.antiderivative() for k, q in self.coeffs.items()})
 
     def __repr__(self):
         return f"ChartElement({self.coeffs!r})"
@@ -563,7 +569,7 @@ def from_chart(c: ChartElement) -> SurfacePolynomial:
     return SurfacePolynomial(s, coeffs)
 
 
-def chart_constant_quotient(num: ChartElement, den: ChartElement) -> Fraction:
+def constant_quotient(num: SurfacePolynomial, den: SurfacePolynomial) -> Fraction:
     """The constant J with num = J * den; InternalInvariantViolation otherwise."""
     if den.is_zero():
         raise InternalInvariantViolation("constant quotient by zero")

@@ -205,6 +205,30 @@ def test_deeply_nested_certificate_is_syntax_error(capsys, tmp_path, levels, fmt
         assert "syntax-error" in err and "MAX_CERT_DEPTH" in err
 
 
+# argv after the subcommand, with {tmp} for a fresh directory, and the error
+FILE_CASES = {
+    "missing certificate": (["verify-cert", "{tmp}/missing.json"], "file-error"),
+    "directory as certificate": (["verify-cert", "{tmp}"], "file-error"),
+    "output into a missing directory": (
+        ["certify", "x", "--output", "{tmp}/missing/cert.json"], "file-error"),
+    "certificate not UTF-8": (["verify-cert", "{tmp}/latin1.json"], "syntax-error"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv, error", FILE_CASES.values(), ids=FILE_CASES.keys())
+def test_unusable_file_is_a_structured_error(capsys, tmp_path, argv, error, fmt):
+    (tmp_path / "latin1.json").write_bytes(
+        b'{"p": "z^3 - z", "claimed": "x", "certificate": {"leaf": {"kind": "\xe9"}}}')
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code, out, err = run(capsys, *argv, "--surface", "z^3-z", "--format", fmt)
+    assert code == 2
+    if fmt == "json":
+        assert json.loads(out)["error"] == error and err == ""
+    else:
+        assert out == "" and err.startswith(f"error [{error}]: ")
+
+
 def test_certificate_at_the_depth_ceiling_is_read(capsys, tmp_path):
     cert = tmp_path / "deep.json"
     cert.write_text(_bracket_chain(MAX_CERT_DEPTH - 1))
@@ -212,7 +236,9 @@ def test_certificate_at_the_depth_ceiling_is_read(capsys, tmp_path):
     assert code == 1 and out == "false"  # [SFx(0), SFx(0)] = 0, not the field of x
 
 
-# Each case is one above its ceiling, except the iteration bound 0.
+# Each case is one above its ceiling, except the iteration bound 0 and the
+# superscript digits, which int() refuses; the last column is a part of the
+# message.
 CEILINGS = {
     "certify --max-degree": (
         ["certify", "x", "--shears-only", "--max-degree", str(MAX_CERTIFY_DEGREE + 1)],
@@ -235,6 +261,10 @@ CEILINGS = {
         "z^3-z", "syntax-error", "MAX_PAREN_DEPTH"),
     "parser digits": (
         ["reduce", "9" * (MAX_DIGITS + 1)], "z^3-z", "syntax-error", "MAX_DIGITS"),
+    "superscript literal": (["reduce", "²"], "z^3-z", "syntax-error", "unexpected"),
+    "superscript exponent": (["reduce", "x^²"], "z^3-z", "syntax-error", "integer"),
+    "superscript exponent in parentheses": (
+        ["reduce", "x^(²)"], "z^3-z", "syntax-error", "integer"),
 }
 
 

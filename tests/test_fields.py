@@ -33,7 +33,7 @@ from danielewski import (
     shear_y,
     zero_field,
 )
-from danielewski.fields import apply_field, function_bracket, interior_product
+from danielewski.fields import apply_field, function_bracket
 
 from conftest import random_surface_polynomial, upoly
 
@@ -115,14 +115,6 @@ def test_non_volume_preserving_detected(quad):
     assert not is_volume_preserving(bad)
     with pytest.raises(NotVolumePreserving):
         potential_of(bad)
-
-
-def test_one_form_components(quad):
-    # For SFx(0): g = i_Theta omega with omega = dx/x ^ dz has
-    # g_x = -img_z/x = -1, g_z = img_x/x = 0
-    form = interior_product(shear_x(quad, 0))
-    assert form.g_x.coeff(0) == UniPoly.const(-1)
-    assert form.g_z.is_zero()
 
 
 # ---- potentials ---------------------------------------------------------------------

@@ -295,3 +295,13 @@ def test_only_ring_names_the_term_views():
     for path in sorted(src.glob("*.py")):
         if path.name != "ring.py":
             assert not re.search(r"\b(xpart|ypart|zpart)\b", path.read_text()), path.name
+
+
+def test_only_ring_names_the_chart():
+    src = Path(__file__).parents[1] / "src" / "danielewski"
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        if path.name == "__init__.py":  # the re-export of to_chart/from_chart
+            text = re.sub(r"from \.ring import \([^)]*\)", "", text)
+        if path.name != "ring.py":
+            assert not re.search(r"\b(ChartElement|to_chart|from_chart)\b", text), path.name
