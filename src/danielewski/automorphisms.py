@@ -297,13 +297,12 @@ def z_x_degree(phi: PolynomialAutomorphism) -> ZDegreeVerdict:
 def conjugate_field(
     phi: PolynomialAutomorphism, theta: AlgebraicVectorField
 ) -> AlgebraicVectorField:
-    """(phi_* Theta)(g) = Theta(g o phi^-1) o phi."""
-    phi_inv = invert(phi)
-    s = phi.surface
-    images = []
-    for g in (s.x(), s.y(), s.z()):
-        images.append(apply_auto(phi, apply_field(theta, apply_auto(phi_inv, g))))
-    return AlgebraicVectorField(*images)
+    """(phi_* Theta)(g) = Theta(g o phi^-1) o phi; for g = x, y, z the
+    pullback g o phi^-1 is a coordinate image of phi^-1."""
+    inv = invert(phi)
+    return AlgebraicVectorField(*(
+        apply_auto(phi, apply_field(theta, g)) for g in (inv.img_x, inv.img_y, inv.img_z)
+    ))
 
 
 def volume_factor(phi: PolynomialAutomorphism) -> Fraction:

@@ -152,7 +152,8 @@ def _parse_atom(t: _Tokens) -> dict:
         t.take()
         return {_VARS[c]: Fraction(1)}
     if c.isdecimal():
-        return {(0, 0, 0): t.rational()}
+        v = t.rational()
+        return {(0, 0, 0): v} if v else {}  # no zero coefficients in a formal dict
     raise ParseError(f"unexpected {c or 'end of input'!r}", t.pos)
 
 

@@ -306,7 +306,8 @@ def make_surface(p: UniPoly) -> SurfaceConfig:
 # -- formal polynomials in x, y, z (pre-reduction) ----------------------------
 #
 # A formal polynomial is a dict (a, b, c) -> Fraction for the monomial
-# x^a y^b z^c.  Used by the parser, by ``reduce`` and by test oracles.
+# x^a y^b z^c, with no zero values.  Used by the parser, by ``reduce`` and
+# by test oracles.
 
 
 def formal_add(f: dict, g: dict) -> dict:

@@ -276,12 +276,35 @@ def test_numeric_input_outside_its_range(capsys, argv, surface, error, ceiling):
     assert code == 2 and obj["error"] == error and ceiling in obj["message"]
 
 
-@pytest.mark.parametrize("expr, out", [
-    ("(" * MAX_PAREN_DEPTH + "x*y" + ")" * MAX_PAREN_DEPTH, "-z + z^3"),
-    ("9" * MAX_DIGITS + "*z", "9" * MAX_DIGITS + "*z"),
-], ids=["parentheses", "digits"])
-def test_literal_at_its_ceiling_is_read(capsys, expr, out):
-    assert run(capsys, "reduce", expr, "--surface", "z^3-z") == (0, out, "")
+LITERALS_AT_CEILING = {
+    "parentheses": ("(" * MAX_PAREN_DEPTH + "x*y" + ")" * MAX_PAREN_DEPTH, "-z + z^3"),
+    "digits": ("9" * MAX_DIGITS + "*z", "9" * MAX_DIGITS + "*z"),
+}
+
+# The literal 0 as a factor, wherever a polynomial is read: (argv, surface,
+# text output, JSON output).
+ZERO_FACTORS = {
+    "reduce 0*x": (["reduce", "0*x"], "z^3-z", "0", {"result": "0"}),
+    "mul x*0": (["mul", "x*0", "z"], "z^3-z", "0", {"result": "0"}),
+    "reduce 0^2": (["reduce", "0^2"], "z^3-z", "0", {"result": "0"}),
+    "field HF(0*z)": (["lnd-check", "HF(0*z)"], "z^3-z", "NilpotentWithDegree(1)",
+                      {"bound": 64, "degree": 1, "nilpotent": True}),
+    "word Dx(0*x)": (["compose", "Dx(0*x)", "H(2)"], "z^2-1", "H(2)", {"result": "H(2)"}),
+    "surface 0*z": (["reduce", "x*y"], "0*z + z^2 - 1", "-1 + z^2", {"result": "-1 + z^2"}),
+}
+
+
+@pytest.mark.parametrize("argv, surface, fmt, out", [
+    *(pytest.param(["reduce", expr], "z^3-z", "text", out, id=k)
+      for k, (expr, out) in LITERALS_AT_CEILING.items()),
+    *(pytest.param(argv, surface, fmt, out, id=f"{k}-{fmt}")
+      for k, (argv, surface, text, obj) in ZERO_FACTORS.items()
+      for fmt, out in (("text", text), ("json", obj))),
+])
+def test_literal_at_its_ceiling_is_read(capsys, argv, surface, fmt, out):
+    code, got, err = run(capsys, *argv, "--surface", surface, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert (json.loads(got) if fmt == "json" else got) == out
 
 
 def test_readme_lists_every_subcommand():

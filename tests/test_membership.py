@@ -5,6 +5,8 @@ produced certificate is re-verified independently by evaluating the bracket
 expression to a field and comparing its potential with the claim.
 """
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -34,7 +36,9 @@ from danielewski import (
     shear_y,
     verify_certificate,
 )
-from danielewski.membership import mirror_expr, solve_linear
+from danielewski.membership import SpanningFamily, mirror_expr, solve_linear
+from danielewski.parsing import cert_to_obj, parse_expression, parse_unipoly
+from danielewski.ring import row_reduce
 
 from conftest import random_surface_polynomial, upoly
 
@@ -217,9 +221,59 @@ def test_certify_deep_nesting_bounds(cubic):
 
 
 def test_family_degree_gate(cubic):
-    from danielewski.membership import build_spanning_family
     with pytest.raises(DegreeGate):
-        build_spanning_family(cubic, 2)
+        SpanningFamily(cubic, 2)
+
+
+@pytest.mark.parametrize("surface", ["z^3 - z", "z^4 - z"])
+def test_family_is_a_pivot_basis(surface):
+    # the entries' potentials are independent modulo constants and, at these
+    # bounds, span every (p h)' of degree <= bound: bound + 2 - deg(p) of them
+    s = make_surface(parse_unipoly(surface))
+    for bound in (12, 16, 24):
+        family = SpanningFamily(s, bound)
+        pots = [e.potential for e in family.entries]
+        rows = [[q.coeff(k) for q in pots] for k in range(1, bound + 1)]
+        assert len(row_reduce(rows, len(pots))) == len(pots) == bound + 2 - s.degree
+        assert list(family.multipliers) == [q.derivative() for q in pots]
+
+
+# sha256 of the sorted-key JSON of each certificate: a change to the family
+# or the solver that alters a certificate by one byte shows here.
+PINNED_CERTIFICATES = [
+    ("z^2 - 1", "x^2*z + y + 3*z^2 - 1", None,
+     "d034dccd57b5158de5f8e428fca8ded82e5b385c18fd9234d3a869e41f9deb8c"),
+    ("z^2 - 1", "x^2*z + y + 3*z^2 - 1", 24,
+     "d034dccd57b5158de5f8e428fca8ded82e5b385c18fd9234d3a869e41f9deb8c"),
+    ("z^2 - 1", "x*z^2 - 2*y^3*z", None,
+     "cb0935db3dea8c0fc0a064a6f8680622a4b645c5c2375909a14f1d214ac77976"),
+    ("z^2 - 1", "x*z^2 - 2*y^3*z", 24,
+     "cb0935db3dea8c0fc0a064a6f8680622a4b645c5c2375909a14f1d214ac77976"),
+    ("z^3 - z", "x^2*z + y*z^2 + z^2", None,
+     "06fd2984dddda8cb41ce2ad8665eed540d61efe33f4cde045c13fba27be9bf80"),
+    ("z^3 - z", "x^2*z + y*z^2 + z^2", 24,
+     "06fd2984dddda8cb41ce2ad8665eed540d61efe33f4cde045c13fba27be9bf80"),
+    ("z^3 - z", "x*z^3 - 2*y^3 + 5*z^4 - 3*z^2", None,
+     "a0d4d5905107b6abeaf942a23ccfa1c6ec313381e4b09c5580d38a21e4185602"),
+    ("z^3 - z", "x*z^3 - 2*y^3 + 5*z^4 - 3*z^2", 24,
+     "a0d4d5905107b6abeaf942a23ccfa1c6ec313381e4b09c5580d38a21e4185602"),
+    ("z^4 - z", "x^3 + y^2*z", None,
+     "fc3691b8531973778601958577970814a3e598052bb45f3ff505f5805d32183b"),
+    ("z^4 - z", "x^3 + y^2*z", 24,
+     "b114e04f46ee4da130f2caf238851d5fc03abb00b4719bd744e6a511c5bd6fe7"),
+    ("z^4 - z", "x^2*z^4 + 4*z^3 - 1", None,
+     "fb93476470bc304fe46584795c663ea22ebd2ab5b511a662c9cbae99052c4a30"),
+    ("z^4 - z", "x^2*z^4 + 4*z^3 - 1", 24,
+     "d8046994ac5333ab468c1a6873d23bea1a6c23925d5b313e2378f3923a89f174"),
+]
+
+
+@pytest.mark.parametrize("surface, target, bound, digest", PINNED_CERTIFICATES,
+                         ids=[f"{s}: {t}, bound {b}" for s, t, b, _ in PINNED_CERTIFICATES])
+def test_certificates_are_pinned(surface, target, bound, digest):
+    f = parse_expression(make_surface(parse_unipoly(surface)), target)
+    cert = json.dumps(cert_to_obj(certify_shears_only(f, bound)), sort_keys=True)
+    assert hashlib.sha256(cert.encode()).hexdigest() == digest
 
 
 # ---- linear solver -------------------------------------------------------------------
