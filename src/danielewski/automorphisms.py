@@ -28,6 +28,7 @@ from .fields import (
     apply_field,
     bracket,
     lnd_check,
+    poisson_bracket,
     shear_x,
     shear_y,
 )
@@ -309,11 +310,10 @@ def volume_factor(phi: PolynomialAutomorphism) -> Fraction:
     """The constant J with phi^* omega = J * omega, for omega = dx/x ^ dz.
 
     With X, Z the images of x, z, phi^* omega = dX/X ^ dZ, and in terms of
-    E = x d/dx and D = x d/dz (see ``fields``) J = (E X D Z - D X E Z)/(x X).
+    E = x d/dx and D = x d/dz (see ``fields``) J = (E X D Z - D X E Z)/(x X),
+    that is J X = H_Z(X), the un-normalised Poisson bracket {Z, X}.
     """
-    img_x, img_z = phi.img_x, phi.img_z
-    num = img_x.euler() * img_z.x_dz() - img_x.x_dz() * img_z.euler()
-    return constant_quotient(num, phi.surface.x() * img_x)
+    return constant_quotient(poisson_bracket(phi.img_z, phi.img_x), phi.img_x)
 
 
 # -- flows of shear fields -----------------------------------------------------

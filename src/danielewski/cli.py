@@ -29,6 +29,7 @@ from . import parsing, z2
 from .automorphisms import compose, conjugate_field, volume_factor
 from .errors import DanielewskiError, FileError, ParseError
 from .fields import (
+    DEFAULT_LND_ITER,
     bracket,
     flex_check,
     hamiltonian_of,
@@ -138,7 +139,8 @@ COMMANDS = {
                         hamiltonian_of(parse_expression(s, a.expr))))),
     "is-volume-preserving": ([("field", {})],
                              lambda s, a: _truth(is_volume_preserving(parse_field(s, a.field)))),
-    "lnd-check": ([("field", {}), ("--max-iter", {"type": int, "default": 64})], _lnd_check),
+    "lnd-check": ([("field", {}), ("--max-iter", {"type": int, "default": DEFAULT_LND_ITER})],
+                  _lnd_check),
     "decide": ([("expr", {})], _decide),
     "certify": ([
         ("expr", {}),

@@ -187,9 +187,19 @@ def hamiltonian_of(f: SurfacePolynomial) -> AlgebraicVectorField:
         raise InternalInvariantViolation(f"hamiltonian construction failed: {exc}")
 
 
+def poisson_bracket(f: SurfacePolynomial, g: SurfacePolynomial) -> SurfacePolynomial:
+    """H_f(g), not normalised: (D f * E g - E f * D g) / x.
+
+    In the chart coordinates (x, z), H_f = D f d/dx - E f d/dz while
+    g_x = E g / x and g_z = D g / x; the quotient by x is exact.
+    """
+    return (f.x_dz() * g.euler() - f.euler() * g.x_dz()).div_x()
+
+
 def function_bracket(f: SurfacePolynomial, g: SurfacePolynomial) -> SurfacePolynomial:
-    """Poisson-type bracket {f, g}: the potential of [H_f, H_g]."""
-    return canonical_potential(apply_field(hamiltonian_of(f), g))
+    """Poisson bracket {f, g} = H_f(g) modulo constants: the potential of
+    [H_f, H_g]."""
+    return canonical_potential(poisson_bracket(f, g))
 
 
 @dataclass(frozen=True)
@@ -208,9 +218,11 @@ class LndVerdict:
 # cost grows faster than the bound: on z^3 - z, HF(z^3 - z + 2) took 2.7 s
 # at 256 and 39 s at 1024.
 MAX_LND_ITER = 256
+# The default bound of lnd_check and of the CLI's ``lnd-check --max-iter``.
+DEFAULT_LND_ITER = 64
 
 
-def lnd_check(theta: AlgebraicVectorField, max_iter: int = 64) -> LndVerdict:
+def lnd_check(theta: AlgebraicVectorField, max_iter: int = DEFAULT_LND_ITER) -> LndVerdict:
     """Least N with Theta^N killing all of x, y, z, within the bound.
 
     ``max_iter`` outside 1..MAX_LND_ITER raises DegreeGate.

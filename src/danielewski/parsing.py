@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import comb, prod
 
 from . import membership
 from .automorphisms import (
@@ -31,7 +32,7 @@ from .automorphisms import (
     XShear,
     YShear,
 )
-from .errors import NegativeExponent, ParseError
+from .errors import DegreeGate, NegativeExponent, ParseError
 from .fields import AlgebraicVectorField, hyperbolic, shear_x, shear_y
 from .ring import (
     SurfaceConfig,
@@ -113,6 +114,29 @@ _VARS = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}
 # (1 + z)^1000, whose products grow, took 7.4 s).
 MAX_EXPONENT = 1000
 
+# Ceiling on the size of a parsed product or power, checked before
+# multiplying: the number of terms its expansion can have, bounded by
+#     min(|a| |b|, prod_v (deg_v a + deg_v b + 1))   for a * b,
+#     min(C(n + k - 1, k - 1), prod_v (n deg_v e + 1))   for e^n, k = |e|,
+# where deg_v is the highest power of the variable v.  The exponent alone
+# does not bound the work: (1 + x + y + z)^30 (5456 terms) took 1.7 s to
+# parse and reduce, ^40 (12341 terms) 10 s and ^80 175 s (Python 3.11, one
+# core of a shared 2-core VM).
+MAX_PARSED_TERMS = 2000
+
+
+def _degrees(e: dict) -> list[int]:
+    return [max((key[v] for key in e), default=0) for v in range(3)]
+
+
+def _check_size(terms: int, degrees: list[int], t: _Tokens):
+    bound = min(terms, prod(d + 1 for d in degrees))
+    if bound > MAX_PARSED_TERMS:
+        raise DegreeGate(
+            f"the expansion may have {bound} terms, over the ceiling "
+            f"MAX_PARSED_TERMS = {MAX_PARSED_TERMS} (at position {t.pos})"
+        )
+
 
 def _parse_exponent(t: _Tokens) -> int:
     if t.peek() == "(":
@@ -166,6 +190,8 @@ def _parse_factor(t: _Tokens) -> dict:
     if t.peek() == "^":
         t.take()
         n = _parse_exponent(t)
+        k = len(e)
+        _check_size(comb(n + k - 1, k - 1) if k else 1, [n * d for d in _degrees(e)], t)
         acc = {(0, 0, 0): Fraction(1)}
         for _ in range(n):
             acc = formal_mul(acc, e)
@@ -177,7 +203,9 @@ def _parse_term(t: _Tokens) -> dict:
     e = _parse_factor(t)
     while t.peek() == "*":
         t.take()
-        e = formal_mul(e, _parse_factor(t))
+        rhs = _parse_factor(t)
+        _check_size(len(e) * len(rhs), [a + b for a, b in zip(_degrees(e), _degrees(rhs))], t)
+        e = formal_mul(e, rhs)
     return e
 
 

@@ -37,7 +37,6 @@ from .membership import (
     BracketExpression,
     Leaf,
     Sum,
-    evaluate,
     expression_size,
     make_sum,
     verify_certificate,

@@ -10,7 +10,13 @@ from danielewski import errors
 from danielewski.cli import COMMANDS, main
 from danielewski.fields import MAX_LND_ITER
 from danielewski.membership import MAX_CERTIFY_DEGREE
-from danielewski.parsing import MAX_CERT_DEPTH, MAX_DIGITS, MAX_EXPONENT, MAX_PAREN_DEPTH
+from danielewski.parsing import (
+    MAX_CERT_DEPTH,
+    MAX_DIGITS,
+    MAX_EXPONENT,
+    MAX_PAREN_DEPTH,
+    MAX_PARSED_TERMS,
+)
 from danielewski.z2 import MAX_Z2_DEGREE
 
 
@@ -261,6 +267,11 @@ CEILINGS = {
         "z^3-z", "syntax-error", "MAX_PAREN_DEPTH"),
     "parser digits": (
         ["reduce", "9" * (MAX_DIGITS + 1)], "z^3-z", "syntax-error", "MAX_DIGITS"),
+    "parser power size": (
+        ["reduce", "(1 + x + y + z)^80"], "z^3-z", "degree-gate", "MAX_PARSED_TERMS"),
+    "parser product size": (
+        ["reduce", "(1 + z)^20 * (1 + x + y + z)^20"], "z^3-z", "degree-gate",
+        "MAX_PARSED_TERMS"),
     "superscript literal": (["reduce", "²"], "z^3-z", "syntax-error", "unexpected"),
     "superscript exponent": (["reduce", "x^²"], "z^3-z", "syntax-error", "integer"),
     "superscript exponent in parentheses": (
@@ -279,6 +290,7 @@ def test_numeric_input_outside_its_range(capsys, argv, surface, error, ceiling):
 LITERALS_AT_CEILING = {
     "parentheses": ("(" * MAX_PAREN_DEPTH + "x*y" + ")" * MAX_PAREN_DEPTH, "-z + z^3"),
     "digits": ("9" * MAX_DIGITS + "*z", "9" * MAX_DIGITS + "*z"),
+    "exponent": (f"x^{MAX_EXPONENT}", f"x^{MAX_EXPONENT}"),
 }
 
 # The literal 0 as a factor, wherever a polynomial is read: (argv, surface,

@@ -28,6 +28,7 @@ from danielewski import (
     hyperbolic,
     is_volume_preserving,
     lnd_check,
+    make_surface,
     potential_of,
     shear_x,
     shear_y,
@@ -35,7 +36,7 @@ from danielewski import (
 )
 from danielewski.fields import apply_field, function_bracket
 
-from conftest import random_surface_polynomial, upoly
+from conftest import P_QUARTIC2, random_surface_polynomial, upoly
 
 RNG_SEED = 31415
 
@@ -160,12 +161,13 @@ def test_bracket_potential_is_field_applied_to_potential(cubic):
 
 def test_function_bracket_matches_field_bracket(quad):
     rng = random.Random(RNG_SEED + 5)
-    for _ in range(8):
-        f = canonical_potential(random_surface_polynomial(quad, rng, 4))
-        g = canonical_potential(random_surface_polynomial(quad, rng, 4))
-        lhs = hamiltonian_of(function_bracket(f, g))
-        rhs = bracket(hamiltonian_of(f), hamiltonian_of(g))
-        assert lhs == rhs
+    for s in (quad, make_surface(P_QUARTIC2)):
+        for _ in range(8):
+            f = canonical_potential(random_surface_polynomial(s, rng, 4))
+            g = canonical_potential(random_surface_polynomial(s, rng, 4))
+            lhs = hamiltonian_of(function_bracket(f, g))
+            rhs = bracket(hamiltonian_of(f), hamiltonian_of(g))
+            assert lhs == rhs
 
 
 def test_bracket_table_x_shears_commute(cubic):

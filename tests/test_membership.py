@@ -1,8 +1,9 @@
 """Membership decision, bracket expressions, certificates.
 
 Oracles: the decision test is checked against hand-computed cases, and every
-produced certificate is re-verified independently by evaluating the bracket
-expression to a field and comparing its potential with the claim.
+produced certificate is re-verified by ``verify_certificate``, whose
+Poisson-algebra evaluation is in turn checked against evaluating random
+bracket expressions to fields (``evaluate``) and taking their potentials.
 """
 
 import hashlib
@@ -11,6 +12,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from danielewski import (
     Bracket,
@@ -36,11 +39,16 @@ from danielewski import (
     shear_y,
     verify_certificate,
 )
-from danielewski.membership import SpanningFamily, mirror_expr, solve_linear
+from danielewski.membership import (
+    SpanningFamily,
+    evaluate_potential,
+    mirror_expr,
+    solve_linear,
+)
 from danielewski.parsing import cert_to_obj, parse_expression, parse_unipoly
 from danielewski.ring import row_reduce
 
-from conftest import random_surface_polynomial, upoly
+from conftest import P_CUBIC, P_QUAD, P_QUARTIC2, random_surface_polynomial, upoly
 
 RNG_SEED = 16180
 
@@ -134,6 +142,44 @@ def test_verify_certificate_detects_mismatch(quad):
     good = potential_of(evaluate(quad, e))
     assert verify_certificate(quad, e, good)
     assert not verify_certificate(quad, e, good + quad.z())
+
+
+# Random bracket expressions over SF/HF leaves, for the Poisson-algebra
+# evaluation against the field-level oracle.  The root is a Sum so that it
+# always carries weights to perturb.
+ORACLE_SURFACES = [make_surface(p) for p in (P_QUAD, P_CUBIC, P_QUARTIC2)]
+weights = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+leaves = st.one_of(
+    st.builds(Leaf, st.sampled_from(["SFx", "SFy"]), st.integers(0, 2)),
+    st.builds(lambda q: Leaf("HF", poly=q),
+              st.dictionaries(st.integers(0, 2), weights, min_size=1, max_size=2).map(UniPoly)),
+)
+trees = st.recursive(
+    leaves,
+    lambda sub: st.one_of(
+        st.builds(Bracket, sub, sub),
+        st.lists(st.tuples(weights, sub), min_size=1, max_size=2).map(lambda t: Sum(tuple(t))),
+    ),
+    max_leaves=5,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ORACLE_SURFACES),
+       st.lists(st.tuples(weights, trees), min_size=1, max_size=3), st.data())
+def test_potential_evaluation_matches_field_oracle(s, terms, data):
+    expr = Sum(tuple(terms))
+    f = potential_of(evaluate(s, expr))
+    assert evaluate_potential(s, expr) == f
+    assert verify_certificate(s, expr, f)
+    # moving the weight of one term whose potential is not constant changes
+    # the potential by a nonzero multiple of it
+    live = [k for k, (_, t) in enumerate(terms) if not potential_of(evaluate(s, t)).is_zero()]
+    if live:
+        k = data.draw(st.sampled_from(live))
+        w, t = terms[k]
+        bumped = Sum(tuple(terms[:k]) + ((w + 1, t),) + tuple(terms[k + 1:]))
+        assert not verify_certificate(s, bumped, f)
 
 
 def test_avdp_decompose_roundtrip(quad, cubic):

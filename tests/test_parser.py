@@ -29,10 +29,12 @@ from danielewski import (
 )
 from danielewski.automorphisms import Hyperbolic, Involution, Symmetry, XShear
 from danielewski.parsing import (
+    MAX_PARSED_TERMS,
     cert_from_obj,
     cert_to_obj,
     certificate_file_obj,
     load_certificate_file,
+    parse_formal,
     parse_generator,
 )
 
@@ -56,6 +58,11 @@ def test_parse_powers_and_parens(quad):
     assert parse_expression(quad, "(x + z)^2") == \
         parse_expression(quad, "x^2 + 2*x*z + z^2")
     assert parse_expression(quad, "z^0") == quad.const(1)
+    # a product whose expansion has exactly MAX_PARSED_TERMS terms is read
+    rows = 40
+    zs = " + ".join(f"z^{j}" for j in range(rows))
+    xs = " + ".join(f"x^{i}" for i in range(MAX_PARSED_TERMS // rows))
+    assert len(parse_formal(f"({zs}) * ({xs})")) == MAX_PARSED_TERMS
 
 
 def test_negative_exponent_rejected(quad):
