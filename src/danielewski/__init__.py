@@ -19,7 +19,6 @@ from .errors import (
     MembershipRejected,
     NegativeExponent,
     NotNilpotent,
-    NotOnSurface,
     NotVolumePreserving,
     ParityViolation,
     ParseError,
@@ -30,14 +29,7 @@ from .errors import (
     WrongSurface,
     ZeroPolynomial,
 )
-from .ring import (
-    SurfaceConfig,
-    SurfacePolynomial,
-    UniPoly,
-    from_chart,
-    make_surface,
-    to_chart,
-)
+from .ring import SurfaceConfig, SurfacePolynomial, UniPoly, make_surface
 from .fields import (
     AlgebraicVectorField,
     LndVerdict,

@@ -156,7 +156,7 @@ COMMANDS = {
                 lambda s, a: _result(format_word(
                     compose(parse_word(s, a.left), parse_word(s, a.right))))),
     "volume-factor": ([("word", {})],
-                      lambda s, a: _result(str(volume_factor(parse_word(s, a.word))))),
+                      lambda s, a: _result(parsing.format_rational(volume_factor(parse_word(s, a.word))))),
     "flex-check": ([
         ("point", {"help": "rational point as x,y,z"}),
         ("fields", {"nargs": "*", "help": "optional field literals"}),

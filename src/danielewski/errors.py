@@ -28,13 +28,6 @@ class RepeatedRoot(DanielewskiError):
     exit_code = 2
 
 
-class NotOnSurface(DanielewskiError):
-    """A chart element does not descend to the surface."""
-
-    code = "not-on-surface"
-    exit_code = 2
-
-
 class DivisionByZeroPolynomial(DanielewskiError):
     """Polynomial division by zero."""
 

@@ -47,7 +47,6 @@ from .ring import (
     SurfaceConfig,
     SurfacePolynomial,
     UniPoly,
-    antiderivative,
     poly_divrem,
     row_reduce,
 )
@@ -207,7 +206,7 @@ def decide(f: SurfacePolynomial) -> MembershipVerdict:
     """Accept iff rem(antiderivative(a0), p) has degree <= 1."""
     norm = canonical_potential(f)
     a0 = norm.coeff(0)
-    _, rem = poly_divrem(antiderivative(a0), f.surface.p)
+    _, rem = poly_divrem(a0.antiderivative(), f.surface.p)
     return MembershipVerdict(rem.degree <= 1, rem, norm)
 
 
@@ -258,7 +257,7 @@ def classify_bracket_potential(
         return PotentialShape("x" if n > 0 else "y", abs(n), q)
     # q is the canonical (constant-free) representative of some (p*h)', so
     # the antiderivative lies in p*Q[z] + span{1, z}
-    _, rem = poly_divrem(antiderivative(q), surface.p)
+    _, rem = poly_divrem(q.antiderivative(), surface.p)
     if rem.degree > 1:
         raise InternalInvariantViolation(
             "pure-z nested shear potential is not of the form (p*h)'"

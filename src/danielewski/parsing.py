@@ -19,6 +19,7 @@ first).
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from math import comb, prod
 
@@ -49,9 +50,12 @@ from .ring import (
 
 # Ceilings on the shape of a literal: the parser recurses four calls deep per
 # parenthesis level (the interpreter's limit was hit at about 250 levels), and
-# int() refuses strings of more than 4300 digits.
+# int() refuses strings of more than 4300 digits.  MAX_DIGITS also bounds the
+# coefficients of every parsed product and power step, and so the operands of
+# every multiplication of the parse.
 MAX_PAREN_DEPTH = 100
 MAX_DIGITS = 1000
+_HEIGHT = 10**MAX_DIGITS
 
 
 class _Tokens:
@@ -138,6 +142,18 @@ def _check_size(terms: int, degrees: list[int], t: _Tokens):
         )
 
 
+def _check_height(e: dict, t: _Tokens) -> dict:
+    """``e``, unless a coefficient has a numerator or denominator of more than
+    MAX_DIGITS digits."""
+    for v in e.values():
+        if abs(v.numerator) >= _HEIGHT or v.denominator >= _HEIGHT:
+            raise DegreeGate(
+                f"a coefficient has more than {MAX_DIGITS} digits, over the ceiling "
+                f"MAX_DIGITS = {MAX_DIGITS} (at position {t.pos})"
+            )
+    return e
+
+
 def _parse_exponent(t: _Tokens) -> int:
     if t.peek() == "(":
         t.take()
@@ -194,7 +210,7 @@ def _parse_factor(t: _Tokens) -> dict:
         _check_size(comb(n + k - 1, k - 1) if k else 1, [n * d for d in _degrees(e)], t)
         acc = {(0, 0, 0): Fraction(1)}
         for _ in range(n):
-            acc = formal_mul(acc, e)
+            acc = _check_height(formal_mul(acc, e), t)
         e = acc
     return formal_scale(e, sign) if sign < 0 else e
 
@@ -205,7 +221,7 @@ def _parse_term(t: _Tokens) -> dict:
         t.take()
         rhs = _parse_factor(t)
         _check_size(len(e) * len(rhs), [a + b for a, b in zip(_degrees(e), _degrees(rhs))], t)
-        e = formal_mul(e, rhs)
+        e = _check_height(formal_mul(e, rhs), t)
     return e
 
 
@@ -241,17 +257,42 @@ def parse_unipoly(src: str) -> UniPoly:
 
 
 def parse_point(src: str) -> tuple[Fraction, Fraction, Fraction]:
-    """A rational point written ``x,y,z`` (each part as ``Fraction`` reads it)."""
-    try:
-        point = tuple(Fraction(c) for c in src.split(","))
-    except (ValueError, ZeroDivisionError):
-        point = ()
-    if len(point) != 3:
+    """A rational point written ``x,y,z``, each part as ``_parse_rational``
+    reads it."""
+    parts = src.split(",")
+    if len(parts) != 3:
         raise ParseError("point must be three rationals: x,y,z")
-    return point
+    return tuple(_parse_rational(c) for c in parts)
+
+
+def _parse_rational(src: str) -> Fraction:
+    """An optional '-' and a RATIONAL of the polynomial grammar: the form of
+    the arguments of H(...) and Sym(...), certificate weights and points."""
+    t = _Tokens(src)
+    neg = t.peek() == "-"
+    if neg:
+        t.take()
+    if t.peek().isdecimal():
+        v = t.rational()
+        if t.done():
+            return -v if neg else v
+    raise ParseError(f"expected a rational number, found {src!r}")
 
 
 # -- printers -------------------------------------------------------------------
+
+
+def format_rational(v: Fraction) -> str:
+    """``str(v)``, the one printer of a rational.  A numerator or denominator
+    over Python's integer-string limit (4300 digits by default) is a
+    ``degree-gate``."""
+    try:
+        return str(v)
+    except ValueError:
+        raise DegreeGate(
+            f"a coefficient has more than {sys.get_int_max_str_digits()} digits, "
+            "too many to print (Python's integer-string limit)"
+        ) from None
 
 
 def _coeff_prefix(v: Fraction, head: str) -> str:
@@ -261,7 +302,7 @@ def _coeff_prefix(v: Fraction, head: str) -> str:
         return head
     if v == -1 and head:
         return f"-{head}"
-    return f"{v}*{head}" if head else str(v)
+    return f"{format_rational(v)}*{head}" if head else format_rational(v)
 
 
 def _monomial(v: Fraction, parts: list[str]) -> str:
@@ -341,13 +382,6 @@ def _parse_index(s: str) -> int:
     return n
 
 
-def _parse_rational(s: str) -> Fraction:
-    try:
-        return Fraction(s.strip())
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"expected a rational number, found {s!r}")
-
-
 # -- automorphism words -----------------------------------------------------------
 
 
@@ -382,10 +416,10 @@ def format_generator(g: Generator) -> str:
     if isinstance(g, YShear):
         return f"Dy({format_unipoly(g.f, 'y')})"
     if isinstance(g, Hyperbolic):
-        return f"H({g.lam})"
+        return f"H({format_rational(g.lam)})"
     if isinstance(g, Involution):
         return "I"
-    return f"Sym({g.c}, {g.b})"
+    return f"Sym({format_rational(g.c)}, {format_rational(g.b)})"
 
 
 def format_word(phi: PolynomialAutomorphism) -> str:
@@ -401,7 +435,7 @@ def cert_to_obj(expr) -> dict:
             return {"leaf": {"kind": "HF", "poly": format_unipoly(expr.poly)}}
         return {"leaf": {"kind": expr.kind, "i": expr.i}}
     if isinstance(expr, membership.Sum):
-        return {"sum": [[str(w), cert_to_obj(t)] for w, t in expr.terms]}
+        return {"sum": [[format_rational(w), cert_to_obj(t)] for w, t in expr.terms]}
     return {"bracket": [cert_to_obj(expr.left), cert_to_obj(expr.right)]}
 
 

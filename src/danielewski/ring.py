@@ -9,13 +9,14 @@ with the SurfaceConfig constructors or from such a dict and read them
 through ``coeffs``; the term views ``xpart``/``ypart``/``zpart`` are for
 readers outside the library.
 
-Only the product uses the chart x != 0, where y = p(z)/x and an element
-becomes a Laurent polynomial in x with coefficients in Q[z]: the chart map
-sends y^n q(z) to x^(-n) p^n q(z) and leaves the other weights alone.  A
-Laurent element descends back to the surface exactly when the coefficient
-of x^(-n) is divisible by p^n.  The derivations the field calculus needs,
-x d/dx and x d/dz of the chart, are computed on the weights directly
-(``euler``, ``x_dz``).
+``SurfacePolynomial`` is the only element class.  Only its product uses
+the chart x != 0, where y = p(z)/x and an element becomes a Laurent
+polynomial in x with coefficients in Q[z], a plain dict {power of x: q(z)}:
+``to_chart`` sends y^n q(z) to x^(-n) p^n q(z) and leaves the other weights
+alone, and ``from_chart`` divides the coefficient of x^(-n) by p^n, which
+is exact for every product of surface elements.  The derivations the field
+calculus needs, x d/dx and x d/dz of the chart, are computed on the weights
+directly (``euler``, ``x_dz``).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from fractions import Fraction
 from .errors import (
     DivisionByZeroPolynomial,
     InternalInvariantViolation,
-    NotOnSurface,
     RepeatedRoot,
     ZeroPolynomial,
 )
@@ -248,14 +248,10 @@ def bezout(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
     return u0.scale(s), v0.scale(s), r0.scale(s)
 
 
-def antiderivative(q: UniPoly) -> UniPoly:
-    return q.antiderivative()
-
-
 class SurfaceConfig:
     """The defining polynomial p together with derived exact data."""
 
-    __slots__ = ("p", "p_prime", "degree", "gcd_u", "gcd_v", "gcd_g")
+    __slots__ = ("p", "p_prime", "degree", "gcd_u", "gcd_v")
 
     def __init__(self, p: UniPoly):
         if p.is_zero():
@@ -268,7 +264,7 @@ class SurfaceConfig:
         u, v, g = bezout(p, self.p_prime)
         if g.degree != 0:
             raise RepeatedRoot("p has a repeated root: gcd(p, p') = nontrivial")
-        self.gcd_u, self.gcd_v, self.gcd_g = u, v, g
+        self.gcd_u, self.gcd_v = u, v
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SurfaceConfig) and self.p == other.p
@@ -354,12 +350,12 @@ def reduce(surface: SurfaceConfig, raw: dict) -> "SurfacePolynomial":
     return SurfacePolynomial(surface, coeffs)
 
 
-class _Graded:
-    """A finite map from integer weights to nonzero ``UniPoly`` coefficients.
+class SurfacePolynomial:
+    """Normal-form element of the coordinate ring, graded by weight.
 
-    The linear operations of surface elements and chart elements, which share
-    this layout (in the chart, weight n is the power x^n).  Operands must be
-    of one class and on one surface.
+    ``coeffs[n]`` is q(z) for the term x^n q(z) when n > 0, y^(-n) q(z) when
+    n < 0 and the pure-z part when n = 0; every stored q is nonzero.
+    Operands of a binary operation must lie on one surface.
     """
 
     __slots__ = ("surface", "coeffs")
@@ -370,18 +366,14 @@ class _Graded:
             {int(k): q for k, q in coeffs.items() if not q.is_zero()} if coeffs else {}
         )
 
-    def _new(self, coeffs: dict):
-        """An element of the same class; every value of ``coeffs`` is nonzero."""
-        r = object.__new__(type(self))
+    def _new(self, coeffs: dict) -> "SurfacePolynomial":
+        """An element on the same surface; every value of ``coeffs`` is nonzero."""
+        r = object.__new__(SurfacePolynomial)
         r.surface = self.surface
         r.coeffs = coeffs
         return r
 
-    def _check(self, other):
-        if type(other) is not type(self):
-            raise InternalInvariantViolation(
-                f"mixing {type(self).__name__} with {type(other).__name__}"
-            )
+    def _check(self, other: "SurfacePolynomial"):
         if other.surface is not self.surface and other.surface != self.surface:
             raise InternalInvariantViolation("mixing elements of different surfaces")
 
@@ -393,7 +385,7 @@ class _Graded:
 
     def __eq__(self, other) -> bool:
         return (
-            type(other) is type(self)
+            isinstance(other, SurfacePolynomial)
             and self.surface == other.surface
             and self.coeffs == other.coeffs
         )
@@ -401,7 +393,7 @@ class _Graded:
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
 
-    def __add__(self, other):
+    def __add__(self, other: "SurfacePolynomial") -> "SurfacePolynomial":
         self._check(other)
         c = dict(self.coeffs)
         for k, q in other.coeffs.items():
@@ -413,32 +405,26 @@ class _Graded:
             c[k] = q
         return self._new(c)
 
-    def __neg__(self):
+    def __neg__(self) -> "SurfacePolynomial":
         return self._new({k: -q for k, q in self.coeffs.items()})
 
-    def __sub__(self, other):
+    def __sub__(self, other: "SurfacePolynomial") -> "SurfacePolynomial":
         return self + (-other)
 
-    def scale(self, v):
+    def scale(self, v) -> "SurfacePolynomial":
         v = _frac(v)
         return self._new({k: q.scale(v) for k, q in self.coeffs.items()} if v else {})
 
-
-class SurfacePolynomial(_Graded):
-    """Normal-form element of the coordinate ring, graded by weight.
-
-    ``coeffs[n]`` is q(z) for the term x^n q(z) when n > 0, y^(-n) q(z) when
-    n < 0 and the pure-z part when n = 0.
-    """
-
-    __slots__ = ()
-
     def __mul__(self, other: "SurfacePolynomial") -> "SurfacePolynomial":
+        """The product of the chart images, carried back to the surface."""
         self._check(other)
-        try:
-            return from_chart(to_chart(self) * to_chart(other))
-        except NotOnSurface as exc:  # cannot happen for surface elements
-            raise InternalInvariantViolation(f"chart product left the surface: {exc}")
+        a, b = to_chart(self), to_chart(other)
+        c: dict = {}
+        for k1, q1 in a.items():
+            for k2, q2 in b.items():
+                k = k1 + k2
+                c[k] = c[k] + q1 * q2 if k in c else q1 * q2
+        return from_chart(self.surface, c)
 
     def __pow__(self, n: int) -> "SurfacePolynomial":
         return power(self, n, self.surface.const(1))
@@ -536,53 +522,32 @@ class SurfacePolynomial(_Graded):
         return f"<{format_surface_polynomial(self)}>"
 
 
-class ChartElement(_Graded):
-    """Laurent polynomial in x with coefficients in Q[z].
+def to_chart(e: SurfacePolynomial) -> dict:
+    """The chart image {power of x: UniPoly}: x^n q(z) stays, y^n q(z)
+    becomes x^(-n) p^n q(z)."""
+    p = e.surface.p
+    return {n: q if n >= 0 else p ** (-n) * q for n, q in e.coeffs.items()}
 
-    The factors and the result of a surface product.  Only descends to the
-    surface when the x^(-i) coefficient is divisible by p^i; ``from_chart``
-    checks that.
+
+def from_chart(surface: SurfaceConfig, c: dict) -> SurfacePolynomial:
+    """Inverse of ``to_chart``: the coefficient of x^(-n) is divided by p^n.
+
+    The product is the only caller, and a product of surface elements always
+    descends, so a remainder raises InternalInvariantViolation.
     """
-
-    __slots__ = ()
-
-    def __mul__(self, other: "ChartElement") -> "ChartElement":
-        c: dict = {}
-        for k1, q1 in self.coeffs.items():
-            for k2, q2 in other.coeffs.items():
-                k = k1 + k2
-                c[k] = c[k] + q1 * q2 if k in c else q1 * q2
-        return ChartElement(self.surface, c)
-
-    def shift(self, d: int) -> "ChartElement":
-        """Multiply by x^d (d may be negative)."""
-        return self._new({k + d: q for k, q in self.coeffs.items()})
-
-    def __repr__(self):
-        return f"ChartElement({self.coeffs!r})"
-
-
-def to_chart(e: SurfacePolynomial) -> ChartElement:
-    """x^n q(z) stays; y^n q(z) becomes x^(-n) p^n q(z)."""
-    s = e.surface
-    return ChartElement(
-        s, {n: q if n >= 0 else s.p ** (-n) * q for n, q in e.coeffs.items()}
-    )
-
-
-def from_chart(c: ChartElement) -> SurfacePolynomial:
-    """Inverse of ``to_chart``; raises NotOnSurface on a divisibility failure."""
-    s = c.surface
     coeffs: dict = {}
-    for k, q in c.coeffs.items():
+    for k, q in c.items():
+        if q.is_zero():
+            continue
         if k < 0:
-            q, rem = poly_divrem(q, s.p ** (-k))
+            q, rem = poly_divrem(q, surface.p ** (-k))
             if not rem.is_zero():
-                raise NotOnSurface(
-                    f"coefficient of x^{k} is not divisible by p^{-k}"
+                raise InternalInvariantViolation(
+                    f"chart product left the surface: the coefficient of x^{k} "
+                    f"is not divisible by p^{-k}"
                 )
         coeffs[k] = q
-    return SurfacePolynomial(s, coeffs)
+    return SurfacePolynomial(surface, coeffs)
 
 
 def constant_quotient(num: SurfacePolynomial, den: SurfacePolynomial) -> Fraction:

@@ -242,9 +242,10 @@ def test_certificate_at_the_depth_ceiling_is_read(capsys, tmp_path):
     assert code == 1 and out == "false"  # [SFx(0), SFx(0)] = 0, not the field of x
 
 
-# Each case is one above its ceiling, except the iteration bound 0 and the
-# superscript digits, which int() refuses; the last column is a part of the
-# message.
+# Each case is one above its ceiling, except the iteration bound 0, the
+# superscript digits, which int() refuses, the coefficients that grow past
+# MAX_DIGITS or the print limit, and the rationals outside the RATIONAL
+# grammar; the last column is a part of the message.
 CEILINGS = {
     "certify --max-degree": (
         ["certify", "x", "--shears-only", "--max-degree", str(MAX_CERTIFY_DEGREE + 1)],
@@ -272,6 +273,27 @@ CEILINGS = {
     "parser product size": (
         ["reduce", "(1 + z)^20 * (1 + x + y + z)^20"], "z^3-z", "degree-gate",
         "MAX_PARSED_TERMS"),
+    "coefficient of a power": (
+        ["reduce", "9999999^1000"], "z^3-z", "degree-gate", "MAX_DIGITS"),
+    "coefficient of a nested power": (
+        ["reduce", "((10^999)^1000)^1000"], "z^3-z", "degree-gate", "MAX_DIGITS"),
+    "coefficient of a product": (
+        ["reduce", "9" * MAX_DIGITS + "*" + "9" * MAX_DIGITS], "z^3-z", "degree-gate",
+        "MAX_DIGITS"),
+    "printed coefficient": (
+        ["compose", ";".join(["H(" + "9" * MAX_DIGITS + ")"] * 5), "id"], "z^2-1",
+        "degree-gate", "integer-string limit"),
+    "H in exponent form": (
+        ["compose", "H(1e3000000)", "id"], "z^3-z", "syntax-error", "rational"),
+    "Sym with a decimal point": (
+        ["compose", "Sym(-1, 0.5)", "id"], "z^2-1", "syntax-error", "rational"),
+    "H with an underscore": (["compose", "H(1_0)", "id"], "z^2-1", "syntax-error", "rational"),
+    "H with a plus sign": (["compose", "H(+2)", "id"], "z^2-1", "syntax-error", "rational"),
+    "H digits": (
+        ["compose", "H(" + "9" * (MAX_DIGITS + 1) + ")", "id"], "z^2-1", "syntax-error",
+        "MAX_DIGITS"),
+    "point in exponent form": (
+        ["flex-check", "1,0,1e5"], "z^2-1", "syntax-error", "rational"),
     "superscript literal": (["reduce", "²"], "z^3-z", "syntax-error", "unexpected"),
     "superscript exponent": (["reduce", "x^²"], "z^3-z", "syntax-error", "integer"),
     "superscript exponent in parentheses": (
@@ -285,6 +307,24 @@ def test_numeric_input_outside_its_range(capsys, argv, surface, error, ceiling):
     code, out, _ = run(capsys, *argv, "--surface", surface, "--format", "json")
     obj = json.loads(out)
     assert code == 2 and obj["error"] == error and ceiling in obj["message"]
+    code, out, err = run(capsys, *argv, "--surface", surface, "--format", "text")
+    assert code == 2 and out == "" and err.startswith(f"error [{error}]: ") and ceiling in err
+
+
+def test_every_ceiling_is_documented_and_tested():
+    """Each module-level MAX_* constant of the package is named in
+    docs/grammar.md and read by a CEILINGS row or a test in this file."""
+    root = Path(__file__).parents[1]
+    ceilings = {(path.stem, name) for path in (root / "src" / "danielewski").glob("*.py")
+                for name in re.findall(r"^(MAX_\w+) =", path.read_text(), re.M)}
+    doc = (root / "docs" / "grammar.md").read_text()
+    tested = {row[-1] for row in CEILINGS.values()}
+    tested |= {name for key, fn in globals().items() if key.startswith("test_")
+               for name in fn.__code__.co_names}
+    assert len(ceilings) >= 8
+    for module, name in sorted(ceilings):
+        assert re.search(rf"\b{module}\.{name}\b", doc), name
+        assert name in tested, name
 
 
 LITERALS_AT_CEILING = {

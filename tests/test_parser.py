@@ -36,6 +36,7 @@ from danielewski.parsing import (
     load_certificate_file,
     parse_formal,
     parse_generator,
+    parse_point,
 )
 
 from conftest import random_surface_polynomial, upoly
@@ -132,8 +133,16 @@ def test_generator_parsing():
     assert parse_generator("H(-3/2)") == Hyperbolic(Fraction(-3, 2))
     assert parse_generator("I") == Involution()
     assert parse_generator("Sym(-1, 1/2)") == Symmetry(Fraction(-1), Fraction(1, 2))
+    assert parse_generator("H( 2 )") == Hyperbolic(Fraction(2))
+    assert parse_point("1/2, -3/2,0") == (Fraction(1, 2), Fraction(-3, 2), Fraction(0))
     with pytest.raises(ParseError):
         parse_generator("Q(1)")
+    # the arguments are RATIONALs of the polynomial grammar, not Fraction(str)
+    for bad in ("1e5", "1.5", "1_0", "+2", "--1", "1/0", "", "9" * 1001):
+        with pytest.raises(ParseError):
+            parse_generator(f"H({bad})")
+        with pytest.raises(ParseError):
+            parse_point(f"1,0,{bad}")
 
 
 def test_word_roundtrip(quad):
@@ -169,3 +178,5 @@ def test_certificate_file_errors(quad):
         cert_from_obj({"leaf": {"kind": "bogus"}})
     with pytest.raises(ParseError):
         cert_from_obj({"leaf": {}, "sum": []})
+    with pytest.raises(ParseError):
+        cert_from_obj({"sum": [["1e5", {"leaf": {"kind": "SFx", "i": 0}}]]})
