@@ -6,102 +6,63 @@ in z per weight, stored as {weight: q(z)}; volume-preserving algebraic
 vector fields are manipulated through their potentials, and membership of a
 potential in the Lie algebra generated by the standard locally nilpotent
 fields is decided and certified by explicit bracket expressions.
+
+The public names below are imported on first use (PEP 562): ``import
+danielewski`` loads no submodule, and ``danielewski.bracket`` loads
+``fields`` and what it imports, so a command-line process pays only for
+the modules its subcommand runs.
 """
 
-from .errors import (
-    DanielewskiError,
-    DegreeGate,
-    DivisionByZeroPolynomial,
-    FileError,
-    InternalInvariantViolation,
-    InvalidGenerator,
-    MalformedNesting,
-    MembershipRejected,
-    NegativeExponent,
-    NotNilpotent,
-    NotVolumePreserving,
-    ParityViolation,
-    ParseError,
-    PointNotOnSurface,
-    RepeatedRoot,
-    SearchExhausted,
-    TangencyViolation,
-    WrongSurface,
-    ZeroPolynomial,
-)
-from .ring import SurfaceConfig, SurfacePolynomial, UniPoly, make_surface
-from .fields import (
-    AlgebraicVectorField,
-    LndVerdict,
-    bracket,
-    canonical_potential,
-    default_flex_fields,
-    flex_check,
-    hamiltonian_of,
-    is_volume_preserving,
-    lnd_check,
-    potential_of,
-    shear_x,
-    shear_y,
-    hyperbolic,
-    zero_field,
-)
-from .automorphisms import (
-    FlowMap,
-    Hyperbolic,
-    Involution,
-    PolynomialAutomorphism,
-    Symmetry,
-    XShear,
-    YShear,
-    ZDegreeVerdict,
-    apply_auto,
-    compose,
-    conjugate_field,
-    flow_group_law,
-    flow_of_shear,
-    identity_auto,
-    invert,
-    normalize_word,
-    taylor_conjugation,
-    taylor_flow_identity,
-    volume_factor,
-    z_x_degree,
-)
-from .membership import (
-    Bracket,
-    Leaf,
-    MembershipVerdict,
-    Sum,
-    avdp_decompose,
-    certify_shears_only,
-    classify_bracket_potential,
-    decide,
-    evaluate,
-    expression_size,
-    make_sum,
-    verify_certificate,
-)
-from .z2 import (
-    Z2Grading,
-    Z2ReportRow,
-    grade,
-    invariant_leaves_only,
-    is_invariant_field,
-    sigma_apply,
-    sigma_auto,
-    z2_avdp_check,
-    z2_certificate,
-)
-from .parsing import (
-    format_field,
-    format_surface_polynomial,
-    format_unipoly,
-    format_word,
-    parse_expression,
-    parse_field,
-    parse_unipoly,
-    parse_word,
-)
+import importlib
 
+# public name -> the submodule that defines it
+_EXPORTS = {
+    **dict.fromkeys((
+        "DanielewskiError", "DegreeGate", "DivisionByZeroPolynomial", "FileError",
+        "InternalInvariantViolation", "InvalidGenerator", "MalformedNesting",
+        "MembershipRejected", "NegativeExponent", "NotNilpotent", "NotVolumePreserving",
+        "ParityViolation", "ParseError", "PointNotOnSurface", "RepeatedRoot",
+        "SearchExhausted", "TangencyViolation", "WrongSurface", "ZeroPolynomial",
+    ), "errors"),
+    **dict.fromkeys(("SurfaceConfig", "SurfacePolynomial", "UniPoly", "make_surface"), "ring"),
+    **dict.fromkeys((
+        "AlgebraicVectorField", "LndVerdict", "bracket", "canonical_potential",
+        "default_flex_fields", "flex_check", "hamiltonian_of", "is_volume_preserving",
+        "lnd_check", "potential_of", "shear_x", "shear_y", "hyperbolic", "zero_field",
+    ), "fields"),
+    **dict.fromkeys((
+        "FlowMap", "Hyperbolic", "Involution", "PolynomialAutomorphism", "Symmetry",
+        "XShear", "YShear", "ZDegreeVerdict", "apply_auto", "compose", "conjugate_field",
+        "flow_group_law", "flow_of_shear", "identity_auto", "invert", "normalize_word",
+        "taylor_conjugation", "taylor_flow_identity", "volume_factor", "z_x_degree",
+    ), "automorphisms"),
+    **dict.fromkeys((
+        "Bracket", "Leaf", "MembershipVerdict", "Sum", "avdp_decompose",
+        "certify_shears_only", "classify_bracket_potential", "decide", "evaluate",
+        "expression_size", "make_sum", "verify_certificate",
+    ), "membership"),
+    **dict.fromkeys((
+        "Z2Grading", "Z2ReportRow", "grade", "invariant_leaves_only", "is_invariant_field",
+        "sigma_apply", "sigma_auto", "z2_avdp_check", "z2_certificate",
+    ), "z2"),
+    **dict.fromkeys((
+        "format_field", "format_surface_polynomial", "format_unipoly", "format_word",
+        "parse_expression", "parse_field", "parse_unipoly", "parse_word",
+    ), "parsing"),
+}
+
+__all__ = [*_EXPORTS, "__version__"]
 __version__ = "1.0.0"
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -15,29 +15,22 @@ under --format json, or ``text`` in text mode and whenever ``data`` is
 None (a certificate prints as indented JSON in both formats).  A
 DanielewskiError prints ``{"error": CODE, "message": TEXT}`` on stdout
 under --format json, else ``error [CODE]: TEXT`` on stderr.
+
+This module imports only ``errors``, ``ring`` and ``parsing``; each handler
+imports the library module it calls (``fields``, ``automorphisms``,
+``membership`` or ``z2``) when it runs, so a cold process loads and
+compiles only what its subcommand needs.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 
-from . import parsing, z2
-from .automorphisms import compose, conjugate_field, volume_factor
+from . import parsing
 from .errors import DanielewskiError, FileError, ParseError
-from .fields import (
-    DEFAULT_LND_ITER,
-    bracket,
-    flex_check,
-    hamiltonian_of,
-    is_volume_preserving,
-    lnd_check,
-    potential_of,
-)
-from .membership import avdp_decompose, certify_shears_only, decide, verify_certificate
 from .parsing import (
     format_field,
     format_surface_polynomial,
@@ -66,13 +59,54 @@ def _certificate(f, expr) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
+def _reduce(s, a):
+    return _result(format_surface_polynomial(parse_expression(s, a.expr)))
+
+
+def _mul(s, a):
+    f, g = parse_expression(s, a.left), parse_expression(s, a.right)
+    # The chart product raises p to each factor's y-degree and divides the
+    # product's lowest weight by p to their sum.
+    parsing.check_p_power(s, sum(max(0, -min(e.coeffs, default=0)) for e in (f, g)))
+    return _result(format_surface_polynomial(f * g))
+
+
+def _bracket(s, a):
+    from .fields import bracket
+
+    return _result(format_field(bracket(parse_field(s, a.left), parse_field(s, a.right))))
+
+
+def _potential(s, a):
+    from .fields import potential_of
+
+    return _result(format_surface_polynomial(potential_of(parse_field(s, a.field))))
+
+
+def _hamiltonian(s, a):
+    from .fields import hamiltonian_of
+
+    return _result(format_field(hamiltonian_of(parse_expression(s, a.expr))))
+
+
+def _is_volume_preserving(s, a):
+    from .fields import is_volume_preserving
+
+    return _truth(is_volume_preserving(parse_field(s, a.field)))
+
+
 def _lnd_check(s, a):
-    v = lnd_check(parse_field(s, a.field), a.max_iter)
+    from .fields import DEFAULT_LND_ITER, lnd_check
+
+    max_iter = DEFAULT_LND_ITER if a.max_iter is None else a.max_iter
+    v = lnd_check(parse_field(s, a.field), max_iter)
     data = {"nilpotent": v.nilpotent, "degree": v.degree, "bound": v.bound}
     return str(v), data, 0 if v.nilpotent else 1
 
 
 def _decide(s, a):
+    from .membership import decide
+
     v = decide(parse_expression(s, a.expr))
     rem = format_unipoly(v.witness_remainder)
     text = f"{'accepted' if v.accepted else 'rejected'}, remainder {rem}"
@@ -80,6 +114,8 @@ def _decide(s, a):
 
 
 def _certify(s, a):
+    from .membership import avdp_decompose, certify_shears_only
+
     f = parse_expression(s, a.expr)
     expr = certify_shears_only(f, a.max_degree) if a.shears_only else avdp_decompose(f)
     text = _certificate(f, expr)
@@ -94,6 +130,8 @@ def _certify(s, a):
 
 
 def _verify_cert(s, a):
+    from .membership import verify_certificate
+
     try:
         with open(a.file, encoding="utf-8") as fh:
             text = fh.read()
@@ -107,39 +145,61 @@ def _verify_cert(s, a):
     return _truth(verify_certificate(s, expr, claimed))
 
 
+def _conjugate(s, a):
+    from .automorphisms import conjugate_field
+
+    return _result(format_field(conjugate_field(parse_word(s, a.word), parse_field(s, a.field))))
+
+
+def _compose(s, a):
+    from .automorphisms import compose
+
+    return _result(format_word(compose(parse_word(s, a.left), parse_word(s, a.right))))
+
+
+def _volume_factor(s, a):
+    from .automorphisms import volume_factor
+
+    return _result(parsing.format_rational(volume_factor(parse_word(s, a.word))))
+
+
+def _flex_check(s, a):
+    from .fields import flex_check
+
+    point = parse_point(a.point)
+    return _truth(flex_check(s, point, [parse_field(s, f) for f in a.fields] or None))
+
+
 def _z2_certify(s, a):
+    from .z2 import z2_certificate
+
     f = parse_expression(s, a.expr)
-    return _certificate(f, z2.z2_certificate(f)), None, 0
+    return _certificate(f, z2_certificate(f)), None, 0
 
 
 def _z2_check(s, a):
-    rows = z2.z2_avdp_check(s, a.max_degree)
+    from .z2 import z2_avdp_check
+
+    rows = z2_avdp_check(s, a.max_degree)
     text = "\n".join(f"{r.monomial}\tsize {r.size}\t{'ok' if r.verified else 'FAIL'}"
                      for r in rows)
-    data = {"rows": [dataclasses.asdict(r) for r in rows]}
+    data = {"rows": [{"monomial": r.monomial, "size": r.size, "verified": r.verified}
+                     for r in rows]}
     return text, data, 0 if all(r.verified for r in rows) else 1
 
 
 # name -> ([(argument, add_argument keywords)], handler); the order is the
-# order of the usage line.
+# order of the usage line.  --max-iter defaults to None, read by _lnd_check
+# as fields.DEFAULT_LND_ITER, so that building the parser imports no
+# library module.
 COMMANDS = {
-    "reduce": ([("expr", {})],
-               lambda s, a: _result(format_surface_polynomial(parse_expression(s, a.expr)))),
-    "mul": ([("left", {}), ("right", {})],
-            lambda s, a: _result(format_surface_polynomial(
-                parse_expression(s, a.left) * parse_expression(s, a.right)))),
-    "bracket": ([("left", {}), ("right", {})],
-                lambda s, a: _result(format_field(
-                    bracket(parse_field(s, a.left), parse_field(s, a.right))))),
-    "potential": ([("field", {})],
-                  lambda s, a: _result(format_surface_polynomial(
-                      potential_of(parse_field(s, a.field))))),
-    "hamiltonian": ([("expr", {})],
-                    lambda s, a: _result(format_field(
-                        hamiltonian_of(parse_expression(s, a.expr))))),
-    "is-volume-preserving": ([("field", {})],
-                             lambda s, a: _truth(is_volume_preserving(parse_field(s, a.field)))),
-    "lnd-check": ([("field", {}), ("--max-iter", {"type": int, "default": DEFAULT_LND_ITER})],
+    "reduce": ([("expr", {})], _reduce),
+    "mul": ([("left", {}), ("right", {})], _mul),
+    "bracket": ([("left", {}), ("right", {})], _bracket),
+    "potential": ([("field", {})], _potential),
+    "hamiltonian": ([("expr", {})], _hamiltonian),
+    "is-volume-preserving": ([("field", {})], _is_volume_preserving),
+    "lnd-check": ([("field", {}), ("--max-iter", {"type": int, "default": None})],
                   _lnd_check),
     "decide": ([("expr", {})], _decide),
     "certify": ([
@@ -149,19 +209,13 @@ COMMANDS = {
         ("--output", {"default": None, "help": "write the certificate file here"}),
     ], _certify),
     "verify-cert": ([("file", {})], _verify_cert),
-    "conjugate": ([("word", {}), ("field", {})],
-                  lambda s, a: _result(format_field(
-                      conjugate_field(parse_word(s, a.word), parse_field(s, a.field))))),
-    "compose": ([("left", {}), ("right", {})],
-                lambda s, a: _result(format_word(
-                    compose(parse_word(s, a.left), parse_word(s, a.right))))),
-    "volume-factor": ([("word", {})],
-                      lambda s, a: _result(parsing.format_rational(volume_factor(parse_word(s, a.word))))),
+    "conjugate": ([("word", {}), ("field", {})], _conjugate),
+    "compose": ([("left", {}), ("right", {})], _compose),
+    "volume-factor": ([("word", {})], _volume_factor),
     "flex-check": ([
         ("point", {"help": "rational point as x,y,z"}),
         ("fields", {"nargs": "*", "help": "optional field literals"}),
-    ], lambda s, a: _truth(flex_check(
-        s, parse_point(a.point), [parse_field(s, f) for f in a.fields] or None))),
+    ], _flex_check),
     "z2-certify": ([("expr", {})], _z2_certify),
     "z2-check": ([("--max-degree", {"type": int, "default": 7})], _z2_check),
 }

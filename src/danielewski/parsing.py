@@ -21,20 +21,10 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
-from math import comb, prod
+from math import comb, lcm, prod
+from typing import TYPE_CHECKING
 
-from . import membership
-from .automorphisms import (
-    Generator,
-    Hyperbolic,
-    Involution,
-    PolynomialAutomorphism,
-    Symmetry,
-    XShear,
-    YShear,
-)
 from .errors import DegreeGate, NegativeExponent, ParseError
-from .fields import AlgebraicVectorField, hyperbolic, shear_x, shear_y
 from .ring import (
     SurfaceConfig,
     SurfacePolynomial,
@@ -42,8 +32,17 @@ from .ring import (
     formal_add,
     formal_mul,
     formal_scale,
+    make_surface,
     reduce,
 )
+
+# The readers and printers of fields, words and certificates import
+# ``fields``, ``automorphisms`` or ``membership`` when they run, so that
+# reading and printing ring elements loads only ``errors`` and ``ring``.
+if TYPE_CHECKING:
+    from .automorphisms import Generator, PolynomialAutomorphism
+    from .fields import AlgebraicVectorField
+    from .membership import BracketExpression
 
 # -- tokenizer -----------------------------------------------------------------
 
@@ -243,8 +242,35 @@ def parse_formal(src: str) -> dict:
     return e
 
 
+def check_p_power(surface: SurfaceConfig, m: int) -> None:
+    """Raise DegreeGate before ``p^m`` is formed if a coefficient of it may
+    have more than MAX_DIGITS digits.
+
+    With ``d`` the common denominator of ``p`` and ``|d p|_1`` the sum of the
+    absolute values of the integer coefficients of ``d p``, every numerator
+    and denominator of ``p^m`` is at most ``B^m``, ``B = max(d, |d p|_1)``;
+    the check is ``B^m < 10^MAX_DIGITS``.  On ``z^3 - z``, ``B = 2`` and ``m``
+    may reach 3321.
+    """
+    coeffs = surface.p.c.values()
+    d = lcm(*(v.denominator for v in coeffs))
+    b = max(d, sum(abs(v.numerator) * (d // v.denominator) for v in coeffs))
+    h = 1
+    for _ in range(m if b > 1 else 0):
+        h *= b
+        if h >= _HEIGHT:
+            raise DegreeGate(
+                f"p^{m} may have a coefficient of more than {MAX_DIGITS} digits, "
+                f"over the ceiling MAX_DIGITS = {MAX_DIGITS}"
+            )
+
+
 def parse_expression(surface: SurfaceConfig, src: str) -> SurfacePolynomial:
-    return reduce(surface, parse_formal(src))
+    """The normal form of ``src``: x^a y^b z^c becomes x^(a-b) z^c p^b or
+    y^(b-a) z^c p^a, so ``p^min(a, b)`` is checked first."""
+    formal = parse_formal(src)
+    check_p_power(surface, max((min(a, b) for a, b, _ in formal), default=0))
+    return reduce(surface, formal)
 
 
 def parse_unipoly(src: str) -> UniPoly:
@@ -354,6 +380,8 @@ def format_field(theta: AlgebraicVectorField) -> str:
 
 
 def parse_field(surface: SurfaceConfig, src: str) -> AlgebraicVectorField:
+    from .fields import AlgebraicVectorField, hyperbolic, shear_x, shear_y
+
     s = src.strip()
     if s.startswith("["):
         if not s.endswith("]"):
@@ -386,6 +414,8 @@ def _parse_index(s: str) -> int:
 
 
 def parse_generator(src: str) -> Generator:
+    from .automorphisms import Hyperbolic, Involution, Symmetry, XShear, YShear
+
     s = src.strip()
     if s == "I":
         return Involution()
@@ -405,12 +435,16 @@ def parse_generator(src: str) -> Generator:
 
 def parse_word(surface: SurfaceConfig, src: str) -> PolynomialAutomorphism:
     """';'-separated generators, leftmost applied first."""
+    from .automorphisms import PolynomialAutomorphism
+
     s = src.strip()
     word = [] if not s or s == "id" else [parse_generator(g) for g in s.split(";")]
     return PolynomialAutomorphism(surface, word)
 
 
 def format_generator(g: Generator) -> str:
+    from .automorphisms import Hyperbolic, Involution, XShear, YShear
+
     if isinstance(g, XShear):
         return f"Dx({format_unipoly(g.f, 'x')})"
     if isinstance(g, YShear):
@@ -429,14 +463,19 @@ def format_word(phi: PolynomialAutomorphism) -> str:
 # -- certificate files -------------------------------------------------------------
 
 
-def cert_to_obj(expr) -> dict:
-    if isinstance(expr, membership.Leaf):
-        if expr.kind == "HF":
-            return {"leaf": {"kind": "HF", "poly": format_unipoly(expr.poly)}}
-        return {"leaf": {"kind": expr.kind, "i": expr.i}}
-    if isinstance(expr, membership.Sum):
-        return {"sum": [[format_rational(w), cert_to_obj(t)] for w, t in expr.terms]}
-    return {"bracket": [cert_to_obj(expr.left), cert_to_obj(expr.right)]}
+def cert_to_obj(expr: BracketExpression) -> dict:
+    from .membership import Leaf, Sum
+
+    def node(e) -> dict:
+        if isinstance(e, Leaf):
+            if e.kind == "HF":
+                return {"leaf": {"kind": "HF", "poly": format_unipoly(e.poly)}}
+            return {"leaf": {"kind": e.kind, "i": e.i}}
+        if isinstance(e, Sum):
+            return {"sum": [[format_rational(w), node(t)] for w, t in e.terms]}
+        return {"bracket": [node(e.left), node(e.right)]}
+
+    return node(expr)
 
 
 # Ceiling on the nesting depth of a certificate read from a file: reading,
@@ -448,52 +487,53 @@ MAX_CERT_DEPTH = 100
 _TOO_DEEP = f"certificate is nested deeper than MAX_CERT_DEPTH = {MAX_CERT_DEPTH}"
 
 
-def cert_from_obj(obj, depth: int = 1) -> "membership.BracketExpression":
+def cert_from_obj(obj, depth: int = 1) -> BracketExpression:
     """Inverse of ``cert_to_obj``; raises ParseError on any other shape.
 
     ``depth`` is the level of ``obj`` in the whole tree; a node below level
     MAX_CERT_DEPTH is rejected.
     """
-    if depth > MAX_CERT_DEPTH:
-        raise ParseError(_TOO_DEEP)
-    if not isinstance(obj, dict) or len(obj) != 1:
-        raise ParseError("certificate node must have exactly one of leaf/sum/bracket")
-    if "leaf" in obj:
-        leaf = obj["leaf"]
-        if not isinstance(leaf, dict):
-            raise ParseError("'leaf' must be an object with a 'kind'")
-        kind = leaf.get("kind")
-        if kind == "HF":
-            if not isinstance(leaf.get("poly"), str):
-                raise ParseError("an HF leaf needs a string 'poly'")
-            return membership.Leaf("HF", poly=parse_unipoly(leaf["poly"]))
-        if kind in ("SFx", "SFy"):
-            i = leaf.get("i")
-            if not isinstance(i, int) or isinstance(i, bool):
-                raise ParseError(f"an {kind} leaf needs an integer 'i'")
-            return membership.Leaf(kind, i)
-        raise ParseError(f"unknown leaf kind {kind!r}")
-    if "sum" in obj:
-        terms = obj["sum"]
-        if not isinstance(terms, list) or not all(
-            isinstance(t, list) and len(t) == 2 and isinstance(t[0], str) for t in terms
-        ):
-            raise ParseError("'sum' must be a list of [weight, node] pairs")
-        return membership.Sum(
-            tuple((_parse_rational(w), cert_from_obj(t, depth + 1)) for w, t in terms)
-        )
-    if "bracket" in obj:
-        pair = obj["bracket"]
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ParseError("'bracket' must be a list of two nodes")
-        return membership.Bracket(
-            cert_from_obj(pair[0], depth + 1), cert_from_obj(pair[1], depth + 1)
-        )
-    raise ParseError("certificate node must have one of leaf/sum/bracket")
+    from .membership import Bracket, Leaf, Sum
+
+    def node(obj, depth: int) -> BracketExpression:
+        if depth > MAX_CERT_DEPTH:
+            raise ParseError(_TOO_DEEP)
+        if not isinstance(obj, dict) or len(obj) != 1:
+            raise ParseError("certificate node must have exactly one of leaf/sum/bracket")
+        if "leaf" in obj:
+            leaf = obj["leaf"]
+            if not isinstance(leaf, dict):
+                raise ParseError("'leaf' must be an object with a 'kind'")
+            kind = leaf.get("kind")
+            if kind == "HF":
+                if not isinstance(leaf.get("poly"), str):
+                    raise ParseError("an HF leaf needs a string 'poly'")
+                return Leaf("HF", poly=parse_unipoly(leaf["poly"]))
+            if kind in ("SFx", "SFy"):
+                i = leaf.get("i")
+                if not isinstance(i, int) or isinstance(i, bool):
+                    raise ParseError(f"an {kind} leaf needs an integer 'i'")
+                return Leaf(kind, i)
+            raise ParseError(f"unknown leaf kind {kind!r}")
+        if "sum" in obj:
+            terms = obj["sum"]
+            if not isinstance(terms, list) or not all(
+                isinstance(t, list) and len(t) == 2 and isinstance(t[0], str) for t in terms
+            ):
+                raise ParseError("'sum' must be a list of [weight, node] pairs")
+            return Sum(tuple((_parse_rational(w), node(t, depth + 1)) for w, t in terms))
+        if "bracket" in obj:
+            pair = obj["bracket"]
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ParseError("'bracket' must be a list of two nodes")
+            return Bracket(node(pair[0], depth + 1), node(pair[1], depth + 1))
+        raise ParseError("certificate node must have one of leaf/sum/bracket")
+
+    return node(obj, depth)
 
 
 def certificate_file_obj(
-    surface: SurfaceConfig, claimed: SurfacePolynomial, expr
+    surface: SurfaceConfig, claimed: SurfacePolynomial, expr: BracketExpression
 ) -> dict:
     return {
         "p": format_unipoly(surface.p),
@@ -504,8 +544,6 @@ def certificate_file_obj(
 
 def load_certificate_file(text: str):
     """Returns (surface, claimed, expression)."""
-    from .ring import make_surface
-
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

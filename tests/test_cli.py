@@ -242,6 +242,11 @@ def test_certificate_at_the_depth_ceiling_is_read(capsys, tmp_path):
     assert code == 1 and out == "false"  # [SFx(0), SFx(0)] = 0, not the field of x
 
 
+# A surface whose p has MAX_DIGITS-digit coefficients: p^2 is over the
+# coefficient ceiling, so the normal form of (x*y)^2 and the product y*y are
+# rejected before p^m is formed.
+TALL_SURFACE = "z - " + "9" * (MAX_DIGITS - 1)
+
 # Each case is one above its ceiling, except the iteration bound 0, the
 # superscript digits, which int() refuses, the coefficients that grow past
 # MAX_DIGITS or the print limit, and the rationals outside the RATIONAL
@@ -280,6 +285,10 @@ CEILINGS = {
     "coefficient of a product": (
         ["reduce", "9" * MAX_DIGITS + "*" + "9" * MAX_DIGITS], "z^3-z", "degree-gate",
         "MAX_DIGITS"),
+    "power of p in a normal form": (
+        ["reduce", "(x*y)^1000"], TALL_SURFACE, "degree-gate", "MAX_DIGITS"),
+    "power of p in a product": (
+        ["mul", "x^500", "y^500"], TALL_SURFACE, "degree-gate", "MAX_DIGITS"),
     "printed coefficient": (
         ["compose", ";".join(["H(" + "9" * MAX_DIGITS + ")"] * 5), "id"], "z^2-1",
         "degree-gate", "integer-string limit"),

@@ -1,0 +1,73 @@
+"""The package namespace and the modules a command-line process loads.
+
+`danielewski/__init__.py` resolves its public names on first use, and
+`danielewski.cli` imports each library module inside the handler that
+calls it, so a cold process compiles only what its subcommand runs.
+"""
+
+import importlib
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import danielewski
+
+ROOT = Path(__file__).parents[1]
+ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+BASE = {"errors", "ring", "parsing", "cli"}
+
+# subcommand argv -> the danielewski submodules it may load
+IMPORT_SURFACE = {
+    "reduce": (["reduce", "x*y + z"], BASE),
+    "mul": (["mul", "x + z", "y"], BASE),
+    "potential": (["potential", "SFx(1)"], BASE | {"fields"}),
+    "decide": (["decide", "1/2*z^2"], BASE | {"fields", "membership"}),
+    "volume-factor": (["volume-factor", "H(2);I"], BASE | {"fields", "automorphisms"}),
+}
+
+_PROBE = """
+import json, sys
+import danielewski.cli
+code = danielewski.cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+@pytest.mark.parametrize("name", IMPORT_SURFACE)
+def test_a_subcommand_loads_only_what_it_runs(name):
+    argv, expected = IMPORT_SURFACE[name]
+    run = subprocess.run([sys.executable, "-c", _PROBE, *argv, "--surface", "z^3 - z"],
+                         env=ENV, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout.splitlines()[-1])
+    assert report["code"] == 0
+    loaded = {m.split(".", 1)[1] for m in report["modules"] if m.startswith("danielewski.")}
+    assert loaded == expected and "z2" not in loaded
+    if name == "reduce":
+        assert "dataclasses" not in report["modules"]
+
+
+def test_every_public_name_is_its_modules_object():
+    names = [n for n in danielewski.__all__ if n != "__version__"]
+    assert len(names) == len(set(names)) > 80
+    for name in names:
+        module = importlib.import_module(f"danielewski.{danielewski._EXPORTS[name]}")
+        assert getattr(danielewski, name) is getattr(module, name), name
+    assert set(names) <= set(dir(danielewski))
+    with pytest.raises(AttributeError):
+        danielewski.no_such_name  # noqa: B018
+
+
+def test_readme_python_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    code = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    run = subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True,
+                         text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "3*z^2\n"

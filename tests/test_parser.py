@@ -8,6 +8,7 @@ import pytest
 
 from danielewski import (
     Bracket,
+    DegreeGate,
     Leaf,
     NegativeExponent,
     ParseError,
@@ -19,6 +20,7 @@ from danielewski import (
     format_word,
     hyperbolic,
     make_sum,
+    make_surface,
     parse_expression,
     parse_field,
     parse_unipoly,
@@ -31,6 +33,7 @@ from danielewski.automorphisms import Hyperbolic, Involution, Symmetry, XShear
 from danielewski.parsing import (
     MAX_PARSED_TERMS,
     cert_from_obj,
+    check_p_power,
     cert_to_obj,
     certificate_file_obj,
     load_certificate_file,
@@ -64,6 +67,22 @@ def test_parse_powers_and_parens(quad):
     zs = " + ".join(f"z^{j}" for j in range(rows))
     xs = " + ".join(f"x^{i}" for i in range(MAX_PARSED_TERMS // rows))
     assert len(parse_formal(f"({zs}) * ({xs})")) == MAX_PARSED_TERMS
+
+
+def test_power_of_p_ceiling(cubic):
+    # On z^3 - z every coefficient of p^m is at most 2^m, and 2^3321 has
+    # 1000 digits.
+    check_p_power(cubic, 3321)
+    with pytest.raises(DegreeGate, match="MAX_DIGITS"):
+        check_p_power(cubic, 3322)
+    with pytest.raises(DegreeGate, match="MAX_DIGITS"):
+        parse_expression(cubic, "(x*y)^1000 * (x*y)^1000 * (x*y)^1000 * (x*y)^400")
+    # (z/7 + 1/2)^m has denominators up to 14^m
+    s = make_surface(upoly({1: Fraction(1, 7), 0: Fraction(1, 2)}))
+    check_p_power(s, 872)
+    with pytest.raises(DegreeGate):
+        check_p_power(s, 873)
+    assert check_p_power(make_surface(upoly({1: 1})), 10**6) is None
 
 
 def test_negative_exponent_rejected(quad):
