@@ -65,9 +65,6 @@ def _reduce(s, a):
 
 def _mul(s, a):
     f, g = parse_expression(s, a.left), parse_expression(s, a.right)
-    # The chart product raises p to each factor's y-degree and divides the
-    # product's lowest weight by p to their sum.
-    parsing.check_p_power(s, sum(max(0, -min(e.coeffs, default=0)) for e in (f, g)))
     return _result(format_surface_polynomial(f * g))
 
 

@@ -27,8 +27,8 @@ above is the only candidate with zero constant term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import (
     DegreeGate,
@@ -37,7 +37,43 @@ from .errors import (
     PointNotOnSurface,
     TangencyViolation,
 )
-from .ring import SurfaceConfig, SurfacePolynomial, UniPoly, row_reduce
+from .ring import Echelon, SurfaceConfig, SurfacePolynomial, UniPoly
+
+
+class Record:
+    """Base of the library's immutable value classes, whose fields are their
+    ``__slots__``: records of one class are equal when their fields are, and
+    a record hashes and prints by its fields.  This is the frozen-dataclass
+    contract without importing ``dataclasses``, which with ``inspect`` and
+    ``ast`` holds about 0.8 MB in every process that loads it."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields")
+        for name, v in zip(self.__slots__, values):
+            object.__setattr__(self, name, v)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
 
 class AlgebraicVectorField:
@@ -202,8 +238,8 @@ def function_bracket(f: SurfacePolynomial, g: SurfacePolynomial) -> SurfacePolyn
     return canonical_potential(poisson_bracket(f, g))
 
 
-@dataclass(frozen=True)
-class LndVerdict:
+class LndVerdict(Record):
+    __slots__ = ("nilpotent", "degree", "bound")
     nilpotent: bool
     degree: int | None
     bound: int
@@ -272,5 +308,7 @@ def flex_check(
         raise PointNotOnSurface(f"({x0}, {y0}, {z0}) does not satisfy xy = p(z)")
     if fields is None:
         fields = default_flex_fields(surface)
-    rows = [list(th.eval_at(x0, y0, z0)) for th in fields]
-    return len(row_reduce(rows, 3)) == 2
+    values = Echelon()
+    for th in fields:
+        values.add(dict(enumerate(th.eval_at(x0, y0, z0))))
+    return len(values.pivots) == 2

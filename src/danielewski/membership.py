@@ -22,9 +22,9 @@ builds every node as a field, is kept as the independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, combinations_with_replacement
 
 from .errors import (
     DegreeGate,
@@ -35,6 +35,7 @@ from .errors import (
 )
 from .fields import (
     AlgebraicVectorField,
+    Record,
     bracket,
     canonical_potential,
     function_bracket,
@@ -44,38 +45,39 @@ from .fields import (
     zero_field,
 )
 from .ring import (
+    Echelon,
     SurfaceConfig,
     SurfacePolynomial,
     UniPoly,
     poly_divrem,
-    row_reduce,
 )
 
 # -- bracket expressions ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(Record):
+    __slots__ = ("kind", "i", "poly")
     kind: str  # "SFx" | "SFy" | "HF"
-    i: int = 0
-    poly: UniPoly | None = None
+    i: int
+    poly: UniPoly | None
 
-    def __post_init__(self):
-        if self.kind not in ("SFx", "SFy", "HF"):
-            raise MalformedNesting(f"unknown generator kind {self.kind!r}")
-        if self.kind == "HF" and self.poly is None:
+    def __init__(self, kind: str, i: int = 0, poly: UniPoly | None = None):
+        if kind not in ("SFx", "SFy", "HF"):
+            raise MalformedNesting(f"unknown generator kind {kind!r}")
+        if kind == "HF" and poly is None:
             raise MalformedNesting("HF leaf requires a polynomial")
-        if self.kind != "HF" and self.i < 0:
+        if kind != "HF" and i < 0:
             raise MalformedNesting("shear index must be >= 0")
+        super().__init__(kind, i, poly)
 
 
-@dataclass(frozen=True)
-class Sum:
+class Sum(Record):
+    __slots__ = ("terms",)
     terms: tuple  # of (Fraction, expression)
 
 
-@dataclass(frozen=True)
-class Bracket:
+class Bracket(Record):
+    __slots__ = ("left", "right")
     left: object
     right: object
 
@@ -195,8 +197,8 @@ def expression_size(expr: BracketExpression) -> int:
 # -- the decision test -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MembershipVerdict:
+class MembershipVerdict(Record):
+    __slots__ = ("accepted", "witness_remainder", "normalized_potential")
     accepted: bool
     witness_remainder: UniPoly
     normalized_potential: SurfacePolynomial
@@ -224,8 +226,8 @@ def verify_certificate(
 # -- potential shape of pure shear nestings ---------------------------------
 
 
-@dataclass(frozen=True)
-class PotentialShape:
+class PotentialShape(Record):
+    __slots__ = ("kind", "j", "q")
     kind: str  # "x" | "y" | "z"
     j: int  # power of x or y (0 for the pure-z case)
     q: UniPoly
@@ -301,30 +303,33 @@ def solve_linear(
     """One exact solution of sum(w_i * columns[i]) = target, or None.
 
     Deterministic: pivots are chosen in column order, free variables are 0.
-    With mod_const, constant terms are ignored on both sides.
+    With mod_const, constant terms are ignored on both sides.  The one-shot
+    form of ``Echelon``, which callers solving many targets against the same
+    columns keep instead.
     """
-    exps = set(target.c)
+    vector = _mod_const if mod_const else (lambda q: q.c)
+    echelon = Echelon()
     for c in columns:
-        exps |= set(c.c)
-    if mod_const:
-        exps.discard(0)
-    rows = sorted(exps)
-    m = len(columns)
-    a = [[columns[k].coeff(e) for k in range(m)] + [target.coeff(e)] for e in rows]
-    pivots = row_reduce(a, m)
-    if any(row[m] for row in a[len(pivots):]):
+        echelon.add(vector(c))
+    weights = echelon.solve(vector(target))
+    if weights is None:
         return None
-    sol = [Fraction(0)] * m
-    for row, col in zip(a, pivots):
-        sol[col] = row[m]
+    sol = [Fraction(0)] * len(columns)
+    for col, w in zip(echelon.pivots, weights):
+        sol[col] = w
     return sol
+
+
+def _mod_const(q: UniPoly) -> dict:
+    """The coefficients of q without its constant term."""
+    return {e: v for e, v in q.c.items() if e}
 
 
 # -- certified spanning family -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilyEntry:
+class FamilyEntry(Record):
+    __slots__ = ("expr", "potential", "x_form")
     expr: BracketExpression  # shears-only, potential exactly `potential`
     potential: UniPoly  # pure-z, constant term included
     x_form: BracketExpression  # the same potential as +-[SF_i^x, ...], for _lift
@@ -342,16 +347,21 @@ class SpanningFamily:
 
     The candidates are [SF_i^x, SF_i^y], [SF_0^x, [SF_0^x, SF_1^y]], and the
     derivative towers and product brackets over the hyperbolic fields these
-    seeds certify; every candidate's potential is (p*h)' for some h.  One
-    `row_reduce` over their potentials modulo constants picks the pivot
-    candidates in generation order, and only those are evaluated, verified
-    and kept, so the entries' potentials are independent modulo constants.
-    A dropped candidate is a combination of earlier pivots; `solve_linear`
-    takes pivots in column order and sets free variables to 0, so it would
-    never have weighted it.  `multipliers` maps each entry's multiplier
-    potential' to its expression (a shears-only expression of the hyperbolic
-    field with that multiplier); a dropped multiplier's derivative chain in
-    `x_high` would likewise be a combination of earlier columns.
+    seeds certify; every candidate's potential is (p*h)' for some h.  The
+    candidates are generated lazily, and each one's potential is reduced
+    modulo constants against the entries so far (``echelon``); only an
+    independent one is evaluated, verified and kept, so the entries are the
+    pivots of a column-order elimination over all the candidates' potentials.
+    A dropped candidate is a combination of earlier pivots; a solve takes
+    pivots in column order and sets free variables to 0, so it would never
+    have weighted it.  Every candidate lies in {(p h)' : deg <= bound} modulo
+    constants, of dimension bound + 2 - deg(p) (bound when deg(p) = 1, where
+    (p c)' is a constant), so the build stops once it holds that many
+    entries; short of that (z^5 - z + 1 at bound 12) it reduces every
+    candidate.  `multipliers` maps each entry's multiplier potential' to its
+    expression (a shears-only expression of the hyperbolic field with that
+    multiplier); a dropped multiplier's derivative chain in `x_high` would
+    likewise be a combination of earlier columns.
     """
 
     def __init__(self, surface: SurfaceConfig, max_deg: int):
@@ -361,21 +371,22 @@ class SpanningFamily:
         self.max_deg = max_deg
         self.entries: list[FamilyEntry] = []
         self.multipliers: dict[UniPoly, BracketExpression] = {}
+        self.echelon = Echelon()  # the entries' potentials modulo constants
+        full = max_deg if surface.degree == 1 else max_deg + 2 - surface.degree
         seeds = self._seeds()
         # the non-constant seed potentials have distinct degrees, so they
         # are all pivots: their multipliers seed the closure
         current = [(pot.derivative(), expr) for expr, pot, _ in seeds if pot.degree > 0]
-        cands = seeds + self._towers(current) + self._products(current)
-        pots = [pot for _, pot, _ in cands]
-        rows = sorted({e for pot in pots for e in pot.c if e})
-        a = [[pot.coeff(e) for pot in pots] for e in rows]
-        for k in row_reduce(a, len(pots)):
-            expr, pot, x_form = cands[k]
+        for expr, pot, x_form in chain(seeds, self._towers(current), self._products(current)):
+            if not self.echelon.add(_mod_const(pot)):
+                continue
             got = evaluate_potential(surface, expr)
             if got != surface.from_unipoly(pot).drop_constant():
                 raise InternalInvariantViolation("spanning-family entry failed verification")
             self.entries.append(FamilyEntry(expr, pot, x_form))
             self.multipliers[pot.derivative()] = expr
+            if len(self.entries) == full:
+                break
 
     def _seeds(self) -> list:
         # [SF_i^x, SF_i^y] with potential p^i p', and [SF_0^x, [SF_0^x, SF_1^y]]
@@ -384,7 +395,7 @@ class SpanningFamily:
         p, pp = s.p, s.p_prime
         out = []
         i = 0
-        while (pot := p**i * pp).degree <= self.max_deg:
+        while (pot := s.p_power(i) * pp).degree <= self.max_deg:
             e = Bracket(Leaf("SFx", i), Leaf("SFy", i))
             out.append((e, pot, e))
             i += 1
@@ -394,34 +405,29 @@ class SpanningFamily:
             out.append((e, pot2, e))
         return out
 
-    def _towers(self, current) -> list:
+    def _towers(self, current):
         # [SF_{c-1}^x, [SF_0^y, [... [SF_0^y, E_f]...]]] (c nested SF_0^y)
         # has potential (p^c f^(c-1))'.
         s = self.surface
-        out = []
         for f, ef in current:
             deriv = f
-            chain = ef
+            tower = ef
             c = 1
             while not deriv.is_zero():
-                pot = (s.p**c * deriv).derivative()
+                pot = (s.p_power(c) * deriv).derivative()
                 if pot.degree > self.max_deg:
                     break
-                chain = Bracket(Leaf("SFy", 0), chain)
-                e = Bracket(Leaf("SFx", c - 1), chain)
-                out.append((e, pot, e))
+                tower = Bracket(Leaf("SFy", 0), tower)
+                e = Bracket(Leaf("SFx", c - 1), tower)
+                yield e, pot, e
                 deriv = deriv.derivative()
                 c += 1
-        return out
 
-    def _products(self, current) -> list:
+    def _products(self, current):
         # [SF_i^y, [E_{f_k}, ... [SF_i^x, E_{f_1}]...]] has potential
         # (i+1)^(k-1) (p^(i+1) f_1 .. f_k)'; the x-form mirrors the nesting
         # and carries the sign (-1)^(k-1).
-        from itertools import combinations_with_replacement
-
         s = self.surface
-        out = []
         for k in (1, 2, 3):
             for combo in combinations_with_replacement(range(len(current)), k):
                 fs = [current[idx][0] for idx in combo]
@@ -432,7 +438,7 @@ class SpanningFamily:
                 i = 0
                 while True:
                     scale = Fraction(i + 1) ** (k - 1)
-                    pot = (s.p ** (i + 1) * prod).derivative().scale(scale)
+                    pot = (s.p_power(i + 1) * prod).derivative().scale(scale)
                     if pot.degree > self.max_deg:
                         break
 
@@ -443,9 +449,8 @@ class SpanningFamily:
                         return Bracket(Leaf(outer_kind, i), inner)
 
                     x_form = make_sum([(Fraction(-1) ** (k - 1), build("SFx", "SFy"))])
-                    out.append((build("SFy", "SFx"), pot, x_form))
+                    yield build("SFy", "SFx"), pot, x_form
                     i += 1
-        return out
 
 
 # -- shears-only certification -------------------------------------------------
@@ -455,6 +460,9 @@ class _Certifier:
     def __init__(self, surface: SurfaceConfig, max_deg: int):
         self.s = surface
         self.family = SpanningFamily(surface, max_deg)
+        # i -> the echelon of x_high's columns and the expressions of its
+        # kept columns
+        self._x_high: dict[int, tuple[Echelon, list[BracketExpression]]] = {}
         self._x_mono: dict[tuple[int, int], BracketExpression] = {}
         self._w1: dict[tuple[int, int], BracketExpression] = {}
         self._w2: dict[tuple[int, int], BracketExpression] = {}
@@ -462,7 +470,7 @@ class _Certifier:
     def _combination(self, g: UniPoly) -> list[tuple[Fraction, FamilyEntry]]:
         """Weighted family entries whose potentials sum to g modulo constants."""
         entries = self.family.entries
-        sol = solve_linear([e.potential for e in entries], g, mod_const=True)
+        sol = self.family.echelon.solve(_mod_const(g))
         if sol is None:
             raise SearchExhausted(
                 "no combination of spanning-family entries found for a pure-z "
@@ -490,22 +498,25 @@ class _Certifier:
     # certified hyperbolic fields give x^i f^(d) for every derivative order
     # d <= i-1, a triangular family in the degree.
     def x_high(self, i: int, g: UniPoly) -> BracketExpression:
-        cols: list[UniPoly] = []
-        exprs: list[BracketExpression] = []
-        for f, ef in self.family.multipliers.items():
-            deriv = f
-            d = 0
-            while d <= i - 1:
-                cols.append(deriv)
-                inner = Bracket(Leaf("SFx", i - d - 1), ef)
-                for _ in range(d):
-                    inner = Bracket(Leaf("SFx", 0), inner)
-                exprs.append(inner)
-                if deriv.is_zero():
-                    break
-                deriv = deriv.derivative()
-                d += 1
-        sol = solve_linear(cols, g, mod_const=False)
+        if i not in self._x_high:
+            echelon = Echelon()
+            exprs: list[BracketExpression] = []
+            for f, ef in self.family.multipliers.items():
+                deriv = f
+                d = 0
+                while d <= i - 1:
+                    if echelon.add(deriv.c):
+                        inner = Bracket(Leaf("SFx", i - d - 1), ef)
+                        for _ in range(d):
+                            inner = Bracket(Leaf("SFx", 0), inner)
+                        exprs.append(inner)
+                    if deriv.is_zero():
+                        break
+                    deriv = deriv.derivative()
+                    d += 1
+            self._x_high[i] = echelon, exprs
+        echelon, exprs = self._x_high[i]
+        sol = echelon.solve(g.c)
         if sol is None:
             raise SearchExhausted(
                 "no shears-only combination found for an x-part within "
@@ -560,8 +571,12 @@ class _Certifier:
             if n > 0:
                 terms.append((Fraction(1), self.x_part(n, q)))
             elif n < 0:
-                # mirroring negates the potential and swaps x with y
-                terms.append((Fraction(-1), mirror_expr(self.x_part(-n, q))))
+                # mirroring negates the potential and swaps x with y; the
+                # terms are mirrored one by one, so that mirror_expr's memo
+                # never holds the sum made for this one call
+                x = self.x_part(-n, q)
+                x_terms = x.terms if isinstance(x, Sum) else [(1, x)]
+                terms += [(-w, mirror_expr(t)) for w, t in x_terms]
             elif q.degree > 0:
                 terms.append((Fraction(1), self.pure_z(q)))
         return make_sum(terms)
@@ -573,10 +588,10 @@ def _certifier(surface: SurfaceConfig, max_deg: int) -> _Certifier:
 
 
 # Ceiling on the degree bound of certify_shears_only, the default bound
-# included.  The family build dominates, above all the one row_reduce that
-# picks its pivots among the candidates, and grows steeply with the bound:
-# certifying x on z^3 - z takes 0.95 s of CPU at 24 and 3.0 s at 32
-# (Python 3.11, one core of a shared 2-core VM).
+# included.  The family build dominates, above all verifying its entries,
+# whose number and product degrees grow with the bound: certifying x on
+# z^3 - z takes 0.09-0.15 s of CPU at 24 and 0.25 s at 32 (Python 3.11, one
+# core of a shared 2-core VM).
 MAX_CERTIFY_DEGREE = 32
 
 

@@ -21,11 +21,13 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import comb, prod
 from typing import TYPE_CHECKING
 
 from .errors import DegreeGate, NegativeExponent, ParseError
 from .ring import (
+    HEIGHT,
+    MAX_DIGITS,
     SurfaceConfig,
     SurfacePolynomial,
     UniPoly,
@@ -47,14 +49,12 @@ if TYPE_CHECKING:
 # -- tokenizer -----------------------------------------------------------------
 
 
-# Ceilings on the shape of a literal: the parser recurses four calls deep per
-# parenthesis level (the interpreter's limit was hit at about 250 levels), and
-# int() refuses strings of more than 4300 digits.  MAX_DIGITS also bounds the
+# Ceiling on the nesting of a literal: the parser recurses four calls deep per
+# parenthesis level (the interpreter's limit was hit at about 250 levels).
+# ring.MAX_DIGITS bounds the digits of an integer literal and the
 # coefficients of every parsed product and power step, and so the operands of
 # every multiplication of the parse.
 MAX_PAREN_DEPTH = 100
-MAX_DIGITS = 1000
-_HEIGHT = 10**MAX_DIGITS
 
 
 class _Tokens:
@@ -145,7 +145,7 @@ def _check_height(e: dict, t: _Tokens) -> dict:
     """``e``, unless a coefficient has a numerator or denominator of more than
     MAX_DIGITS digits."""
     for v in e.values():
-        if abs(v.numerator) >= _HEIGHT or v.denominator >= _HEIGHT:
+        if abs(v.numerator) >= HEIGHT or v.denominator >= HEIGHT:
             raise DegreeGate(
                 f"a coefficient has more than {MAX_DIGITS} digits, over the ceiling "
                 f"MAX_DIGITS = {MAX_DIGITS} (at position {t.pos})"
@@ -242,35 +242,10 @@ def parse_formal(src: str) -> dict:
     return e
 
 
-def check_p_power(surface: SurfaceConfig, m: int) -> None:
-    """Raise DegreeGate before ``p^m`` is formed if a coefficient of it may
-    have more than MAX_DIGITS digits.
-
-    With ``d`` the common denominator of ``p`` and ``|d p|_1`` the sum of the
-    absolute values of the integer coefficients of ``d p``, every numerator
-    and denominator of ``p^m`` is at most ``B^m``, ``B = max(d, |d p|_1)``;
-    the check is ``B^m < 10^MAX_DIGITS``.  On ``z^3 - z``, ``B = 2`` and ``m``
-    may reach 3321.
-    """
-    coeffs = surface.p.c.values()
-    d = lcm(*(v.denominator for v in coeffs))
-    b = max(d, sum(abs(v.numerator) * (d // v.denominator) for v in coeffs))
-    h = 1
-    for _ in range(m if b > 1 else 0):
-        h *= b
-        if h >= _HEIGHT:
-            raise DegreeGate(
-                f"p^{m} may have a coefficient of more than {MAX_DIGITS} digits, "
-                f"over the ceiling MAX_DIGITS = {MAX_DIGITS}"
-            )
-
-
 def parse_expression(surface: SurfaceConfig, src: str) -> SurfacePolynomial:
     """The normal form of ``src``: x^a y^b z^c becomes x^(a-b) z^c p^b or
-    y^(b-a) z^c p^a, so ``p^min(a, b)`` is checked first."""
-    formal = parse_formal(src)
-    check_p_power(surface, max((min(a, b) for a, b, _ in formal), default=0))
-    return reduce(surface, formal)
+    y^(b-a) z^c p^a, ``p^min(a, b)`` gated by ``SurfaceConfig.p_power``."""
+    return reduce(surface, parse_formal(src))
 
 
 def parse_unipoly(src: str) -> UniPoly:

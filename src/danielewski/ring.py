@@ -22,8 +22,10 @@ directly (``euler``, ``x_dz``).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import inf, lcm, log10
 
 from .errors import (
+    DegreeGate,
     DivisionByZeroPolynomial,
     InternalInvariantViolation,
     RepeatedRoot,
@@ -31,6 +33,13 @@ from .errors import (
 )
 
 NEG_INF = float("-inf")
+
+# Ceiling on the digits of a numerator or denominator: the parser holds its
+# literals, products and power steps to it, and ``SurfaceConfig.p_power``
+# every power of p the library forms, before forming it.  int() refuses
+# strings of more than 4300 digits.
+MAX_DIGITS = 1000
+HEIGHT = 10**MAX_DIGITS
 
 
 def _frac(v) -> Fraction:
@@ -178,31 +187,78 @@ def power(base, n: int, one):
     return result
 
 
-def row_reduce(rows: list[list[Fraction]], ncols: int) -> list[int]:
-    """Gauss-Jordan elimination, in place, on the first ``ncols`` columns.
+class Echelon:
+    """Exact Gaussian elimination over Q, one column at a time.
 
-    Pivots are taken in column order.  Returns the pivot columns: row k then
-    has a 1 in column pivots[k] and 0 in every other pivot column, and the
-    rows past the last pivot are zero in the first ``ncols`` columns.
+    A column is a sparse vector {row: value}.  ``add`` keeps a column iff it
+    is independent of the columns kept so far, so the kept columns are the
+    pivot columns of a column-order Gauss-Jordan elimination.  Each kept
+    column is stored reduced: normalized to 1 at a pivot row where every
+    later stored vector is 0, together with its expression in the kept
+    columns.  ``solve`` then writes a vector in terms of the kept columns by
+    one pass over the stored vectors, so every solve against the same
+    columns reuses one elimination.
     """
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                fac = rows[i][col]
-                rows[i] = [v - fac * w for v, w in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
+
+    __slots__ = ("columns", "pivots", "_basis")
+
+    def __init__(self):
+        self.columns = 0  # columns offered
+        self.pivots: list[int] = []  # the indices of the kept columns
+        # (pivot row, reduced vector, its weights on the kept columns)
+        self._basis: list[tuple] = []
+
+    def _reduce(self, vector: dict) -> tuple[dict, list]:
+        """``vector`` minus its combination of the stored vectors, and the
+        weights of that combination."""
+        v = {k: w for k, w in vector.items() if w}
+        weights = []
+        for row, b, _ in self._basis:
+            c = v.get(row)
+            weights.append(c)
+            if c:
+                for k, w in b.items():
+                    u = v.get(k, 0) - c * w
+                    if u:
+                        v[k] = u
+                    else:
+                        del v[k]
+        return v, weights
+
+    def _on_kept(self, weights: list) -> list[Fraction]:
+        """The combination of the stored vectors with ``weights``, as weights
+        on the kept columns."""
+        out = [Fraction(0)] * len(self._basis)
+        for c, (_, _, t) in zip(weights, self._basis):
+            if c:
+                for k, w in enumerate(t):
+                    if w:
+                        out[k] += c * w
+        return out
+
+    def add(self, column: dict) -> bool:
+        """Offer the next column; True iff it is independent of the kept
+        columns, and so kept."""
+        index = self.columns
+        self.columns += 1
+        v, weights = self._reduce(column)
+        if not v:
+            return False
+        row = max(v)
+        inv = 1 / v[row]
+        # v = column - sum c_j b_j
+        t = [-w * inv for w in self._on_kept(weights)]
+        t.append(inv)
+        self._basis.append((row, {k: w * inv for k, w in v.items()}, t))
+        self.pivots.append(index)
+        return True
+
+    def solve(self, target: dict) -> list[Fraction] | None:
+        """The weights w, one per kept column, with sum(w_k * kept_k) = target,
+        or None if no combination of the columns gives ``target``.  Such
+        weights are unique, since the kept columns are independent."""
+        v, weights = self._reduce(target)
+        return None if v else self._on_kept(weights)
 
 
 def poly_divrem(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
@@ -251,7 +307,7 @@ def bezout(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
 class SurfaceConfig:
     """The defining polynomial p together with derived exact data."""
 
-    __slots__ = ("p", "p_prime", "degree", "gcd_u", "gcd_v")
+    __slots__ = ("p", "p_prime", "degree", "gcd_u", "gcd_v", "max_p_power")
 
     def __init__(self, p: UniPoly):
         if p.is_zero():
@@ -265,6 +321,31 @@ class SurfaceConfig:
         if g.degree != 0:
             raise RepeatedRoot("p has a repeated root: gcd(p, p') = nontrivial")
         self.gcd_u, self.gcd_v = u, v
+        # With d the common denominator of p and |d p|_1 the sum of the
+        # absolute values of the coefficients of d p, every numerator and
+        # denominator of p^m is at most B^m, B = max(d, |d p|_1).  The
+        # largest m with B^m < 10^MAX_DIGITS is 3321 on z^3 - z (B = 2).
+        cs = p.c.values()
+        d = lcm(*(v.denominator for v in cs))
+        b = max(d, sum(abs(v.numerator) * (d // v.denominator) for v in cs))
+        m = inf
+        if b > 1:
+            m = int(MAX_DIGITS / log10(b))
+            while b ** (m + 1) < HEIGHT:
+                m += 1
+            while m and b**m >= HEIGHT:
+                m -= 1
+        self.max_p_power = m
+
+    def p_power(self, m: int) -> UniPoly:
+        """p^m.  Raises DegreeGate before forming it if a coefficient of it may
+        have more than MAX_DIGITS digits (``m > max_p_power``)."""
+        if m > self.max_p_power:
+            raise DegreeGate(
+                f"p^{m} may have a coefficient of more than {MAX_DIGITS} digits, "
+                f"over the ceiling MAX_DIGITS = {MAX_DIGITS}"
+            )
+        return self.p**m
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SurfaceConfig) and self.p == other.p
@@ -344,7 +425,7 @@ def reduce(surface: SurfaceConfig, raw: dict) -> "SurfacePolynomial":
     coeffs: dict[int, UniPoly] = {}
     for (a, b, c), v in raw.items():
         m = min(a, b)
-        q = surface.p**m * UniPoly.monomial(c, v) if m else UniPoly.monomial(c, v)
+        q = surface.p_power(m) * UniPoly.monomial(c, v) if m else UniPoly.monomial(c, v)
         n = a - b
         coeffs[n] = coeffs[n] + q if n in coeffs else q
     return SurfacePolynomial(surface, coeffs)
@@ -525,8 +606,8 @@ class SurfacePolynomial:
 def to_chart(e: SurfacePolynomial) -> dict:
     """The chart image {power of x: UniPoly}: x^n q(z) stays, y^n q(z)
     becomes x^(-n) p^n q(z)."""
-    p = e.surface.p
-    return {n: q if n >= 0 else p ** (-n) * q for n, q in e.coeffs.items()}
+    s = e.surface
+    return {n: q if n >= 0 else s.p_power(-n) * q for n, q in e.coeffs.items()}
 
 
 def from_chart(surface: SurfaceConfig, c: dict) -> SurfacePolynomial:
@@ -540,7 +621,7 @@ def from_chart(surface: SurfaceConfig, c: dict) -> SurfacePolynomial:
         if q.is_zero():
             continue
         if k < 0:
-            q, rem = poly_divrem(q, surface.p ** (-k))
+            q, rem = poly_divrem(q, surface.p_power(-k))
             if not rem.is_zero():
                 raise InternalInvariantViolation(
                     f"chart product left the surface: the coefficient of x^{k} "

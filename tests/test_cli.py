@@ -12,11 +12,11 @@ from danielewski.fields import MAX_LND_ITER
 from danielewski.membership import MAX_CERTIFY_DEGREE
 from danielewski.parsing import (
     MAX_CERT_DEPTH,
-    MAX_DIGITS,
     MAX_EXPONENT,
     MAX_PAREN_DEPTH,
     MAX_PARSED_TERMS,
 )
+from danielewski.ring import MAX_DIGITS
 from danielewski.z2 import MAX_Z2_DEGREE
 
 
@@ -289,6 +289,10 @@ CEILINGS = {
         ["reduce", "(x*y)^1000"], TALL_SURFACE, "degree-gate", "MAX_DIGITS"),
     "power of p in a product": (
         ["mul", "x^500", "y^500"], TALL_SURFACE, "degree-gate", "MAX_DIGITS"),
+    "power of p in a Hamiltonian field": (
+        ["hamiltonian", "y^300"], TALL_SURFACE, "degree-gate", "MAX_DIGITS"),
+    "power of p in a potential": (
+        ["potential", "[0; 0; y^300]"], TALL_SURFACE, "degree-gate", "MAX_DIGITS"),
     "printed coefficient": (
         ["compose", ";".join(["H(" + "9" * MAX_DIGITS + ")"] * 5), "id"], "z^2-1",
         "degree-gate", "integer-string limit"),

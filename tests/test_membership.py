@@ -41,12 +41,14 @@ from danielewski import (
 )
 from danielewski.membership import (
     SpanningFamily,
+    _Certifier,
     evaluate_potential,
     mirror_expr,
     solve_linear,
 )
 from danielewski.parsing import cert_to_obj, parse_expression, parse_unipoly
-from danielewski.ring import row_reduce
+from danielewski.ring import Echelon
+from oracles import gauss_jordan_solve, reference_family, row_reduce
 
 from conftest import P_CUBIC, P_QUAD, P_QUARTIC2, random_surface_polynomial, upoly
 
@@ -77,6 +79,17 @@ def test_make_sum_flattens(quad):
     inner = make_sum([(Fraction(2), Leaf("SFx", 0))])
     outer = make_sum([(Fraction(3), inner), (Fraction(0), Leaf("SFy", 1))])
     assert evaluate(quad, outer) == shear_x(quad, 0).scale(6)
+
+
+def test_expressions_are_immutable_values():
+    leaf = Leaf("SFx", 1)
+    assert leaf == Leaf("SFx", 1) and hash(leaf) == hash(Leaf("SFx", 1))
+    assert Bracket(leaf, leaf) != Bracket(leaf, Leaf("SFy", 1))
+    assert Sum(((Fraction(1), leaf),)) != leaf and repr(leaf) == "Leaf(kind='SFx', i=1, poly=None)"
+    with pytest.raises(AttributeError):
+        leaf.i = 2
+    with pytest.raises(MalformedNesting):
+        Leaf("SFx", -1)
 
 
 def test_expression_size():
@@ -284,6 +297,33 @@ def test_family_is_a_pivot_basis(surface):
         assert list(family.multipliers) == [q.derivative() for q in pots]
 
 
+FAMILY_SURFACES = ["z^2 - 1", "z^3 - z", "z^4 - z", "z^3 - 2", "z^4 - 2*z^2 + z + 1",
+                   "z^5 - z + 1"]
+
+
+@pytest.mark.parametrize("surface", FAMILY_SURFACES)
+def test_family_matches_generate_all_reference(surface):
+    # the lazy build that stops at full rank keeps exactly the pivots of one
+    # row_reduce over every candidate
+    s = make_surface(parse_unipoly(surface))
+    full_rank = {bound: bound + 2 - s.degree for bound in (12, 16, 24)}
+    for bound in (12, 16, 24):
+        family = SpanningFamily(s, bound)
+        entries, multipliers, candidates = reference_family(s, bound)
+        assert [(e.expr, e.potential, e.x_form) for e in family.entries] == entries
+        assert list(family.multipliers.items()) == list(multipliers.items())
+        assert family.echelon.columns <= candidates
+        if family.echelon.columns < candidates:
+            assert len(family.entries) == full_rank[bound]
+        if surface == "z^3 - z":  # full early: 31 of 298 candidates at bound 24
+            assert family.echelon.columns < candidates
+    if surface == "z^5 - z + 1":
+        # 8 of 9 entries at bound 12: never full, so every candidate is reduced
+        family = SpanningFamily(s, 12)
+        assert len(family.entries) == 8 < full_rank[12]
+        assert family.echelon.columns == reference_family(s, 12)[2]
+
+
 # sha256 of the sorted-key JSON of each certificate: a change to the family
 # or the solver that alters a certificate by one byte shows here.
 PINNED_CERTIFICATES = [
@@ -338,3 +378,80 @@ def test_solve_linear_mod_const():
     target = upoly({1: 2, 0: 5})
     assert solve_linear(cols, target) is None
     assert solve_linear(cols, target, mod_const=True) == [Fraction(2)]
+
+
+# Small rational systems with many zero and repeated entries, so that columns
+# are often dependent; a target is either random (often inconsistent) or a
+# combination of the columns (consistent).
+small = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)]).map(Fraction)
+polys = st.dictionaries(st.integers(0, 4), small, max_size=4).map(UniPoly)
+
+
+@st.composite
+def systems(draw):
+    columns = draw(st.lists(polys, max_size=6))
+    targets = []
+    for _ in range(draw(st.integers(1, 4))):
+        if columns and draw(st.booleans()):
+            ws = draw(st.lists(small, min_size=len(columns), max_size=len(columns)))
+            targets.append(sum((c.scale(w) for c, w in zip(columns, ws)), draw(polys)
+                               if draw(st.booleans()) else UniPoly()))
+        else:
+            targets.append(draw(polys))
+    return columns, targets
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems(), st.booleans())
+def test_factored_solve_matches_gauss_jordan(system, mod_const):
+    columns, targets = system
+    for target in targets:
+        assert solve_linear(columns, target, mod_const) == \
+            gauss_jordan_solve(columns, target, mod_const)
+    # one factorization, many targets: the same answers as solving each fresh
+    vector = (lambda q: {e: v for e, v in q.c.items() if e}) if mod_const else (lambda q: q.c)
+    echelon = Echelon()
+    kept = [echelon.add(vector(c)) for c in columns]
+    assert [k for k, keep in enumerate(kept) if keep] == echelon.pivots
+    for target in targets:
+        weights = echelon.solve(vector(target))
+        fresh = gauss_jordan_solve(columns, target, mod_const)
+        if weights is None:
+            assert fresh is None
+        else:
+            assert fresh == [weights[echelon.pivots.index(k)] if keep else 0
+                             for k, keep in enumerate(kept)]
+
+
+def test_one_elimination_per_column_set(monkeypatch):
+    # Every Echelon the certifier makes is one elimination; it must make one
+    # per distinct column set (the family's, and one per x_high exponent),
+    # however many targets it solves against each.
+    made, offered = [], {}
+    init, add = Echelon.__init__, Echelon.add
+
+    def counted_init(self):
+        init(self)
+        made.append(self)
+
+    def recorded_add(self, column):
+        offered.setdefault(id(self), []).append(tuple(sorted(column.items())))
+        return add(self, column)
+
+    monkeypatch.setattr(Echelon, "__init__", counted_init)
+    monkeypatch.setattr(Echelon, "add", recorded_add)
+    targets = {
+        "z^3 - z": ["x^3*z + x^4", "x^3*z^2 - x^5*z", "y^4*z + x^4*z^3", "x^2*z + y*z^2 + z^2",
+                    "x*z^3 - 2*y^3 + 5*z^4 - 3*z^2", "x^3 + y^3*z^2", "5*z^4 - 3*z^2 + x^6"],
+        "z^4 - z": ["x^3 + y^2*z", "x^2*z^4 + 4*z^3 - 1", "x^4*z + y^4", "x^5 + x^4*z^2",
+                    "x*z + y^5*z^2"],
+    }
+    for surface, srcs in targets.items():
+        s = make_surface(parse_unipoly(surface))
+        certifier = _Certifier(s, 16)
+        for src in srcs:
+            f = parse_expression(s, src)
+            assert decide(f).accepted
+            assert verify_certificate(s, certifier.certify(f), f)
+    columns = [tuple(offered.get(id(e), ())) for e in made]
+    assert len(set(columns)) == len(columns) >= 4

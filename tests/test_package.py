@@ -49,7 +49,7 @@ def test_a_subcommand_loads_only_what_it_runs(name):
     assert report["code"] == 0
     loaded = {m.split(".", 1)[1] for m in report["modules"] if m.startswith("danielewski.")}
     assert loaded == expected and "z2" not in loaded
-    if name == "reduce":
+    if "automorphisms" not in loaded:
         assert "dataclasses" not in report["modules"]
 
 

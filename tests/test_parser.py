@@ -33,7 +33,6 @@ from danielewski.automorphisms import Hyperbolic, Involution, Symmetry, XShear
 from danielewski.parsing import (
     MAX_PARSED_TERMS,
     cert_from_obj,
-    check_p_power,
     cert_to_obj,
     certificate_file_obj,
     load_certificate_file,
@@ -72,17 +71,20 @@ def test_parse_powers_and_parens(quad):
 def test_power_of_p_ceiling(cubic):
     # On z^3 - z every coefficient of p^m is at most 2^m, and 2^3321 has
     # 1000 digits.
-    check_p_power(cubic, 3321)
+    assert cubic.max_p_power == 3321
     with pytest.raises(DegreeGate, match="MAX_DIGITS"):
-        check_p_power(cubic, 3322)
+        cubic.p_power(3322)
     with pytest.raises(DegreeGate, match="MAX_DIGITS"):
         parse_expression(cubic, "(x*y)^1000 * (x*y)^1000 * (x*y)^1000 * (x*y)^400")
+    with pytest.raises(DegreeGate, match="MAX_DIGITS"):
+        cubic.y(3322) * cubic.x()
     # (z/7 + 1/2)^m has denominators up to 14^m
     s = make_surface(upoly({1: Fraction(1, 7), 0: Fraction(1, 2)}))
-    check_p_power(s, 872)
+    assert s.max_p_power == 872
     with pytest.raises(DegreeGate):
-        check_p_power(s, 873)
-    assert check_p_power(make_surface(upoly({1: 1})), 10**6) is None
+        s.p_power(873)
+    line = make_surface(upoly({1: 1}))
+    assert line.p_power(10**6) == UniPoly.monomial(10**6)
 
 
 def test_negative_exponent_rejected(quad):
