@@ -14,7 +14,6 @@ action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -32,23 +31,24 @@ from .fields import (
     shear_x,
     shear_y,
 )
+from .records import Record
 from .ring import SurfaceConfig, SurfacePolynomial, UniPoly, constant_quotient
 
 # -- generators ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class XShear:
+class XShear(Record):
+    __slots__ = ("f",)
     f: UniPoly
 
 
-@dataclass(frozen=True)
-class YShear:
+class YShear(Record):
+    __slots__ = ("f",)
     f: UniPoly
 
 
-@dataclass(frozen=True)
-class Hyperbolic:
+class Hyperbolic(Record):
+    __slots__ = ("lam",)
     lam: Fraction
 
     def __post_init__(self):
@@ -56,15 +56,14 @@ class Hyperbolic:
             raise InvalidGenerator("hyperbolic parameter must be nonzero")
 
 
-@dataclass(frozen=True)
-class Involution:
-    pass
+class Involution(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Symmetry:
+class Symmetry(Record):
     """(x, y, z) -> (x, a0*y, c*z + b) where p(c*z + b) = a0*p(z), a0 in {1,-1}."""
 
+    __slots__ = ("c", "b")
     c: Fraction
     b: Fraction
 
@@ -273,8 +272,8 @@ def invert(phi: PolynomialAutomorphism) -> PolynomialAutomorphism:
     )
 
 
-@dataclass(frozen=True)
-class ZDegreeVerdict:
+class ZDegreeVerdict(Record):
+    __slots__ = ("degree", "identity_word")
     degree: int
     identity_word: bool
 

@@ -28,7 +28,6 @@ above is the only candidate with zero constant term.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import attrgetter
 
 from .errors import (
     DegreeGate,
@@ -37,43 +36,8 @@ from .errors import (
     PointNotOnSurface,
     TangencyViolation,
 )
+from .records import Record
 from .ring import Echelon, SurfaceConfig, SurfacePolynomial, UniPoly
-
-
-class Record:
-    """Base of the library's immutable value classes, whose fields are their
-    ``__slots__``: records of one class are equal when their fields are, and
-    a record hashes and prints by its fields.  This is the frozen-dataclass
-    contract without importing ``dataclasses``, which with ``inspect`` and
-    ``ast`` holds about 0.8 MB in every process that loads it."""
-
-    __slots__ = ()
-
-    def __init_subclass__(cls):
-        cls._values = attrgetter(*cls.__slots__)
-
-    def __init__(self, *values):
-        if len(values) != len(self.__slots__):
-            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields")
-        for name, v in zip(self.__slots__, values):
-            object.__setattr__(self, name, v)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values(self) == self._values(other)
-
-    def __hash__(self):
-        return hash(self._values(self))
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
 
 
 class AlgebraicVectorField:

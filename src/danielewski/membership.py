@@ -35,7 +35,6 @@ from .errors import (
 )
 from .fields import (
     AlgebraicVectorField,
-    Record,
     bracket,
     canonical_potential,
     function_bracket,
@@ -44,6 +43,7 @@ from .fields import (
     shear_y,
     zero_field,
 )
+from .records import Record
 from .ring import (
     Echelon,
     SurfaceConfig,

@@ -22,7 +22,7 @@ directly (``euler``, ``x_dz``).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf, lcm, log10
+from math import lcm
 
 from .errors import (
     DegreeGate,
@@ -325,22 +325,22 @@ class SurfaceConfig:
         # absolute values of the coefficients of d p, every numerator and
         # denominator of p^m is at most B^m, B = max(d, |d p|_1).  The
         # largest m with B^m < 10^MAX_DIGITS is 3321 on z^3 - z (B = 2).
+        # B = 1 only for p = +-z, whose powers are +-z^m: no bound (None).
         cs = p.c.values()
         d = lcm(*(v.denominator for v in cs))
         b = max(d, sum(abs(v.numerator) * (d // v.denominator) for v in cs))
-        m = inf
+        m, h = None, b
         if b > 1:
-            m = int(MAX_DIGITS / log10(b))
-            while b ** (m + 1) < HEIGHT:
+            m = 0
+            while h < HEIGHT:
                 m += 1
-            while m and b**m >= HEIGHT:
-                m -= 1
+                h *= b
         self.max_p_power = m
 
     def p_power(self, m: int) -> UniPoly:
         """p^m.  Raises DegreeGate before forming it if a coefficient of it may
         have more than MAX_DIGITS digits (``m > max_p_power``)."""
-        if m > self.max_p_power:
+        if self.max_p_power is not None and m > self.max_p_power:
             raise DegreeGate(
                 f"p^{m} may have a coefficient of more than {MAX_DIGITS} digits, "
                 f"over the ceiling MAX_DIGITS = {MAX_DIGITS}"

@@ -14,7 +14,6 @@ on potentials, with base case [SF_0^y, SF_2k^x] giving -2 z x^(2k).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .automorphisms import (
@@ -41,6 +40,7 @@ from .membership import (
     make_sum,
     verify_certificate,
 )
+from .records import Record
 from .ring import SurfaceConfig, SurfacePolynomial, UniPoly
 
 _P_Z2 = UniPoly({2: Fraction(1), 0: Fraction(-1)})
@@ -64,8 +64,8 @@ def sigma_apply(e: SurfacePolynomial) -> SurfacePolynomial:
     return apply_auto(sigma_auto(e.surface), e)
 
 
-@dataclass(frozen=True)
-class Z2Grading:
+class Z2Grading(Record):
+    __slots__ = ("invariant", "anti_invariant")
     invariant: SurfacePolynomial
     anti_invariant: SurfacePolynomial
 
@@ -144,8 +144,8 @@ def z2_certificate(target: SurfacePolynomial) -> BracketExpression:
     return expr
 
 
-@dataclass(frozen=True)
-class Z2ReportRow:
+class Z2ReportRow(Record):
+    __slots__ = ("monomial", "size", "verified")
     monomial: str
     size: int
     verified: bool

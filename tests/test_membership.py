@@ -81,17 +81,6 @@ def test_make_sum_flattens(quad):
     assert evaluate(quad, outer) == shear_x(quad, 0).scale(6)
 
 
-def test_expressions_are_immutable_values():
-    leaf = Leaf("SFx", 1)
-    assert leaf == Leaf("SFx", 1) and hash(leaf) == hash(Leaf("SFx", 1))
-    assert Bracket(leaf, leaf) != Bracket(leaf, Leaf("SFy", 1))
-    assert Sum(((Fraction(1), leaf),)) != leaf and repr(leaf) == "Leaf(kind='SFx', i=1, poly=None)"
-    with pytest.raises(AttributeError):
-        leaf.i = 2
-    with pytest.raises(MalformedNesting):
-        Leaf("SFx", -1)
-
-
 def test_expression_size():
     e = Bracket(Leaf("SFx", 0), Bracket(Leaf("SFx", 0), Leaf("SFy", 1)))
     assert expression_size(e) == 5

@@ -5,9 +5,11 @@
 calls it, so a cold process compiles only what its subcommand runs.
 """
 
+import copy
 import importlib
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -26,9 +28,10 @@ BASE = {"errors", "ring", "parsing", "cli"}
 IMPORT_SURFACE = {
     "reduce": (["reduce", "x*y + z"], BASE),
     "mul": (["mul", "x + z", "y"], BASE),
-    "potential": (["potential", "SFx(1)"], BASE | {"fields"}),
-    "decide": (["decide", "1/2*z^2"], BASE | {"fields", "membership"}),
-    "volume-factor": (["volume-factor", "H(2);I"], BASE | {"fields", "automorphisms"}),
+    "potential": (["potential", "SFx(1)"], BASE | {"records", "fields"}),
+    "decide": (["decide", "1/2*z^2"], BASE | {"records", "fields", "membership"}),
+    "volume-factor": (["volume-factor", "H(2);I"],
+                      BASE | {"records", "fields", "automorphisms"}),
 }
 
 _PROBE = """
@@ -49,8 +52,7 @@ def test_a_subcommand_loads_only_what_it_runs(name):
     assert report["code"] == 0
     loaded = {m.split(".", 1)[1] for m in report["modules"] if m.startswith("danielewski.")}
     assert loaded == expected and "z2" not in loaded
-    if "automorphisms" not in loaded:
-        assert "dataclasses" not in report["modules"]
+    assert "dataclasses" not in report["modules"]
 
 
 def test_every_public_name_is_its_modules_object():
@@ -71,3 +73,56 @@ def test_readme_python_example_runs():
                          text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "3*z^2\n"
+
+
+def test_value_classes_are_frozen_records():
+    from danielewski.automorphisms import Hyperbolic, Involution, Symmetry, XShear
+    from danielewski.errors import InvalidGenerator, MalformedNesting
+    from danielewski.fields import LndVerdict
+    from danielewski.membership import Bracket, Leaf, Sum
+    from danielewski.ring import UniPoly
+
+    one = UniPoly({0: 1})
+    shear = Bracket(left=Leaf("SFx", 1), right=Leaf(kind="SFy", i=0))
+    assert shear == Bracket(Leaf("SFx", 1), Leaf("SFy")) != Bracket(Leaf("SFx", 1), Leaf("SFy", 1))
+    assert hash(shear) == hash(Bracket(Leaf("SFx", 1), Leaf("SFy")))
+    assert Sum(terms=((1, shear),)).terms == ((1, shear),) and Sum(((1, shear),)) != shear
+    assert repr(Leaf("SFx", 1)) == "Leaf(kind='SFx', i=1, poly=None)"
+    assert repr(LndVerdict(nilpotent=True, degree=2, bound=64)) == \
+        "LndVerdict(nilpotent=True, degree=2, bound=64)"
+    assert Symmetry(1, b=0) == Symmetry(c=1, b=0) != XShear(one)
+    assert Involution() == Involution() and hash(Involution()) == hash(Involution())
+    with pytest.raises(InvalidGenerator):
+        Hyperbolic(lam=0)
+    with pytest.raises(MalformedNesting):
+        Leaf("SFx", i=-1)
+    with pytest.raises(TypeError):
+        Bracket(shear)
+    with pytest.raises(TypeError):
+        Bracket(shear, left=shear)
+    with pytest.raises(TypeError):
+        Bracket(shear, shear, shear)
+    with pytest.raises(TypeError):
+        Sum(term=())
+    with pytest.raises(AttributeError):
+        shear.left = shear
+    with pytest.raises(AttributeError):
+        del shear.left
+
+    match shear:
+        case Bracket(Leaf("SFx", i), right):
+            assert (i, right) == (1, Leaf("SFy"))
+        case _:
+            pytest.fail("class pattern did not bind the fields")
+    for value in (shear, LndVerdict(False, None, 64), Symmetry(-1, 0), Involution()):
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert copy.deepcopy(value) == value
+
+
+def test_no_module_loads_dataclasses():
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, danielewski.z2, danielewski.cli; print('dataclasses' in sys.modules)"],
+        env=ENV, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
