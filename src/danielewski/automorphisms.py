@@ -16,21 +16,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import (
-    DegreeGate,
-    InternalInvariantViolation,
-    InvalidGenerator,
-    NotNilpotent,
-)
-from .fields import (
-    AlgebraicVectorField,
-    apply_field,
-    bracket,
-    lnd_check,
-    poisson_bracket,
-    shear_x,
-    shear_y,
-)
+from .errors import InternalInvariantViolation, InvalidGenerator
+from .fields import AlgebraicVectorField, apply_field, poisson_bracket
 from .records import Record
 from .ring import SurfaceConfig, SurfacePolynomial, UniPoly, constant_quotient
 
@@ -236,10 +223,6 @@ class PolynomialAutomorphism:
         return f"Automorphism({self.word!r})"
 
 
-def identity_auto(surface: SurfaceConfig) -> PolynomialAutomorphism:
-    return PolynomialAutomorphism(surface, [])
-
-
 def apply_auto(phi: PolynomialAutomorphism, e: SurfacePolynomial) -> SurfacePolynomial:
     """Pullback e o phi (substitute phi's coordinate images)."""
     return substitute(e, phi.img_x, phi.img_y, phi.img_z)
@@ -272,28 +255,6 @@ def invert(phi: PolynomialAutomorphism) -> PolynomialAutomorphism:
     )
 
 
-class ZDegreeVerdict(Record):
-    __slots__ = ("degree", "identity_word")
-    degree: int
-    identity_word: bool
-
-
-def z_x_degree(phi: PolynomialAutomorphism) -> ZDegreeVerdict:
-    """Largest x- or y-power in the normal form of the word's z-component.
-
-    Positive for every nontrivial shear word when deg(p) >= 3: the
-    z-coordinate of such a word is never of the form a*z + b.
-    """
-    if phi.surface.degree < 3:
-        raise DegreeGate("z-degree lemma requires deg(p) >= 3")
-    for g in phi.word:
-        if not isinstance(g, (XShear, YShear)):
-            raise InvalidGenerator("z_x_degree expects a word of shears only")
-    if not phi.word:
-        return ZDegreeVerdict(0, True)
-    return ZDegreeVerdict(max((abs(n) for n in phi.img_z.coeffs), default=0), False)
-
-
 def conjugate_field(
     phi: PolynomialAutomorphism, theta: AlgebraicVectorField
 ) -> AlgebraicVectorField:
@@ -313,123 +274,3 @@ def volume_factor(phi: PolynomialAutomorphism) -> Fraction:
     that is J X = H_Z(X), the un-normalised Poisson bracket {Z, X}.
     """
     return constant_quotient(poisson_bracket(phi.img_z, phi.img_x), phi.img_x)
-
-
-# -- flows of shear fields -----------------------------------------------------
-
-
-class FlowMap:
-    """The flow t -> F_t of a shear field SF_i (x- or y-kind).
-
-    F_t is the single shear with parameter t*u^i (u = x for x-shears, u = y
-    for y-shears): in the chart u != 0 it is (u, z) -> (u, z + t u^(i+1)).
-    """
-
-    __slots__ = ("surface", "kind", "i")
-
-    def __init__(self, surface: SurfaceConfig, kind: str, i: int):
-        if kind not in ("x", "y"):
-            raise ValueError("flow kind must be 'x' or 'y'")
-        if i < 0:
-            raise ValueError("shear index must be >= 0")
-        self.surface = surface
-        self.kind = kind
-        self.i = i
-
-    def _shear(self, t) -> Generator:
-        f = UniPoly.monomial(self.i, t)
-        return XShear(f) if self.kind == "x" else YShear(f)
-
-    def at(self, t) -> PolynomialAutomorphism:
-        """The time-t automorphism (its constructor checks the surface relation)."""
-        return PolynomialAutomorphism(self.surface, [self._shear(t)])
-
-    def generator_field(self) -> AlgebraicVectorField:
-        return (shear_x if self.kind == "x" else shear_y)(self.surface, self.i)
-
-
-def flow_of_shear(surface: SurfaceConfig, kind: str, i: int) -> FlowMap:
-    return FlowMap(surface, kind, i)
-
-
-def flow_group_law(flow: FlowMap) -> bool:
-    """F_r o F_t = F_(t+r) identically in t and r.
-
-    The composite is formed by substitution, without the merge rule of
-    ``normalize_word``: its coordinate images are those of F_r pulled back
-    along F_t.  They, like those of F_(t+r), have degree <= d = deg p in t
-    and in r separately: u goes to u, z to z + (t + r) u^(i+1), and the
-    third coordinate to p(z + (t + r) u^(i+1))/u.  A polynomial of degree
-    <= d in each of two variables that vanishes on the grid {0..d}^2 is
-    zero, so agreement on that grid proves the identity.
-    """
-    d = flow.surface.degree
-    at = [flow.at(s) for s in range(2 * d + 1)]
-    for t in range(d + 1):
-        for r in range(d + 1):
-            f_r, f_tr = at[r], at[t + r]
-            composed = [apply_auto(at[t], g) for g in (f_r.img_x, f_r.img_y, f_r.img_z)]
-            if composed != [f_tr.img_x, f_tr.img_y, f_tr.img_z]:
-                return False
-    return True
-
-
-# -- polynomial Taylor expansion of flow conjugation ----------------------------
-
-
-def taylor_conjugation(
-    theta: AlgebraicVectorField,
-    psi: AlgebraicVectorField,
-    max_terms: int = 64,
-) -> list[AlgebraicVectorField]:
-    """The fields ad_theta^k(psi)/k! until zero; theta must be an LND."""
-    verdict = lnd_check(theta)
-    if not verdict.nilpotent:
-        raise NotNilpotent("flow generator failed the nilpotency check")
-    terms = [psi]
-    k = 0
-    while not terms[-1].is_zero():
-        if k >= max_terms:
-            raise NotNilpotent("bracket iteration did not terminate within the bound")
-        k += 1
-        terms.append(bracket(theta, terms[-1]).scale(Fraction(1, k)))
-    return terms[:-1] if len(terms) > 1 else terms
-
-
-def taylor_flow_identity(flow: FlowMap, psi: AlgebraicVectorField) -> bool:
-    """(F_t)_* psi = sum_k t^k ad_theta^k(psi)/k! identically in t.
-
-    Both sides are compared exactly at t = 0..B, the left one computed by
-    ``conjugate_field`` as psi(g o F_-t) o F_t.  In the chart u != 0 of
-    the flow's own variable the coordinates are (u, z) and F_t only sends
-    z -> z + t u^(i+1).  Let D be the largest z-degree among the chart
-    coefficients of psi(u) and psi(z): a term u^n q(z) has degree deg q for
-    n >= 0 and deg q + (-n) deg p for n < 0, since v^m = u^(-m) p^m for the
-    other variable v.  Then
-
-        (F_t)_* psi (u) = psi(u) o F_t                          has t-degree <= D,
-        (F_t)_* psi (z) = (psi(z) - t (i+1) u^i psi(u)) o F_t   has t-degree <= D + 1,
-
-    and the series has t-degree len(terms) - 1.  On u and z the two sides
-    therefore differ by a polynomial in t of degree <= B, with
-    B = max(len(terms) - 1, D + 1), which vanishes once it vanishes at
-    B + 1 points.  The third image follows from the other two by tangency,
-    x*img_y + y*img_x = p'(z)*img_z, since the ring is a domain.
-    """
-    terms = taylor_conjugation(flow.generator_field(), psi)
-    s = flow.surface
-    if flow.kind == "x":
-        images = (psi.img_x, psi.img_z)
-    else:
-        images = (psi.img_y.swap_xy(), psi.img_z.swap_xy())
-    d = max((q.degree + max(-n, 0) * s.degree for e in images for n, q in e.coeffs.items()),
-            default=0)
-    for t in range(max(len(terms) - 1, d + 1) + 1):
-        lhs = conjugate_field(flow.at(t), psi)
-        for name in ("img_x", "img_y", "img_z"):
-            rhs = s.zero()
-            for k, field in enumerate(terms):
-                rhs = rhs + getattr(field, name).scale(t**k)
-            if getattr(lhs, name) != rhs:
-                return False
-    return True

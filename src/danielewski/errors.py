@@ -62,12 +62,6 @@ class PointNotOnSurface(DanielewskiError):
     exit_code = 2
 
 
-class NotNilpotent(DanielewskiError):
-    """The field is not locally nilpotent within the iteration bound."""
-
-    code = "not-nilpotent"
-
-
 class DegreeGate(DanielewskiError):
     """Operation requires a higher degree of the defining polynomial or bound."""
 

@@ -223,50 +223,6 @@ def verify_certificate(
     return evaluate_potential(surface, expr) == canonical_potential(claimed)
 
 
-# -- potential shape of pure shear nestings ---------------------------------
-
-
-class PotentialShape(Record):
-    __slots__ = ("kind", "j", "q")
-    kind: str  # "x" | "y" | "z"
-    j: int  # power of x or y (0 for the pure-z case)
-    q: UniPoly
-
-
-def classify_bracket_potential(
-    surface: SurfaceConfig, expr: BracketExpression
-) -> PotentialShape:
-    """The potential of a nested shear bracket is x^j q(z), y^j q(z) or q(z)."""
-
-    def check(e):
-        if isinstance(e, Leaf):
-            if e.kind == "HF":
-                raise MalformedNesting("hyperbolic leaves are not shear fields")
-            return
-        if isinstance(e, Bracket):
-            if not (isinstance(e.left, Leaf) and e.left.kind in ("SFx", "SFy")):
-                raise MalformedNesting("expected a nesting [A_n, [... [A_1, A_0]...]]")
-            check(e.right)
-            return
-        raise MalformedNesting("expected a pure nesting of shear leaves")
-
-    check(expr)
-    f = evaluate_potential(surface, expr)
-    if len(f.coeffs) > 1:
-        raise InternalInvariantViolation("nested shear potential has mixed shape")
-    n, q = next(iter(f.coeffs.items()), (0, UniPoly()))
-    if n:
-        return PotentialShape("x" if n > 0 else "y", abs(n), q)
-    # q is the canonical (constant-free) representative of some (p*h)', so
-    # the antiderivative lies in p*Q[z] + span{1, z}
-    _, rem = poly_divrem(q.antiderivative(), surface.p)
-    if rem.degree > 1:
-        raise InternalInvariantViolation(
-            "pure-z nested shear potential is not of the form (p*h)'"
-        )
-    return PotentialShape("z", 0, q)
-
-
 # -- decomposition over shear and hyperbolic generators ----------------------
 
 

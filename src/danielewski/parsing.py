@@ -366,23 +366,15 @@ def parse_field(surface: SurfaceConfig, src: str) -> AlgebraicVectorField:
             raise ParseError("field triple must have three ';'-separated components")
         ex, ey, ez = (parse_expression(surface, c) for c in comps)
         return AlgebraicVectorField(ex, ey, ez)
-    if s.startswith("SFx(") and s.endswith(")"):
-        return shear_x(surface, _parse_index(s[4:-1]))
-    if s.startswith("SFy(") and s.endswith(")"):
-        return shear_y(surface, _parse_index(s[4:-1]))
+    if s.startswith(("SFx(", "SFy(")) and s.endswith(")"):
+        t = _Tokens(s[4:-1])
+        i = t.integer()
+        if not t.done():
+            raise ParseError("expected ')' after the shear index", t.pos)
+        return (shear_x if s[2] == "x" else shear_y)(surface, i)
     if s.startswith("HF(") and s.endswith(")"):
         return hyperbolic(surface, parse_unipoly(s[3:-1]))
     raise ParseError(f"not a field literal: {src!r}")
-
-
-def _parse_index(s: str) -> int:
-    try:
-        n = int(s.strip())
-    except ValueError:
-        raise ParseError(f"expected an integer index, found {s!r}")
-    if n < 0:
-        raise ParseError("shear index must be >= 0")
-    return n
 
 
 # -- automorphism words -----------------------------------------------------------
@@ -488,6 +480,11 @@ def cert_from_obj(obj, depth: int = 1) -> BracketExpression:
                 i = leaf.get("i")
                 if not isinstance(i, int) or isinstance(i, bool):
                     raise ParseError(f"an {kind} leaf needs an integer 'i'")
+                if abs(i) >= HEIGHT:
+                    raise ParseError(
+                        f"an {kind} leaf's 'i' has more than {MAX_DIGITS} digits, over "
+                        f"the ceiling MAX_DIGITS = {MAX_DIGITS}"
+                    )
                 return Leaf(kind, i)
             raise ParseError(f"unknown leaf kind {kind!r}")
         if "sum" in obj:
@@ -521,7 +518,7 @@ def load_certificate_file(text: str):
     """Returns (surface, claimed, expression)."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer over Python's digit limit
         raise ParseError(f"invalid certificate file: {exc}")
     except RecursionError:
         raise ParseError(_TOO_DEEP)

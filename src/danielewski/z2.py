@@ -1,8 +1,8 @@
 """Equivariant decomposition on the surface x*y = z^2 - 1.
 
 This module is specific to p = z^2 - 1, where sigma(x, y, z) =
-(-x, -y, -z) is a fixed-point-free involution of the surface.  Functions
-split into sigma-invariant and anti-invariant parts; the anti-invariant
+(-x, -y, -z) is a fixed-point-free involution of the surface.  It negates
+the monomials z^i x^j and z^i y^j with i + j odd; these anti-invariant
 potentials are certified as Lie combinations over sigma-invariant
 generators only (even-index shears and even-power hyperbolics), by the
 recursion
@@ -16,13 +16,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .automorphisms import (
-    Hyperbolic,
-    PolynomialAutomorphism,
-    Symmetry,
-    apply_auto,
-    conjugate_field,
-)
 from .errors import (
     DegreeGate,
     InternalInvariantViolation,
@@ -30,7 +23,6 @@ from .errors import (
     ParseError,
     WrongSurface,
 )
-from .fields import AlgebraicVectorField
 from .membership import (
     Bracket,
     BracketExpression,
@@ -49,36 +41,6 @@ _P_Z2 = UniPoly({2: Fraction(1), 0: Fraction(-1)})
 def _gate(surface: SurfaceConfig):
     if surface.p != _P_Z2:
         raise WrongSurface("this construction requires the surface x*y = z^2 - 1")
-
-
-def sigma_auto(surface: SurfaceConfig) -> PolynomialAutomorphism:
-    """The involution (x, y, z) -> (-x, -y, -z) as an automorphism word."""
-    _gate(surface)
-    return PolynomialAutomorphism(
-        surface, [Symmetry(Fraction(-1), Fraction(0)), Hyperbolic(Fraction(-1))]
-    )
-
-
-def sigma_apply(e: SurfacePolynomial) -> SurfacePolynomial:
-    _gate(e.surface)
-    return apply_auto(sigma_auto(e.surface), e)
-
-
-class Z2Grading(Record):
-    __slots__ = ("invariant", "anti_invariant")
-    invariant: SurfacePolynomial
-    anti_invariant: SurfacePolynomial
-
-
-def grade(e: SurfacePolynomial) -> Z2Grading:
-    se = sigma_apply(e)
-    half = Fraction(1, 2)
-    return Z2Grading((e + se).scale(half), (e - se).scale(half))
-
-
-def is_invariant_field(theta: AlgebraicVectorField) -> bool:
-    _gate(theta.surface)
-    return conjugate_field(sigma_auto(theta.surface), theta) == theta
 
 
 def is_invariant_leaf(leaf: Leaf) -> bool:
@@ -160,12 +122,12 @@ MAX_Z2_DEGREE = 11
 def z2_avdp_check(surface: SurfaceConfig, max_deg: int) -> list[Z2ReportRow]:
     """Certify every anti-invariant monomial potential up to total degree.
 
-    ``max_deg`` above MAX_Z2_DEGREE raises DegreeGate.
+    ``max_deg`` outside 1..MAX_Z2_DEGREE raises DegreeGate.
     """
     _gate(surface)
-    if max_deg > MAX_Z2_DEGREE:
+    if not 1 <= max_deg <= MAX_Z2_DEGREE:
         raise DegreeGate(
-            f"degree bound {max_deg} exceeds the ceiling MAX_Z2_DEGREE = {MAX_Z2_DEGREE}"
+            f"degree bound {max_deg} is outside 1..MAX_Z2_DEGREE = {MAX_Z2_DEGREE}"
         )
     targets: list[tuple[str, SurfacePolynomial]] = []
     for total in range(1, max_deg + 1):

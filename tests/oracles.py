@@ -5,12 +5,29 @@
 and ``reference_family`` builds the spanning family by generating every
 candidate and picking the pivots with one ``row_reduce``.  The library does
 all three with ``ring.Echelon``, one column at a time.
+
+The rest check identities of the paper a second way: the group law of a
+shear flow and the Taylor series of conjugation by it, the z-degree of a
+word of shears, the shape of a nested shear bracket's potential, and the
+involution sigma of x*y = z^2 - 1.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
-from danielewski.membership import Bracket, Leaf, make_sum
+from danielewski.automorphisms import (
+    Hyperbolic,
+    PolynomialAutomorphism,
+    Symmetry,
+    XShear,
+    YShear,
+    apply_auto,
+    conjugate_field,
+)
+from danielewski.errors import DegreeGate, InvalidGenerator, MalformedNesting
+from danielewski.fields import bracket, lnd_check
+from danielewski.membership import Bracket, Leaf, evaluate_potential, make_sum
+from danielewski.ring import UniPoly, poly_divrem
 
 
 def row_reduce(rows: list[list[Fraction]], ncols: int) -> list[int]:
@@ -124,3 +141,130 @@ def reference_family(surface, max_deg):
     entries = [cands[k] for k in row_reduce(a, len(pots))]
     multipliers = {pot.derivative(): expr for expr, pot, _ in entries}
     return entries, multipliers, len(cands)
+
+
+# -- flows of shear fields ---------------------------------------------------
+
+
+def _images(phi):
+    return [phi.img_x, phi.img_y, phi.img_z]
+
+
+def shear_flow(surface, kind, i):
+    """t -> F_t, the flow of SF_i^kind: the single shear with parameter t*u^i
+    (u = x or y), which sends z to z + t u^(i+1) in the chart u != 0."""
+    shear = XShear if kind == "x" else YShear
+    return lambda t: PolynomialAutomorphism(surface, [shear(UniPoly.monomial(i, t))])
+
+
+def flow_group_law(at, degree) -> bool:
+    """F_r o F_t = F_(t+r) for F_t = at(t), checked on the grid {0..degree}^2.
+
+    The composite is formed by substitution, without the merge rule of
+    ``normalize_word``: its coordinate images are those of F_r pulled back
+    along F_t.  For a shear flow they, like those of F_(t+r), have degree
+    <= d = deg p in t and in r separately: u goes to u, z to
+    z + (t + r) u^(i+1), and the third coordinate to p(z + (t + r) u^(i+1))/u.
+    A polynomial of degree <= d in each of two variables that vanishes on
+    the grid {0..d}^2 is zero, so with degree = deg p agreement on the grid
+    proves the identity.
+    """
+    maps = [at(s) for s in range(2 * degree + 1)]
+    return all(
+        [apply_auto(maps[t], g) for g in _images(maps[r])] == _images(maps[t + r])
+        for t, r in product(range(degree + 1), repeat=2)
+    )
+
+
+def taylor_terms(theta, psi) -> list:
+    """The fields ad_theta^k(psi)/k! up to the last non-zero one (theta an LND,
+    else ValueError); they end because ad_theta is then locally nilpotent."""
+    if not lnd_check(theta).nilpotent:
+        raise ValueError("flow generator failed the nilpotency check")
+    terms = [psi]
+    while not terms[-1].is_zero():
+        terms.append(bracket(theta, terms[-1]).scale(Fraction(1, len(terms))))
+    return terms[:-1] or terms
+
+
+def taylor_flow_identity(at, kind, psi, terms) -> bool:
+    """(F_t)_* psi = sum_k t^k terms[k] for the shear flow F_t = at(t) of the
+    given kind, identically in t.
+
+    Both sides are compared exactly at t = 0..B, the left one computed by
+    ``conjugate_field`` as psi(g o F_-t) o F_t.  In the chart u != 0 of the
+    flow's own variable the coordinates are (u, z) and F_t only sends
+    z -> z + t u^(i+1).  Let D be the largest z-degree among the chart
+    coefficients of psi(u) and psi(z): a term u^n q(z) has degree deg q for
+    n >= 0 and deg q + (-n) deg p for n < 0, since v^m = u^(-m) p^m for the
+    other variable v.  Then
+
+        (F_t)_* psi (u) = psi(u) o F_t                          has t-degree <= D,
+        (F_t)_* psi (z) = (psi(z) - t (i+1) u^i psi(u)) o F_t   has t-degree <= D + 1,
+
+    and the series has t-degree len(terms) - 1.  On u and z the two sides
+    therefore differ by a polynomial in t of degree <= B, with
+    B = max(len(terms) - 1, D + 1), which vanishes once it vanishes at
+    B + 1 points.  The third image follows from the other two by tangency,
+    x*img_y + y*img_x = p'(z)*img_z, since the ring is a domain.
+    """
+    s = psi.surface
+    if kind == "x":
+        images = (psi.img_x, psi.img_z)
+    else:
+        images = (psi.img_y.swap_xy(), psi.img_z.swap_xy())
+    d = max((q.degree + max(-n, 0) * s.degree for e in images for n, q in e.coeffs.items()),
+            default=0)
+    for t in range(max(len(terms) - 1, d + 1) + 1):
+        series = [sum((g.scale(t**k) for k, g in enumerate(gs)), s.zero())
+                  for gs in zip(*map(_images, terms))]
+        if _images(conjugate_field(at(t), psi)) != series:
+            return False
+    return True
+
+
+# -- words of shears and nested shear brackets --------------------------------
+
+
+def z_x_degree(phi) -> int:
+    """Largest x- or y-power in the normal form of a shear word's z-image.
+
+    Positive for every nontrivial shear word when deg(p) >= 3: the
+    z-coordinate of such a word is never of the form a*z + b.
+    """
+    if phi.surface.degree < 3:
+        raise DegreeGate("z-degree lemma requires deg(p) >= 3")
+    if not all(isinstance(g, (XShear, YShear)) for g in phi.word):
+        raise InvalidGenerator("z_x_degree expects a word of shears only")
+    return max(abs(n) for n in phi.img_z.coeffs)
+
+
+def nested_shear_shape(surface, expr):
+    """(kind, j, q): the potential of a nesting [A_n, [... [A_1, A_0]...]] of
+    shear leaves is x^j q(z) (kind "x"), y^j q(z) ("y"), or q(z) = (p h)'
+    ("z", j = 0)."""
+    e = expr
+    while isinstance(e, Bracket):
+        if not (isinstance(e.left, Leaf) and e.left.kind != "HF"):
+            raise MalformedNesting("expected a nesting [A_n, [... [A_1, A_0]...]]")
+        e = e.right
+    if not (isinstance(e, Leaf) and e.kind != "HF"):
+        raise MalformedNesting("expected a pure nesting of shear leaves")
+    f = evaluate_potential(surface, expr)
+    assert len(f.coeffs) <= 1, "nested shear potential has mixed shape"
+    n, q = next(iter(f.coeffs.items()), (0, UniPoly()))
+    if n:
+        return ("x" if n > 0 else "y"), abs(n), q
+    # q is the canonical (constant-free) representative of some (p h)', so
+    # its antiderivative lies in p Q[z] + span{1, z}
+    assert poly_divrem(q.antiderivative(), surface.p)[1].degree <= 1
+    return "z", 0, q
+
+
+# -- the involution of x*y = z^2 - 1 ------------------------------------------
+
+
+def sigma(surface):
+    """sigma(x, y, z) = (-x, -y, -z) as the word [Sym(-1, 0), H(-1)]."""
+    return PolynomialAutomorphism(surface, [Symmetry(Fraction(-1), Fraction(0)),
+                                            Hyperbolic(Fraction(-1))])

