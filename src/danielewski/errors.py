@@ -89,7 +89,9 @@ class SearchExhausted(DanielewskiError):
 
 
 class MalformedNesting(DanielewskiError):
-    """Expected a left-nested bracket of shear leaves."""
+    """A bracket expression that is not one: a node other than a Leaf, Sum or
+    Bracket, a leaf of unknown kind, a negative shear index, or an HF leaf
+    without a polynomial."""
 
     code = "malformed-nesting"
     exit_code = 2

@@ -37,7 +37,7 @@ from .errors import (
     TangencyViolation,
 )
 from .records import Record
-from .ring import Echelon, SurfaceConfig, SurfacePolynomial, UniPoly
+from .ring import Echelon, SurfaceConfig, SurfacePolynomial, UniPoly, bezout
 
 
 class AlgebraicVectorField:
@@ -249,12 +249,11 @@ def default_flex_fields(surface: SurfaceConfig) -> list[AlgebraicVectorField]:
     """SF_0^x, SF_0^y and the shear-conjugated fields that cover the
     critical points of p' (one conjugate per distinct root of p')."""
     from .automorphisms import PolynomialAutomorphism, XShear, conjugate_field
-    from .ring import poly_gcd
 
     fields = [shear_x(surface, 0), shear_y(surface, 0)]
     p_prime = surface.p_prime
-    g = poly_gcd(p_prime, p_prime.derivative())
-    n_roots = int(p_prime.degree - (g.degree if not g.is_zero() else 0))
+    # p' is not zero (deg p >= 1), so neither is the gcd
+    n_roots = p_prime.degree - bezout(p_prime, p_prime.derivative())[2].degree
     for k in range(1, n_roots + 1):
         alpha = PolynomialAutomorphism(surface, [XShear(UniPoly.const(k))])
         fields.append(conjugate_field(alpha, shear_y(surface, 0)))

@@ -14,10 +14,13 @@ solving over Q against a spanning family, a pivot basis of certified
 shears-only expressions with pure-z potentials; the latter is a
 semi-algorithm with a caller-tunable degree bound.
 
-Certificates are verified in the Poisson algebra of potentials, through the
-Lie algebra isomorphism [H_f, H_g] = H_{f, g} (``evaluate_potential``): one
-bracket of potentials per bracket node, no field built.  ``evaluate``, which
-builds every node as a field, is kept as the independent oracle.
+A value of a bracket expression (its field, its potential, its size, its
+file form) is computed by ``fold``: bottom-up, once per distinct subtree,
+from a value per leaf, per sum and per bracket.  Certificates are verified
+in the Poisson algebra of potentials, through the Lie algebra isomorphism
+[H_f, H_g] = H_{f, g} (``evaluate_potential``): one bracket of potentials
+per bracket node, no field built.  ``evaluate``, which builds every node as
+a field, is kept as the independent oracle.
 """
 
 from __future__ import annotations
@@ -100,11 +103,13 @@ def make_sum(terms) -> BracketExpression:
     return Sum(tuple(flat))
 
 
-def evaluate(surface: SurfaceConfig, expr: BracketExpression) -> AlgebraicVectorField:
-    """The field of a bracket expression, every node built as a field.
+def fold(expr: BracketExpression, leaf, sum_, bracket_):
+    """The value of a bracket expression, built bottom-up.
 
-    The library verifies in the Poisson algebra (``evaluate_potential``);
-    this is the independent oracle that tests compare it against.
+    ``leaf(e)`` is the value of a Leaf, ``sum_(terms)`` that of a Sum from
+    its (weight, value) pairs, and ``bracket_(a, b)`` that of a Bracket from
+    the values of its two sides.  Equal subtrees are evaluated once per call;
+    a node that is not a Leaf, Sum or Bracket raises MalformedNesting.
     """
     memo: dict = {}
 
@@ -112,24 +117,37 @@ def evaluate(surface: SurfaceConfig, expr: BracketExpression) -> AlgebraicVector
         if e in memo:
             return memo[e]
         if isinstance(e, Leaf):
-            if e.kind == "SFx":
-                r = shear_x(surface, e.i)
-            elif e.kind == "SFy":
-                r = shear_y(surface, e.i)
-            else:
-                r = hyperbolic(surface, e.poly)
+            r = leaf(e)
         elif isinstance(e, Sum):
-            r = zero_field(surface)
-            for w, t in e.terms:
-                r = r + go(t).scale(w)
+            r = sum_([(w, go(t)) for w, t in e.terms])
         elif isinstance(e, Bracket):
-            r = bracket(go(e.left), go(e.right))
+            r = bracket_(go(e.left), go(e.right))
         else:
             raise MalformedNesting(f"not a bracket expression: {e!r}")
         memo[e] = r
         return r
 
     return go(expr)
+
+
+def evaluate(surface: SurfaceConfig, expr: BracketExpression) -> AlgebraicVectorField:
+    """The field of a bracket expression, every node built as a field.
+
+    The library verifies in the Poisson algebra (``evaluate_potential``);
+    this is the independent oracle that tests compare it against.
+    """
+
+    def leaf(e):
+        if e.kind == "SFx":
+            return shear_x(surface, e.i)
+        if e.kind == "SFy":
+            return shear_y(surface, e.i)
+        return hyperbolic(surface, e.poly)
+
+    def sum_(terms):
+        return sum((v.scale(w) for w, v in terms), zero_field(surface))
+
+    return fold(expr, leaf, sum_, bracket)
 
 
 def evaluate_potential(surface: SurfaceConfig, expr: BracketExpression) -> SurfacePolynomial:
@@ -139,31 +157,19 @@ def evaluate_potential(surface: SurfaceConfig, expr: BracketExpression) -> Surfa
     isomorphism [H_f, H_g] = H_{f, g}: leaf potentials, sums, and one
     ``function_bracket`` per bracket node; no field is built.
     """
-    memo: dict = {}
 
-    def go(e):
-        if e in memo:
-            return memo[e]
-        if isinstance(e, Leaf):
-            # the potentials of SF_i^x, SF_i^y and HF_q
-            if e.kind == "SFx":
-                r = surface.x(e.i + 1, v=Fraction(-1, e.i + 1))
-            elif e.kind == "SFy":
-                r = surface.y(e.i + 1, v=Fraction(1, e.i + 1))
-            else:
-                r = surface.from_unipoly(e.poly.antiderivative())
-        elif isinstance(e, Sum):
-            r = surface.zero()
-            for w, t in e.terms:
-                r = r + go(t).scale(w)
-        elif isinstance(e, Bracket):
-            r = function_bracket(go(e.left), go(e.right))
-        else:
-            raise MalformedNesting(f"not a bracket expression: {e!r}")
-        memo[e] = r
-        return r
+    def leaf(e):
+        # the potentials of SF_i^x, SF_i^y and HF_q
+        if e.kind == "SFx":
+            return surface.x(e.i + 1, v=Fraction(-1, e.i + 1))
+        if e.kind == "SFy":
+            return surface.y(e.i + 1, v=Fraction(1, e.i + 1))
+        return surface.from_unipoly(e.poly.antiderivative())
 
-    return go(expr)
+    def sum_(terms):
+        return sum((v.scale(w) for w, v in terms), surface.zero())
+
+    return fold(expr, leaf, sum_, function_bracket)
 
 
 # The certifier mirrors its cached sub-certificates over and over; the memo
@@ -187,11 +193,10 @@ def mirror_expr(expr: BracketExpression) -> BracketExpression:
 
 
 def expression_size(expr: BracketExpression) -> int:
-    if isinstance(expr, Leaf):
-        return 1
-    if isinstance(expr, Sum):
-        return 1 + sum(expression_size(t) for _, t in expr.terms)
-    return 1 + expression_size(expr.left) + expression_size(expr.right)
+    """The number of nodes of the expression, as a tree."""
+    return fold(
+        expr, lambda e: 1, lambda terms: 1 + sum(v for _, v in terms), lambda a, b: 1 + a + b
+    )
 
 
 # -- the decision test -------------------------------------------------------

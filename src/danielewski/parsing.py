@@ -56,6 +56,10 @@ if TYPE_CHECKING:
 # every multiplication of the parse.
 MAX_PAREN_DEPTH = 100
 
+# INT's digits: ASCII only (str.isdecimal also takes other scripts'), and a
+# set, so that the "" peek() gives at the end of the input is not one.
+_DIGITS = frozenset("0123456789")
+
 
 class _Tokens:
     def __init__(self, src: str):
@@ -85,7 +89,7 @@ class _Tokens:
     def integer(self) -> int:
         self._skip_ws()
         start = self.pos
-        while self.pos < len(self.src) and self.src[self.pos].isdecimal():
+        while self.pos < len(self.src) and self.src[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", start)
@@ -190,7 +194,7 @@ def _parse_atom(t: _Tokens) -> dict:
     if c in _VARS:
         t.take()
         return {_VARS[c]: Fraction(1)}
-    if c.isdecimal():
+    if c in _DIGITS:
         v = t.rational()
         return {(0, 0, 0): v} if v else {}  # no zero coefficients in a formal dict
     raise ParseError(f"unexpected {c or 'end of input'!r}", t.pos)
@@ -273,7 +277,7 @@ def _parse_rational(src: str) -> Fraction:
     neg = t.peek() == "-"
     if neg:
         t.take()
-    if t.peek().isdecimal():
+    if t.peek() in _DIGITS:
         v = t.rational()
         if t.done():
             return -v if neg else v
@@ -431,18 +435,16 @@ def format_word(phi: PolynomialAutomorphism) -> str:
 
 
 def cert_to_obj(expr: BracketExpression) -> dict:
-    from .membership import Leaf, Sum
+    from .membership import fold
 
-    def node(e) -> dict:
-        if isinstance(e, Leaf):
-            if e.kind == "HF":
-                return {"leaf": {"kind": "HF", "poly": format_unipoly(e.poly)}}
-            return {"leaf": {"kind": e.kind, "i": e.i}}
-        if isinstance(e, Sum):
-            return {"sum": [[format_rational(w), node(t)] for w, t in e.terms]}
-        return {"bracket": [node(e.left), node(e.right)]}
+    def leaf(e) -> dict:
+        arg = {"poly": format_unipoly(e.poly)} if e.kind == "HF" else {"i": e.i}
+        return {"leaf": {"kind": e.kind, **arg}}
 
-    return node(expr)
+    def sum_(terms) -> dict:
+        return {"sum": [[format_rational(w), v] for w, v in terms]}
+
+    return fold(expr, leaf, sum_, lambda a, b: {"bracket": [a, b]})
 
 
 # Ceiling on the nesting depth of a certificate read from a file: reading,
@@ -454,12 +456,9 @@ MAX_CERT_DEPTH = 100
 _TOO_DEEP = f"certificate is nested deeper than MAX_CERT_DEPTH = {MAX_CERT_DEPTH}"
 
 
-def cert_from_obj(obj, depth: int = 1) -> BracketExpression:
-    """Inverse of ``cert_to_obj``; raises ParseError on any other shape.
-
-    ``depth`` is the level of ``obj`` in the whole tree; a node below level
-    MAX_CERT_DEPTH is rejected.
-    """
+def cert_from_obj(obj) -> BracketExpression:
+    """Inverse of ``cert_to_obj``; raises ParseError on any other shape, and
+    on a node below level MAX_CERT_DEPTH."""
     from .membership import Bracket, Leaf, Sum
 
     def node(obj, depth: int) -> BracketExpression:
@@ -501,7 +500,7 @@ def cert_from_obj(obj, depth: int = 1) -> BracketExpression:
             return Bracket(node(pair[0], depth + 1), node(pair[1], depth + 1))
         raise ParseError("certificate node must have one of leaf/sum/bracket")
 
-    return node(obj, depth)
+    return node(obj, 1)
 
 
 def certificate_file_obj(

@@ -278,16 +278,6 @@ def poly_divrem(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
     return q, r
 
 
-def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd (or zero if both are zero)."""
-    while not b.is_zero():
-        _, r = poly_divrem(a, b)
-        a, b = b, r
-    if a.is_zero():
-        return a
-    return a.scale(1 / a.lead())
-
-
 def bezout(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
     """Extended Euclid: u*a + v*b = g = gcd(a, b), g monic."""
     r0, r1 = a, b

@@ -27,8 +27,8 @@ from .membership import (
     Bracket,
     BracketExpression,
     Leaf,
-    Sum,
     expression_size,
+    fold,
     make_sum,
     verify_certificate,
 )
@@ -51,11 +51,9 @@ def is_invariant_leaf(leaf: Leaf) -> bool:
 
 
 def invariant_leaves_only(expr: BracketExpression) -> bool:
-    if isinstance(expr, Leaf):
-        return is_invariant_leaf(expr)
-    if isinstance(expr, Sum):
-        return all(invariant_leaves_only(t) for _, t in expr.terms)
-    return invariant_leaves_only(expr.left) and invariant_leaves_only(expr.right)
+    return fold(
+        expr, is_invariant_leaf, lambda terms: all(v for _, v in terms), lambda a, b: a and b
+    )
 
 
 def _cert(i: int, j: int, kind: str) -> BracketExpression:

@@ -75,10 +75,11 @@ def surface_points(surface, rng, n):
     return pts
 
 
-def random_word(rng, n):
+def random_word(rng, n, symmetry=False):
     # at most one non-constant shear per word: alternating non-constant
     # x- and y-shears grow the z-degree exponentially and are exercised
-    # separately
+    # separately.  With symmetry, Sym(-1, 0) (z -> -z, which every surface
+    # with p(-z) = +-p(z) admits) is drawn too.
     budget = [1]
 
     def shear_poly():
@@ -87,7 +88,7 @@ def random_word(rng, n):
         return upoly({deg: rng.randint(-2, 2)})
 
     def gen():
-        k = rng.randint(0, 3)
+        k = rng.randint(0, 4 if symmetry else 3)
         if k == 0:
             return XShear(shear_poly())
         if k == 1:
@@ -95,7 +96,9 @@ def random_word(rng, n):
         if k == 2:
             return Hyperbolic(Fraction(rng.choice([-2, -1, 1, 2, 3]),
                                        rng.randint(1, 2)))
-        return Involution()
+        if k == 3:
+            return Involution()
+        return Symmetry(-1, Fraction(0))
     return [gen() for _ in range(n)]
 
 
@@ -146,7 +149,7 @@ def test_normalized_word_preserves_action(quad, cubic):
     rng = random.Random(RNG_SEED + 1)
     for s in (quad, cubic):
         for _ in range(30):
-            word = random_word(rng, rng.randint(1, 4))
+            word = random_word(rng, rng.randint(1, 4), symmetry=True)
             phi = PolynomialAutomorphism(s, word)
             # the stored word is normalized; its action must agree with the
             # raw word's point action

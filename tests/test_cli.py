@@ -319,6 +319,12 @@ CEILINGS = {
     "superscript exponent": (["reduce", "x^²"], "z^3-z", "syntax-error", "integer"),
     "superscript exponent in parentheses": (
         ["reduce", "x^(²)"], "z^3-z", "syntax-error", "integer"),
+    # INT is [0-9]+: decimal digits of other scripts are not read
+    "Arabic-Indic literal": (["reduce", "x + ٢"], "z^3-z", "syntax-error", "unexpected"),
+    "Arabic-Indic exponent": (["reduce", "x^٣"], "z^3-z", "syntax-error", "integer"),
+    "Arabic-Indic shear index": (["potential", "SFx(٣)"], "z^3-z", "syntax-error", "integer"),
+    "Arabic-Indic H": (["compose", "H(٢)", "id"], "z^2-1", "syntax-error", "rational"),
+    "Arabic-Indic surface": (["reduce", "x"], "z^٣ - z", "syntax-error", "integer"),
 }
 
 

@@ -9,7 +9,9 @@ bracket expressions to fields (``evaluate``) and taking their potentials.
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -442,3 +444,12 @@ def test_one_elimination_per_column_set(monkeypatch):
             assert verify_certificate(s, certifier.certify(f), f)
     columns = [tuple(offered.get(id(e), ())) for e in made]
     assert len(set(columns)) == len(columns) >= 4
+
+
+def test_only_membership_dispatches_on_expression_nodes():
+    """Every other module walks a bracket expression through ``fold``."""
+    src = Path(__file__).parents[1] / "src" / "danielewski"
+    for path in sorted(src.glob("*.py")):
+        if path.name != "membership.py":
+            text = path.read_text()
+            assert not re.search(r"isinstance\([^)]*\b(Leaf|Sum|Bracket)\b", text), path.name
