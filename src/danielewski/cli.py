@@ -3,9 +3,9 @@
 Every subcommand takes --surface "poly in z" and --format text|json (the
 DANIELEWSKI_FORMAT environment variable sets the default).  Exit codes:
 0 success/accepted, 1 rejected/false, 2 usage or parse error (a malformed
-certificate file, or a file that cannot be read or written, included), 3
-internal invariant violation.  A library error exits with its class's
-``exit_code``.
+certificate file, or a file that cannot be read or written, included) or a
+stdout closed by its reader, 3 internal invariant violation.  A library
+error exits with its class's ``exit_code``.
 
 Each subcommand is declared once, in ``COMMANDS``: its own argparse
 arguments and a handler ``(surface, args) -> (text, data, exit_code)``.
@@ -38,6 +38,7 @@ from .parsing import (
     format_word,
     parse_expression,
     parse_field,
+    parse_integer,
     parse_point,
     parse_unipoly,
     parse_word,
@@ -95,7 +96,9 @@ def _is_volume_preserving(s, a):
 def _lnd_check(s, a):
     from .fields import DEFAULT_LND_ITER, lnd_check
 
-    max_iter = DEFAULT_LND_ITER if a.max_iter is None else a.max_iter
+    max_iter = DEFAULT_LND_ITER
+    if a.max_iter is not None:
+        max_iter = parse_integer(a.max_iter, "--max-iter")
     v = lnd_check(parse_field(s, a.field), max_iter)
     data = {"nilpotent": v.nilpotent, "degree": v.degree, "bound": v.bound}
     return str(v), data, 0 if v.nilpotent else 1
@@ -113,8 +116,11 @@ def _decide(s, a):
 def _certify(s, a):
     from .membership import avdp_decompose, certify_shears_only
 
+    max_degree = None
+    if a.max_degree is not None:
+        max_degree = parse_integer(a.max_degree, "--max-degree")
     f = parse_expression(s, a.expr)
-    expr = certify_shears_only(f, a.max_degree) if a.shears_only else avdp_decompose(f)
+    expr = certify_shears_only(f, max_degree) if a.shears_only else avdp_decompose(f)
     text = _certificate(f, expr)
     if not a.output:
         return text, None, 0
@@ -177,7 +183,7 @@ def _z2_certify(s, a):
 def _z2_check(s, a):
     from .z2 import z2_avdp_check
 
-    rows = z2_avdp_check(s, a.max_degree)
+    rows = z2_avdp_check(s, parse_integer(a.max_degree, "--max-degree"))
     text = "\n".join(f"{r.monomial}\tsize {r.size}\t{'ok' if r.verified else 'FAIL'}"
                      for r in rows)
     data = {"rows": [{"monomial": r.monomial, "size": r.size, "verified": r.verified}
@@ -188,7 +194,9 @@ def _z2_check(s, a):
 # name -> ([(argument, add_argument keywords)], handler); the order is the
 # order of the usage line.  --max-iter defaults to None, read by _lnd_check
 # as fields.DEFAULT_LND_ITER, so that building the parser imports no
-# library module.
+# library module.  Integer options are kept as strings here and read by
+# their handler with parsing.parse_integer, so that a malformed one is a
+# syntax-error like any other malformed input.
 COMMANDS = {
     "reduce": ([("expr", {})], _reduce),
     "mul": ([("left", {}), ("right", {})], _mul),
@@ -196,13 +204,13 @@ COMMANDS = {
     "potential": ([("field", {})], _potential),
     "hamiltonian": ([("expr", {})], _hamiltonian),
     "is-volume-preserving": ([("field", {})], _is_volume_preserving),
-    "lnd-check": ([("field", {}), ("--max-iter", {"type": int, "default": None})],
+    "lnd-check": ([("field", {}), ("--max-iter", {"default": None})],
                   _lnd_check),
     "decide": ([("expr", {})], _decide),
     "certify": ([
         ("expr", {}),
         ("--shears-only", {"action": "store_true"}),
-        ("--max-degree", {"type": int, "default": None}),
+        ("--max-degree", {"default": None}),
         ("--output", {"default": None, "help": "write the certificate file here"}),
     ], _certify),
     "verify-cert": ([("file", {})], _verify_cert),
@@ -214,7 +222,7 @@ COMMANDS = {
         ("fields", {"nargs": "*", "help": "optional field literals"}),
     ], _flex_check),
     "z2-certify": ([("expr", {})], _z2_certify),
-    "z2-check": ([("--max-degree", {"type": int, "default": 7})], _z2_check),
+    "z2-check": ([("--max-degree", {"default": "7"})], _z2_check),
 }
 
 
@@ -241,6 +249,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout has gone.  Point stdout's file descriptor at
+        # devnull, so that the interpreter's flush at exit does not fail too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
+    return code
+
+
+def _run(argv) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:

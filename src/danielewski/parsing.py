@@ -270,6 +270,17 @@ def parse_point(src: str) -> tuple[Fraction, Fraction, Fraction]:
     return tuple(_parse_rational(c) for c in parts)
 
 
+def parse_integer(src: str, name: str) -> int:
+    """The value of the integer option ``name``: '-'? INT with no spaces, the
+    INT read as in the polynomial grammar (so at most MAX_DIGITS digits)."""
+    t = _Tokens(src.removeprefix("-"))
+    if t.src[:1] in _DIGITS:
+        v = t.integer()
+        if t.pos == len(t.src):
+            return -v if src[:1] == "-" else v
+    raise ParseError(f"{name} expects an integer -?[0-9]+, found {src!r}")
+
+
 def _parse_rational(src: str) -> Fraction:
     """An optional '-' and a RATIONAL of the polynomial grammar: the form of
     the arguments of H(...) and Sym(...), certificate weights and points."""

@@ -14,9 +14,12 @@ the chart x != 0, where y = p(z)/x and an element becomes a Laurent
 polynomial in x with coefficients in Q[z], a plain dict {power of x: q(z)}:
 ``to_chart`` sends y^n q(z) to x^(-n) p^n q(z) and leaves the other weights
 alone, and ``from_chart`` divides the coefficient of x^(-n) by p^n, which
-is exact for every product of surface elements.  The derivations the field
-calculus needs, x d/dx and x d/dz of the chart, are computed on the weights
-directly (``euler``, ``x_dz``).
+is exact for every product of surface elements.  Both take p^n from
+``SurfaceConfig.p_power``, which checks the MAX_DIGITS gate on n before it
+forms anything and keeps the powers up to a small bound per surface, so
+each of them is formed once.  The derivations the field calculus needs,
+x d/dx and x d/dz of the chart, are computed on the weights directly
+(``euler``, ``x_dz``).
 """
 
 from __future__ import annotations
@@ -40,6 +43,12 @@ NEG_INF = float("-inf")
 # strings of more than 4300 digits.
 MAX_DIGITS = 1000
 HEIGHT = 10**MAX_DIGITS
+
+# Largest power of p a surface keeps (``SurfaceConfig.p_power``).  A product
+# asks for p^m with m at most its y-degree (12 at most on the workloads in
+# bench/); the bound keeps a rare tall power, such as the p^1000 of a parsed
+# (x*y)^1000, from filling the table.
+_P_TABLE_MAX = 32
 
 
 def _frac(v) -> Fraction:
@@ -297,7 +306,7 @@ def bezout(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
 class SurfaceConfig:
     """The defining polynomial p together with derived exact data."""
 
-    __slots__ = ("p", "p_prime", "degree", "gcd_u", "gcd_v", "max_p_power")
+    __slots__ = ("p", "p_prime", "degree", "gcd_u", "gcd_v", "max_p_power", "_p_powers")
 
     def __init__(self, p: UniPoly):
         if p.is_zero():
@@ -326,16 +335,27 @@ class SurfaceConfig:
                 m += 1
                 h *= b
         self.max_p_power = m
+        self._p_powers = [UniPoly.const(1)]  # [p^0, p^1, ...], up to _P_TABLE_MAX
 
     def p_power(self, m: int) -> UniPoly:
         """p^m.  Raises DegreeGate before forming it if a coefficient of it may
-        have more than MAX_DIGITS digits (``m > max_p_power``)."""
+        have more than MAX_DIGITS digits (``m > max_p_power``).
+
+        Powers up to ``_P_TABLE_MAX`` are formed once per surface, one
+        product by p at a time, and kept; callers share the returned
+        UniPoly and must not write into it.  Higher powers are formed on
+        each call and not kept."""
         if self.max_p_power is not None and m > self.max_p_power:
             raise DegreeGate(
                 f"p^{m} may have a coefficient of more than {MAX_DIGITS} digits, "
                 f"over the ceiling MAX_DIGITS = {MAX_DIGITS}"
             )
-        return self.p**m
+        if not 0 <= m <= _P_TABLE_MAX:
+            return self.p**m
+        table = self._p_powers
+        while len(table) <= m:
+            table.append(table[-1] * self.p)
+        return table[m]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SurfaceConfig) and self.p == other.p

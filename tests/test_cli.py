@@ -1,7 +1,10 @@
 """End-to-end CLI checks: output, formats, exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -255,7 +258,7 @@ TALL_SURFACE = "z - " + "9" * (MAX_DIGITS - 1)
 
 # Each case is one above its ceiling, except the iteration bound 0, the
 # superscript digits, which int() refuses, the coefficients that grow past
-# MAX_DIGITS or the print limit, and the rationals outside the RATIONAL
+# MAX_DIGITS or the print limit, and the rationals and integers outside the
 # grammar; the last column is a part of the message.
 CEILINGS = {
     "certify --max-degree": (
@@ -325,6 +328,21 @@ CEILINGS = {
     "Arabic-Indic shear index": (["potential", "SFx(٣)"], "z^3-z", "syntax-error", "integer"),
     "Arabic-Indic H": (["compose", "H(٢)", "id"], "z^2-1", "syntax-error", "rational"),
     "Arabic-Indic surface": (["reduce", "x"], "z^٣ - z", "syntax-error", "integer"),
+    # integer options are '-'? INT too
+    "lnd-check --max-iter 1_0": (
+        ["lnd-check", "SFx(0)", "--max-iter", "1_0"], "z^3-z", "syntax-error", "integer"),
+    "lnd-check --max-iter ٣": (
+        ["lnd-check", "SFx(0)", "--max-iter", "٣"], "z^3-z", "syntax-error", "integer"),
+    "lnd-check --max-iter abc": (
+        ["lnd-check", "SFx(0)", "--max-iter", "abc"], "z^3-z", "syntax-error", "integer"),
+    "lnd-check --max-iter digits": (
+        ["lnd-check", "SFx(0)", "--max-iter", "9" * (MAX_DIGITS + 1)], "z^3-z",
+        "syntax-error", "MAX_DIGITS"),
+    "certify --max-degree ٣": (
+        ["certify", "x", "--shears-only", "--max-degree", "٣"], "z^3-z", "syntax-error",
+        "integer"),
+    "z2-check --max-degree ٣": (
+        ["z2-check", "--max-degree", "٣"], "z^2-1", "syntax-error", "integer"),
 }
 
 
@@ -384,6 +402,31 @@ def test_literal_at_its_ceiling_is_read(capsys, argv, surface, fmt, out):
     code, got, err = run(capsys, *argv, "--surface", surface, "--format", fmt)
     assert (code, err) == (0, "")
     assert (json.loads(got) if fmt == "json" else got) == out
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [
+    pytest.param(["reduce", "x*y"], id="text"),
+    pytest.param(["reduce", "x*y", "--format", "json"], id="json"),
+    pytest.param(["reduce", "x*", "--format", "json"], id="json-error"),
+])
+def test_closed_stdout_exits_2_without_traceback(argv, unbuffered):
+    """The reader of stdout is gone before the CLI writes: a block-buffered
+    stdout fails at the flush, an unbuffered one at the print."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src"), env.get("PYTHONPATH", "")])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "danielewski.cli", *argv, "--surface", "z^3-z"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (run.returncode, run.stderr) == (2, "")
 
 
 def test_readme_lists_every_subcommand():

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from danielewski import (
+    DegreeGate,
     InternalInvariantViolation,
     RepeatedRoot,
     UniPoly,
@@ -21,6 +22,8 @@ from danielewski import (
     make_surface,
 )
 from danielewski.ring import (
+    _P_TABLE_MAX,
+    MAX_DIGITS,
     bezout,
     formal_add,
     formal_mul,
@@ -111,6 +114,36 @@ def test_surface_rejects_zero_and_repeated_roots():
 
 def test_bezout_identity_for_surface(cubic):
     assert cubic.gcd_u * cubic.p + cubic.gcd_v * cubic.p_prime == UniPoly.const(1)
+
+
+@pytest.mark.parametrize("p", [P_QUAD, P_CUBIC, P_QUARTIC2,
+                               upoly({1: Fraction(1, 7), 0: Fraction(1, 2)})],
+                         ids=["z^2-1", "z^3-z", "z^4-z", "z/7+1/2"])
+def test_p_power_table(p):
+    """p_power keeps p^0..p^_P_TABLE_MAX per surface, and the products that
+    share its entries leave them intact."""
+    powers = [UniPoly.const(1)]
+    for _ in range(_P_TABLE_MAX + 3):
+        powers.append(powers[-1] * p)
+    s = make_surface(p)
+    for f, g in ((s.y(5), s.x(3)), (s.y(4), s.y(2)), (s.y(3, 1), s.x(2, 2) + s.y(1))):
+        f * g
+    assert 6 < len(s._p_powers) and s._p_powers == powers[: len(s._p_powers)]
+    order = list(range(_P_TABLE_MAX + 4))
+    random.Random(RNG_SEED).shuffle(order)
+    for m in order:
+        assert s.p_power(m) == powers[m]
+        assert len(s._p_powers) <= _P_TABLE_MAX + 1
+    assert len(s._p_powers) == _P_TABLE_MAX + 1
+
+
+def test_p_power_gate_comes_before_the_table():
+    s = make_surface(upoly({1: 1, 0: -int("9" * (MAX_DIGITS - 1))}))
+    assert s.max_p_power == 1 and s.p_power(1) == s.p
+    stored = len(s._p_powers)
+    with pytest.raises(DegreeGate):
+        s.p_power(s.max_p_power + 1)
+    assert len(s._p_powers) == stored
 
 
 # ---- normal form and evaluation oracle ------------------------------------------
@@ -311,6 +344,18 @@ def test_only_ring_names_the_term_views():
     for path in sorted(src.glob("*.py")):
         if path.name != "ring.py":
             assert not re.search(r"\b(xpart|ypart|zpart)\b", path.read_text()), path.name
+
+
+def test_only_p_power_forms_powers_of_p():
+    """Every power of p goes through SurfaceConfig.p_power and its table."""
+    src = Path(__file__).parents[1] / "src" / "danielewski"
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        if path.name == "ring.py":
+            start = text.index("    def p_power(")
+            end = text.index("\n    def ", start + 1)
+            text = text[:start] + text[end:]
+        assert not re.search(r"\bp\s*\*\*", text), path.name
 
 
 def test_only_ring_names_the_chart():
