@@ -59,8 +59,7 @@ class Symmetry(Record):
             raise InvalidGenerator("symmetry slope must be 1 or -1")
 
     def factor(self, surface: SurfaceConfig) -> Fraction:
-        gamma = UniPoly({1: self.c, 0: self.b})
-        q = surface.p.compose(gamma)
+        q = surface.p.compose(UniPoly({1: self.c, 0: self.b}))
         if q == surface.p:
             return Fraction(1)
         if q == surface.p.scale(-1):
@@ -89,11 +88,9 @@ def _gen_images(surface: SurfaceConfig, g: Generator):
     if isinstance(g, XShear):
         coeffs = {e + 1: UniPoly.const(v) for e, v in g.f.c.items()}
         img_z = SurfacePolynomial(s, {0: UniPoly.var(), **coeffs})
-        # p(img_z) - p(z) has only positive weights, so dividing it by x
-        # lowers each weight by one.
+        # p(img_z) - p(z) has only positive weights, so x divides it
         rest = s.p.eval_generic(img_z, s.const(1)) - s.from_unipoly(s.p)
-        img_y = s.y() + SurfacePolynomial(s, {n - 1: q for n, q in rest.coeffs.items()})
-        return s.x(), img_y, img_z
+        return s.x(), s.y() + rest.div_x(), img_z
     if isinstance(g, YShear):
         _, img_y, img_z = _gen_images(s, XShear(g.f))
         return img_y.swap_xy(), s.y(), img_z.swap_xy()
@@ -113,13 +110,13 @@ def substitute(
     img_y: SurfacePolynomial,
     img_z: SurfacePolynomial,
 ) -> SurfacePolynomial:
-    """e(img_x, img_y, img_z), reduced to normal form."""
-    acc = e.surface.zero()
+    """e(img_x, img_y, img_z), reduced to normal form: the weight-n part
+    u_n q(z) becomes u_n(img) * q(img_z), by Horner's scheme in img_z."""
+    s = e.surface
+    acc = s.zero()
     for n, q in e.coeffs.items():
-        base = (img_x if n > 0 else img_y) ** abs(n) if n else None
-        for j, v in q.c.items():
-            t = img_z**j if base is None else base * img_z**j
-            acc = acc + t.scale(v)
+        base = (img_x if n > 0 else img_y) ** abs(n) if n else s.const(1)
+        acc = acc + q.eval_generic(img_z, base)
     return acc
 
 
@@ -139,15 +136,13 @@ def _rewrite_pair(a: Generator, b: Generator, s: SurfaceConfig):
         return []
     if isinstance(a, Symmetry) and isinstance(b, Symmetry):
         return [Symmetry(b.c * a.c, b.c * a.b + b.b)]
-    # push symmetry / hyperbolic / involution to the right of shears
+    # push symmetry / hyperbolic / involution to the right of shears; a shear
+    # by f(u) conjugated by u -> t*u is the shear by t*f(t*u)
     if isinstance(a, Hyperbolic):
-        lam = a.lam
         if isinstance(b, XShear):
-            scaled = UniPoly({e: v * lam ** (e + 1) for e, v in b.f.c.items()})
-            return [XShear(scaled), a]
+            return [XShear(b.f.compose(UniPoly.monomial(1, a.lam)).scale(a.lam)), a]
         if isinstance(b, YShear):
-            scaled = UniPoly({e: v * lam ** (-(e + 1)) for e, v in b.f.c.items()})
-            return [YShear(scaled), a]
+            return [YShear(b.f.compose(UniPoly.monomial(1, 1 / a.lam)).scale(1 / a.lam)), a]
     if isinstance(a, Involution):
         if isinstance(b, XShear):
             return [YShear(b.f), a]
@@ -162,28 +157,24 @@ def _rewrite_pair(a: Generator, b: Generator, s: SurfaceConfig):
         if isinstance(b, XShear):
             return [XShear(b.f.scale(a.c)), a]
         if isinstance(b, YShear):
-            f = b.f
-            scaled = UniPoly({e: v * a.c * a0 ** (e + 1) for e, v in f.c.items()})
-            return [YShear(scaled), a]
+            return [YShear(b.f.compose(UniPoly.monomial(1, a0)).scale(a.c * a0)), a]
     if isinstance(a, Hyperbolic) and isinstance(b, Symmetry):
         return [b, a]
     return None
 
 
 def normalize_word(surface: SurfaceConfig, word: list) -> list:
+    """Rewrite adjacent pairs until none applies, in one pass: the pairs left
+    of i stay irreducible, since a rewrite at i steps the scan back to i - 1."""
     word = [g for g in word if not _is_identity_gen(g)]
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i + 1 < len(word):
-            r = _rewrite_pair(word[i], word[i + 1], surface)
-            if r is not None:
-                word[i : i + 2] = [g for g in r if not _is_identity_gen(g)]
-                changed = True
-                i = max(i - 1, 0)
-            else:
-                i += 1
+    i = 0
+    while i + 1 < len(word):
+        r = _rewrite_pair(word[i], word[i + 1], surface)
+        if r is None:
+            i += 1
+        else:
+            word[i : i + 2] = [g for g in r if not _is_identity_gen(g)]
+            i = max(i - 1, 0)
     return word
 
 
@@ -196,13 +187,11 @@ class PolynomialAutomorphism:
         self.surface = surface
         self.word = normalize_word(surface, list(word))
         # Pullback along an o ... o a1 is subst_a1 o ... o subst_an.
-        x, y, z = surface.x(), surface.y(), surface.z()
+        images = surface.x(), surface.y(), surface.z()
         for g in reversed(self.word):
-            gx, gy, gz = _gen_images(surface, g)
-            x = substitute(x, gx, gy, gz)
-            y = substitute(y, gx, gy, gz)
-            z = substitute(z, gx, gy, gz)
-        self.img_x, self.img_y, self.img_z = x, y, z
+            gen = _gen_images(surface, g)
+            images = [substitute(e, *gen) for e in images]
+        self.img_x, self.img_y, self.img_z = x, y, z = images
         relation = x * y - substitute(surface.from_unipoly(surface.p), x, y, z)
         if not relation.is_zero():
             raise InternalInvariantViolation("automorphism breaks the surface relation")

@@ -14,7 +14,8 @@ first), calls the handler and prints ``json.dumps(data, sort_keys=True)``
 under --format json, or ``text`` in text mode and whenever ``data`` is
 None (a certificate prints as indented JSON in both formats).  A
 DanielewskiError prints ``{"error": CODE, "message": TEXT}`` on stdout
-under --format json, else ``error [CODE]: TEXT`` on stderr.
+under --format json, else ``error [CODE]: TEXT`` on stderr; under JSON an
+argparse usage error is a ``syntax-error`` too.
 
 This module imports only ``errors``, ``ring`` and ``parsing``; each handler
 imports the library module it calls (``fields``, ``automorphisms``,
@@ -226,7 +227,22 @@ COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _json_requested(argv: list) -> bool:
+    """Whether argv asks for JSON before it is parsed: by its last --format
+    (or an abbreviation argparse takes), else by DANIELEWSKI_FORMAT."""
+    fmt = os.environ.get("DANIELEWSKI_FORMAT")
+    for arg, after in zip(argv, [*argv[1:], None]):
+        opt, eq, value = arg.partition("=")
+        if len(opt) > 2 and "--format".startswith(opt):
+            fmt = value if eq else after
+    return fmt == "json"
+
+
+def _usage_error(message: str):
+    raise ParseError(message)
+
+
+def _build_parser(as_json: bool) -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="danielewski",
         description="Exact computations on the surface x*y = p(z): ring "
@@ -245,6 +261,9 @@ def _build_parser() -> argparse.ArgumentParser:
             default=os.environ.get("DANIELEWSKI_FORMAT", "text"),
             help="output format (default from DANIELEWSKI_FORMAT, else text)",
         )
+    if as_json:  # a usage error is then a syntax-error, printed as any other
+        for parser in (ap, *sp.choices.values()):
+            parser.error = _usage_error
     return ap
 
 
@@ -263,16 +282,17 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    as_json = _json_requested(argv)
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
-    as_json = args.format == "json"
-    try:
+        args = _build_parser(as_json).parse_args(argv)
+        as_json = args.format == "json"
         surface = make_surface(parse_unipoly(args.surface))
         text, data, code = COMMANDS[args.command][1](surface, args)
         print(json.dumps(data, sort_keys=True) if as_json and data is not None else text)
         return code
+    except SystemExit as exc:  # argparse: -h, or a usage error in text mode
+        return 2 if exc.code else 0
     except DanielewskiError as exc:
         if as_json:
             print(json.dumps({"error": exc.code, "message": str(exc)}, sort_keys=True))

@@ -28,6 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement
+from math import prod
 
 from .errors import (
     DegreeGate,
@@ -228,6 +229,14 @@ def verify_certificate(
     return evaluate_potential(surface, expr) == canonical_potential(claimed)
 
 
+def verified(expr: BracketExpression, claimed: SurfacePolynomial, what: str) -> BracketExpression:
+    """``expr`` if ``verify_certificate`` accepts it for ``claimed``, else
+    InternalInvariantViolation: every certificate the library builds is checked here."""
+    if not verify_certificate(claimed.surface, expr, claimed):
+        raise InternalInvariantViolation(f"{what} failed verification")
+    return expr
+
+
 # -- decomposition over shear and hyperbolic generators ----------------------
 
 
@@ -237,7 +246,6 @@ def avdp_decompose(f: SurfacePolynomial) -> BracketExpression:
     Monomials map to generators: x^i z^j (j>=1) to [SF_{i-1}^x, HF_{z^j}],
     pure powers to scaled leaves; constants correspond to the zero field.
     """
-    s = f.surface
     terms = []
     for n in f.weights():
         kind, i = "SFx" if n > 0 else "SFy", abs(n)
@@ -249,10 +257,7 @@ def avdp_decompose(f: SurfacePolynomial) -> BracketExpression:
                 terms.append((-i * v if n > 0 else i * v, Leaf(kind, i - 1)))
             else:
                 terms.append((v, Bracket(Leaf(kind, i - 1), Leaf("HF", poly=UniPoly.monomial(j)))))
-    expr = make_sum(terms)
-    if not verify_certificate(s, expr, f):
-        raise InternalInvariantViolation("decomposition failed verification")
-    return expr
+    return verified(make_sum(terms), f, "decomposition")
 
 
 # -- exact linear solving -----------------------------------------------------
@@ -341,9 +346,7 @@ class SpanningFamily:
         for expr, pot, x_form in chain(seeds, self._towers(current), self._products(current)):
             if not self.echelon.add(_mod_const(pot)):
                 continue
-            got = evaluate_potential(surface, expr)
-            if got != surface.from_unipoly(pot).drop_constant():
-                raise InternalInvariantViolation("spanning-family entry failed verification")
+            verified(expr, surface.from_unipoly(pot), "spanning-family entry")
             self.entries.append(FamilyEntry(expr, pot, x_form))
             self.multipliers[pot.derivative()] = expr
             if len(self.entries) == full:
@@ -390,16 +393,13 @@ class SpanningFamily:
         # and carries the sign (-1)^(k-1).
         s = self.surface
         for k in (1, 2, 3):
-            for combo in combinations_with_replacement(range(len(current)), k):
-                fs = [current[idx][0] for idx in combo]
-                efs = [current[idx][1] for idx in combo]
-                prod = fs[0]
-                for f in fs[1:]:
-                    prod = prod * f
+            for combo in combinations_with_replacement(current, k):
+                fs, efs = zip(*combo)
+                product = prod(fs[1:], start=fs[0])
                 i = 0
                 while True:
                     scale = Fraction(i + 1) ** (k - 1)
-                    pot = (s.p_power(i + 1) * prod).derivative().scale(scale)
+                    pot = (s.p_power(i + 1) * product).derivative().scale(scale)
                     if pot.degree > self.max_deg:
                         break
 
@@ -417,16 +417,21 @@ class SpanningFamily:
 # -- shears-only certification -------------------------------------------------
 
 
+def _memoised(method):
+    """``method`` computed once per arguments, kept in the certifier's ``memo``."""
+    def once(self, *args):
+        key = (method.__name__, *args)
+        if key not in self.memo:
+            self.memo[key] = method(self, *args)
+        return self.memo[key]
+    return once
+
+
 class _Certifier:
     def __init__(self, surface: SurfaceConfig, max_deg: int):
         self.s = surface
         self.family = SpanningFamily(surface, max_deg)
-        # i -> the echelon of x_high's columns and the expressions of its
-        # kept columns
-        self._x_high: dict[int, tuple[Echelon, list[BracketExpression]]] = {}
-        self._x_mono: dict[tuple[int, int], BracketExpression] = {}
-        self._w1: dict[tuple[int, int], BracketExpression] = {}
-        self._w2: dict[tuple[int, int], BracketExpression] = {}
+        self.memo: dict[tuple, object] = {}
 
     def _combination(self, g: UniPoly) -> list[tuple[Fraction, FamilyEntry]]:
         """Weighted family entries whose potentials sum to g modulo constants."""
@@ -455,28 +460,31 @@ class _Certifier:
             )
         return make_sum([(w, _lift(e.x_form, i2)) for w, e in terms])
 
-    # potential exactly x^i * g for i >= deg(p): chains of x-shears over
-    # certified hyperbolic fields give x^i f^(d) for every derivative order
-    # d <= i-1, a triangular family in the degree.
+    # x_high's columns for x^i, as an echelon and the expressions of the kept
+    # ones: chains of x-shears over certified hyperbolic fields give x^i f^(d)
+    # for every derivative order d <= i-1, a triangular family in the degree.
+    @_memoised
+    def x_high_basis(self, i: int) -> tuple[Echelon, list[BracketExpression]]:
+        echelon = Echelon()
+        exprs: list[BracketExpression] = []
+        for f, ef in self.family.multipliers.items():
+            deriv = f
+            d = 0
+            while d <= i - 1:
+                if echelon.add(deriv.c):
+                    inner = Bracket(Leaf("SFx", i - d - 1), ef)
+                    for _ in range(d):
+                        inner = Bracket(Leaf("SFx", 0), inner)
+                    exprs.append(inner)
+                if deriv.is_zero():
+                    break
+                deriv = deriv.derivative()
+                d += 1
+        return echelon, exprs
+
+    # potential exactly x^i * g for i >= deg(p)
     def x_high(self, i: int, g: UniPoly) -> BracketExpression:
-        if i not in self._x_high:
-            echelon = Echelon()
-            exprs: list[BracketExpression] = []
-            for f, ef in self.family.multipliers.items():
-                deriv = f
-                d = 0
-                while d <= i - 1:
-                    if echelon.add(deriv.c):
-                        inner = Bracket(Leaf("SFx", i - d - 1), ef)
-                        for _ in range(d):
-                            inner = Bracket(Leaf("SFx", 0), inner)
-                        exprs.append(inner)
-                    if deriv.is_zero():
-                        break
-                    deriv = deriv.derivative()
-                    d += 1
-            self._x_high[i] = echelon, exprs
-        echelon, exprs = self._x_high[i]
+        echelon, exprs = self.x_high_basis(i)
         sol = echelon.solve(g.c)
         if sol is None:
             raise SearchExhausted(
@@ -485,34 +493,24 @@ class _Certifier:
             )
         return make_sum([(w, e) for w, e in zip(sol, exprs) if w])
 
+    @_memoised
     def x_monomial(self, i: int, j: int) -> BracketExpression:
-        key = (i, j)
-        if key not in self._x_mono:
-            self._x_mono[key] = self.x_part(i, UniPoly.monomial(j))
-        return self._x_mono[key]
+        return self.x_part(i, UniPoly.monomial(j))
 
     # potential exactly x^i p'(z) z^j
+    @_memoised
     def w1(self, i: int, j: int) -> BracketExpression:
-        key = (i, j)
-        if key not in self._w1:
-            u = Bracket(Leaf("SFy", 0), self.x_monomial(i + 1, j))
-            v = self.lifted(
-                (self.s.p * UniPoly.monomial(j)).derivative(), i
-            )
-            self._w1[key] = make_sum([(Fraction(1, i), u), (Fraction(-1, i), v)])
-        return self._w1[key]
+        u = Bracket(Leaf("SFy", 0), self.x_monomial(i + 1, j))
+        v = self.lifted((self.s.p * UniPoly.monomial(j)).derivative(), i)
+        return make_sum([(Fraction(1, i), u), (Fraction(-1, i), v)])
 
     # potential exactly x^i p(z) z^j
+    @_memoised
     def w2(self, i: int, j: int) -> BracketExpression:
-        key = (i, j)
-        if key not in self._w2:
-            u = Bracket(Leaf("SFy", 0), self.x_monomial(i + 1, j + 1))
-            v = self.lifted(
-                (self.s.p * UniPoly.monomial(j + 1)).derivative(), i
-            )
-            w = Fraction(1, i * (j + 1))
-            self._w2[key] = make_sum([(w * (i + 1), v), (-w, u)])
-        return self._w2[key]
+        u = Bracket(Leaf("SFy", 0), self.x_monomial(i + 1, j + 1))
+        v = self.lifted((self.s.p * UniPoly.monomial(j + 1)).derivative(), i)
+        w = Fraction(1, i * (j + 1))
+        return make_sum([(w * (i + 1), v), (-w, u)])
 
     # potential exactly x^i * g, any i >= 1 (downward induction below deg(p)
     # through the Bezout identity 1 = u*p + v*p')
@@ -564,7 +562,6 @@ def certify_shears_only(
     ``max_deg`` defaults to ``default_certify_bound(f)``; a bound above
     MAX_CERTIFY_DEGREE raises DegreeGate.
     """
-    s = f.surface
     verdict = decide(f)
     if not verdict.accepted:
         raise MembershipRejected(
@@ -578,10 +575,7 @@ def certify_shears_only(
             f"degree bound {max_deg} exceeds the ceiling "
             f"MAX_CERTIFY_DEGREE = {MAX_CERTIFY_DEGREE}"
         )
-    expr = _certifier(s, max_deg).certify(f)
-    if not verify_certificate(s, expr, f):
-        raise InternalInvariantViolation("shears-only certificate failed verification")
-    return expr
+    return verified(_certifier(f.surface, max_deg).certify(f), f, "shears-only certificate")
 
 
 def default_certify_bound(f: SurfacePolynomial) -> int:

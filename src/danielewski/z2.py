@@ -30,7 +30,7 @@ from .membership import (
     expression_size,
     fold,
     make_sum,
-    verify_certificate,
+    verified,
 )
 from .records import Record
 from .ring import SurfaceConfig, SurfacePolynomial, UniPoly
@@ -96,9 +96,7 @@ def z2_certificate(target: SurfacePolynomial) -> BracketExpression:
         raise ParityViolation(
             f"z^{i} {'xy'[kind == 'y']}^{j} is sigma-invariant; no certificate exists"
         )
-    expr = make_sum([(v, _cert(i, j, kind))])
-    if not verify_certificate(s, expr, target):
-        raise InternalInvariantViolation("equivariant certificate failed verification")
+    expr = verified(make_sum([(v, _cert(i, j, kind))]), target, "equivariant certificate")
     if not invariant_leaves_only(expr):
         raise InternalInvariantViolation("certificate uses a non-invariant leaf")
     return expr
@@ -128,9 +126,7 @@ def z2_avdp_check(surface: SurfaceConfig, max_deg: int) -> list[Z2ReportRow]:
             f"degree bound {max_deg} is outside 1..MAX_Z2_DEGREE = {MAX_Z2_DEGREE}"
         )
     targets: list[tuple[str, SurfacePolynomial]] = []
-    for total in range(1, max_deg + 1):
-        if total % 2 == 0:
-            continue
+    for total in range(1, max_deg + 1, 2):
         for j in range(total + 1):
             i = total - j
             if j == 0:

@@ -16,6 +16,13 @@ P_QUARTIC = upoly({4: 1, 2: -2, 1: 1, 0: 1})   # z^4 - 2z^2 + z + 1
 P_QUARTIC2 = upoly({4: 1, 1: -1})      # z^4 - z
 
 
+@pytest.fixture(autouse=True)
+def _no_format_from_the_environment(monkeypatch):
+    """The CLI's default format comes from DANIELEWSKI_FORMAT; no test reads
+    the caller's.  A test that wants it sets it with ``monkeypatch``."""
+    monkeypatch.delenv("DANIELEWSKI_FORMAT", raising=False)
+
+
 @pytest.fixture(scope="session")
 def quad():
     return make_surface(P_QUAD)

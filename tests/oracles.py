@@ -5,6 +5,8 @@
 and ``reference_family`` builds the spanning family by generating every
 candidate and picking the pivots with one ``row_reduce``.  The library does
 all three with ``ring.Echelon``, one column at a time.
+``substitute_by_powers`` substitutes into a ring element term by term, with
+one power of the z-image per term, where the library uses Horner's scheme.
 
 The rest check identities of the paper a second way: the group law of a
 shear flow and the Taylor series of conjugation by it, the z-degree of a
@@ -141,6 +143,21 @@ def reference_family(surface, max_deg):
     entries = [cands[k] for k in row_reduce(a, len(pots))]
     multipliers = {pot.derivative(): expr for expr, pot, _ in entries}
     return entries, multipliers, len(cands)
+
+
+# -- substitution ------------------------------------------------------------
+
+
+def substitute_by_powers(e, img_x, img_y, img_z):
+    """e(img_x, img_y, img_z): each term u_n z^j of e becomes
+    u_n(img) * img_z^j, the power formed on its own."""
+    acc = e.surface.zero()
+    for n, q in e.coeffs.items():
+        base = (img_x if n > 0 else img_y) ** abs(n) if n else None
+        for j, v in q.c.items():
+            t = img_z**j if base is None else base * img_z**j
+            acc = acc + t.scale(v)
+    return acc
 
 
 # -- flows of shear fields ---------------------------------------------------

@@ -9,6 +9,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from danielewski import (
     DegreeGate,
@@ -16,6 +18,7 @@ from danielewski import (
     InvalidGenerator,
     Involution,
     PolynomialAutomorphism,
+    SurfacePolynomial,
     Symmetry,
     UniPoly,
     XShear,
@@ -27,14 +30,23 @@ from danielewski import (
     hyperbolic,
     invert,
     lnd_check,
+    make_surface,
     shear_x,
     shear_y,
     volume_factor,
 )
+from danielewski.automorphisms import _rewrite_pair, normalize_word, substitute
 from danielewski.fields import apply_field
 
-from conftest import random_surface_polynomial, upoly
-from oracles import flow_group_law, shear_flow, taylor_flow_identity, taylor_terms, z_x_degree
+from conftest import P_CUBIC, P_QUAD, P_QUARTIC2, random_surface_polynomial, upoly
+from oracles import (
+    flow_group_law,
+    shear_flow,
+    substitute_by_powers,
+    taylor_flow_identity,
+    taylor_terms,
+    z_x_degree,
+)
 
 RNG_SEED = 27182
 
@@ -156,6 +168,39 @@ def test_normalized_word_preserves_action(quad, cubic):
             assert_action_matches(s, phi, word, rng, 4)
 
 
+# each surface with a symmetry other than the identity: z -> -z on z^3 - z
+# (factor -1) and z^2 - 1 (factor 1), z -> 1 - z on z^2 - z (factor 1, b != 0)
+SYMMETRIC = [(make_surface(p), Symmetry(-1, Fraction(b)))
+             for p, b in ((P_CUBIC, 0), (P_QUAD, 0), (upoly({2: 1, 1: -1}), 1))]
+
+_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_shear_polys = st.dictionaries(st.integers(0, 3), _fractions, max_size=3).map(UniPoly)
+
+
+@st.composite
+def _words(draw):
+    surface, sym = draw(st.sampled_from(SYMMETRIC))
+    gen = st.one_of(
+        _shear_polys.map(XShear),
+        _shear_polys.map(YShear),
+        _fractions.filter(bool).map(Hyperbolic),
+        st.just(Involution()),
+        st.just(sym),
+    )
+    return surface, draw(st.lists(gen, max_size=10))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_words())
+def test_normalize_word_is_one_pass_to_irreducible(case):
+    """One pass of normalize_word leaves no adjacent pair that _rewrite_pair
+    rewrites, so normalizing again changes nothing."""
+    surface, word = case
+    nf = normalize_word(surface, list(word))
+    assert all(_rewrite_pair(a, b, surface) is None for a, b in zip(nf, nf[1:]))
+    assert normalize_word(surface, list(nf)) == nf
+
+
 def test_normal_form_shape(quad):
     rng = random.Random(RNG_SEED + 2)
     for _ in range(30):
@@ -209,6 +254,30 @@ def test_apply_auto_is_ring_homomorphism(quad):
         a = random_surface_polynomial(quad, rng, 2, n_terms=3)
         b = random_surface_polynomial(quad, rng, 2, n_terms=3)
         assert apply_auto(psi, a * b) == apply_auto(psi, a) * apply_auto(psi, b)
+
+
+def _gapped_element(surface, rng):
+    """Random element over weights -2..2 of both signs, whose z-coefficients
+    skip exponents."""
+    coeffs = {}
+    for n in rng.sample(range(-2, 3), rng.randint(1, 4)):
+        exps = rng.sample(range(5), rng.randint(1, 3))
+        coeffs[n] = UniPoly({e: Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+                             for e in exps})
+    return SurfacePolynomial(surface, coeffs)
+
+
+@pytest.mark.parametrize("p", [P_CUBIC, P_QUARTIC2], ids=["z^3 - z", "z^4 - z"])
+def test_substitute_matches_term_by_term_powers(p):
+    s = make_surface(p)
+    rng = random.Random(RNG_SEED + 12)
+    for _ in range(8):
+        phi = PolynomialAutomorphism(s, random_word(rng, rng.randint(1, 3),
+                                                    symmetry=p == P_CUBIC))
+        images = (phi.img_x, phi.img_y, phi.img_z)
+        for _ in range(3):
+            e = _gapped_element(s, rng)
+            assert substitute(e, *images) == substitute_by_powers(e, *images)
 
 
 # ---- volume factor ---------------------------------------------------------------

@@ -148,6 +148,51 @@ def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate", "--surface", "z^2-1"]) == 2
 
 
+ARGPARSE_ERRORS = {
+    "missing --surface": (["reduce", "x"], "the following arguments are required: --surface"),
+    "option-like value": (["lnd-check", "SFx(0)", "--max-iter", "-1_0", "--surface", "z^3 - z"],
+                          "argument --max-iter: expected one argument"),
+    "unknown command": (["frobnicate", "--surface", "z^2-1"],
+                        "argument command: invalid choice: 'frobnicate'"),
+}
+
+
+@pytest.mark.parametrize("fmt", [["--format", "json"], ["--format=json"], ["--fo", "json"], "env"],
+                         ids=["--format json", "--format=json", "--fo json", "env"])
+@pytest.mark.parametrize("argv, message", ARGPARSE_ERRORS.values(),
+                         ids=ARGPARSE_ERRORS.keys())
+def test_usage_error_under_json_is_structured(capsys, monkeypatch, argv, message, fmt):
+    if fmt == "env":
+        monkeypatch.setenv("DANIELEWSKI_FORMAT", "json")
+        fmt = []
+    code, out, err = run(capsys, *argv, *fmt)
+    assert code == 2 and err == ""
+    obj = json.loads(out)
+    assert set(obj) == {"error", "message"} and obj["error"] == "syntax-error"
+    assert obj["message"].startswith(message)
+
+
+@pytest.mark.parametrize("env, fmt", [(None, []), ("json", ["--format", "text"])],
+                         ids=["default", "text over env"])
+@pytest.mark.parametrize("argv, message", ARGPARSE_ERRORS.values(),
+                         ids=ARGPARSE_ERRORS.keys())
+def test_usage_error_in_text_mode_is_argparse_usage(capsys, monkeypatch, argv, message,
+                                                    env, fmt):
+    if env:
+        monkeypatch.setenv("DANIELEWSKI_FORMAT", env)
+    code, out, err = run(capsys, *argv, *fmt)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: danielewski") and f"error: {message}" in err
+
+
+def test_format_from_the_environment(capsys, monkeypatch):
+    monkeypatch.setenv("DANIELEWSKI_FORMAT", "json")
+    code, out, _ = run(capsys, "reduce", "x*y", "--surface", "z^2-1")
+    assert code == 0 and json.loads(out) == {"result": "-1 + z^2"}
+    code, out, _ = run(capsys, "reduce", "x*y", "--surface", "z^2-1", "--format", "text")
+    assert code == 0 and out == "-1 + z^2"
+
+
 _LEAF = {"leaf": {"kind": "SFx", "i": 0}}
 
 

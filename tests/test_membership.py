@@ -453,3 +453,11 @@ def test_only_membership_dispatches_on_expression_nodes():
         if path.name != "membership.py":
             text = path.read_text()
             assert not re.search(r"isinstance\([^)]*\b(Leaf|Sum|Bracket)\b", text), path.name
+
+
+def test_one_routine_raises_failed_verification():
+    """Every certificate the library builds is checked by ``verified``: the
+    message it raises is the only "failed verification" in the package."""
+    src = Path(__file__).parents[1] / "src" / "danielewski"
+    count = sum(path.read_text().count("failed verification") for path in src.glob("*.py"))
+    assert count == 1
