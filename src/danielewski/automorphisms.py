@@ -88,9 +88,10 @@ def _gen_images(surface: SurfaceConfig, g: Generator):
     if isinstance(g, XShear):
         coeffs = {e + 1: UniPoly.const(v) for e, v in g.f.c.items()}
         img_z = SurfacePolynomial(s, {0: UniPoly.var(), **coeffs})
-        # p(img_z) - p(z) has only positive weights, so x divides it
+        # p(img_z) - p(z) has only weights >= 1: lowering each by one divides by x
         rest = s.p.eval_generic(img_z, s.const(1)) - s.from_unipoly(s.p)
-        return s.x(), s.y() + rest.div_x(), img_z
+        img_y = s.y() + SurfacePolynomial(s, {n - 1: q for n, q in rest.coeffs.items()})
+        return s.x(), img_y, img_z
     if isinstance(g, YShear):
         _, img_y, img_z = _gen_images(s, XShear(g.f))
         return img_y.swap_xy(), s.y(), img_z.swap_xy()

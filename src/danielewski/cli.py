@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Every subcommand takes --surface "poly in z" and --format text|json (the
-DANIELEWSKI_FORMAT environment variable sets the default).  Exit codes:
+DANIELEWSKI_FORMAT environment variable sets the default; unset or empty
+means text, and any value but text or json is a syntax-error, reported in
+text mode, unless --format is given).  Exit codes:
 0 success/accepted, 1 rejected/false, 2 usage or parse error (a malformed
 certificate file, or a file that cannot be read or written, included) or a
 stdout closed by its reader, 3 internal invariant violation.  A library
@@ -258,7 +260,7 @@ def _build_parser(as_json: bool) -> argparse.ArgumentParser:
         sub.add_argument(
             "--format",
             choices=("text", "json"),
-            default=os.environ.get("DANIELEWSKI_FORMAT", "text"),
+            default=os.environ.get("DANIELEWSKI_FORMAT") or "text",
             help="output format (default from DANIELEWSKI_FORMAT, else text)",
         )
     if as_json:  # a usage error is then a syntax-error, printed as any other
@@ -287,6 +289,8 @@ def _run(argv) -> int:
     try:
         args = _build_parser(as_json).parse_args(argv)
         as_json = args.format == "json"
+        if args.format not in ("text", "json"):  # argparse checks no default
+            raise ParseError(f"DANIELEWSKI_FORMAT must be text or json, not {args.format!r}")
         surface = make_surface(parse_unipoly(args.surface))
         text, data, code = COMMANDS[args.command][1](surface, args)
         print(json.dumps(data, sort_keys=True) if as_json and data is not None else text)

@@ -23,6 +23,9 @@ pure-z part as the z-antiderivative of (imgX)_1.  Theta is volume-preserving
 exactly when H_f = Theta for that f.  No residue check is needed: the
 surface is simply connected, so a closed i_Theta omega is exact, and the f
 above is the only candidate with zero constant term.
+
+The Poisson bracket {f, g} = H_f(g), by the Leibniz rule of ``apply_field``,
+is a potential of [H_f, H_g]; it depends on f and g only modulo constants.
 """
 
 from __future__ import annotations
@@ -132,13 +135,20 @@ def hyperbolic(surface: SurfaceConfig, f: UniPoly) -> AlgebraicVectorField:
     )
 
 
+def _leibniz(
+    f: SurfacePolynomial,
+    img_x: SurfacePolynomial,
+    img_y: SurfacePolynomial,
+    img_z: SurfacePolynomial,
+) -> SurfacePolynomial:
+    """The derivation with these images of x, y, z applied to f, by the
+    Leibniz rule on the normal-form representative."""
+    return f.partial_x() * img_x + f.partial_y() * img_y + f.partial_z() * img_z
+
+
 def apply_field(theta: AlgebraicVectorField, f: SurfacePolynomial) -> SurfacePolynomial:
-    """Theta(f) by the Leibniz rule on the normal-form representative."""
-    return (
-        f.partial_x() * theta.img_x
-        + f.partial_y() * theta.img_y
-        + f.partial_z() * theta.img_z
-    )
+    """Theta(f)."""
+    return _leibniz(f, theta.img_x, theta.img_y, theta.img_z)
 
 
 def bracket(theta: AlgebraicVectorField, psi: AlgebraicVectorField) -> AlgebraicVectorField:
@@ -179,27 +189,22 @@ def potential_of(theta: AlgebraicVectorField) -> SurfacePolynomial:
     return _candidate_potential(theta)
 
 
+def _hamiltonian_images(f: SurfacePolynomial):
+    """The images (D f, -i D i f, -E f) of x, y, z under H_f."""
+    return f.x_dz(), -f.swap_xy().x_dz().swap_xy(), -f.euler()
+
+
 def hamiltonian_of(f: SurfacePolynomial) -> AlgebraicVectorField:
     """The volume-preserving field with potential f (inverse of potential_of)."""
     try:
-        return AlgebraicVectorField(f.x_dz(), -f.swap_xy().x_dz().swap_xy(), -f.euler())
+        return AlgebraicVectorField(*_hamiltonian_images(f))
     except TangencyViolation as exc:
         raise InternalInvariantViolation(f"hamiltonian construction failed: {exc}")
 
 
 def poisson_bracket(f: SurfacePolynomial, g: SurfacePolynomial) -> SurfacePolynomial:
-    """H_f(g), not normalised: (D f * E g - E f * D g) / x.
-
-    In the chart coordinates (x, z), H_f = D f d/dx - E f d/dz while
-    g_x = E g / x and g_z = D g / x; the quotient by x is exact.
-    """
-    return (f.x_dz() * g.euler() - f.euler() * g.x_dz()).div_x()
-
-
-def function_bracket(f: SurfacePolynomial, g: SurfacePolynomial) -> SurfacePolynomial:
-    """Poisson bracket {f, g} = H_f(g) modulo constants: the potential of
-    [H_f, H_g]."""
-    return canonical_potential(poisson_bracket(f, g))
+    """{f, g} = H_f(g), not normalised: a potential of [H_f, H_g]."""
+    return _leibniz(g, *_hamiltonian_images(f))
 
 
 class LndVerdict(Record):

@@ -18,9 +18,10 @@ A value of a bracket expression (its field, its potential, its size, its
 file form) is computed by ``fold``: bottom-up, once per distinct subtree,
 from a value per leaf, per sum and per bracket.  Certificates are verified
 in the Poisson algebra of potentials, through the Lie algebra isomorphism
-[H_f, H_g] = H_{f, g} (``evaluate_potential``): one bracket of potentials
-per bracket node, no field built.  ``evaluate``, which builds every node as
-a field, is kept as the independent oracle.
+[H_f, H_g] = H_{f, g} (``evaluate_potential``): one Poisson bracket
+{f, g} = H_f(g) per bracket node, constants dropped once at the root, no
+field built.  ``evaluate``, which builds every node as a field, is kept as
+the independent oracle.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from .fields import (
     AlgebraicVectorField,
     bracket,
     canonical_potential,
-    function_bracket,
     hyperbolic,
+    poisson_bracket,
     shear_x,
     shear_y,
     zero_field,
@@ -156,7 +157,8 @@ def evaluate_potential(surface: SurfaceConfig, expr: BracketExpression) -> Surfa
 
     Computed in the Poisson algebra of potentials, through the Lie algebra
     isomorphism [H_f, H_g] = H_{f, g}: leaf potentials, sums, and one
-    ``function_bracket`` per bracket node; no field is built.
+    ``poisson_bracket`` per bracket node; no field is built.  A derivation
+    kills constants, so the constant term is dropped once, at the root.
     """
 
     def leaf(e):
@@ -170,7 +172,7 @@ def evaluate_potential(surface: SurfaceConfig, expr: BracketExpression) -> Surfa
     def sum_(terms):
         return sum((v.scale(w) for w, v in terms), surface.zero())
 
-    return fold(expr, leaf, sum_, function_bracket)
+    return canonical_potential(fold(expr, leaf, sum_, poisson_bracket))
 
 
 # The certifier mirrors its cached sub-certificates over and over; the memo
@@ -549,8 +551,8 @@ def _certifier(surface: SurfaceConfig, max_deg: int) -> _Certifier:
 # Ceiling on the degree bound of certify_shears_only, the default bound
 # included.  The family build dominates, above all verifying its entries,
 # whose number and product degrees grow with the bound: certifying x on
-# z^3 - z takes 0.09-0.15 s of CPU at 24 and 0.25 s at 32 (Python 3.11, one
-# core of a shared 2-core VM).
+# z^3 - z takes 0.03-0.05 s of CPU at 24 and 0.06-0.10 s at 32 (Python 3.11,
+# one core of a shared 2-core VM).
 MAX_CERTIFY_DEGREE = 32
 
 

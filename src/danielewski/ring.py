@@ -574,21 +574,6 @@ class SurfacePolynomial:
             for n, q in self.coeffs.items()
         })
 
-    def div_x(self) -> "SurfacePolynomial":
-        """The exact quotient by x: x^n q -> x^(n-1) q for n >= 1 and, since
-        1/x = y/p, y^m q -> y^(m+1) q/p for m = -n >= 0.  Raises
-        InternalInvariantViolation when x does not divide the element, i.e.
-        when p does not divide such a q."""
-        p = self.surface.p
-        c = {}
-        for n, q in self.coeffs.items():
-            if n <= 0:
-                q, rem = poly_divrem(q, p)
-                if not rem.is_zero():
-                    raise InternalInvariantViolation("element is not divisible by x")
-            c[n - 1] = q
-        return self._new(c)
-
     def swap_xy(self) -> "SurfacePolynomial":
         """Image under the involution (x, y, z) -> (y, x, z)."""
         return self._new({-n: q for n, q in self.coeffs.items()})

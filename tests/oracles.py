@@ -7,6 +7,9 @@ candidate and picking the pivots with one ``row_reduce``.  The library does
 all three with ``ring.Echelon``, one column at a time.
 ``substitute_by_powers`` substitutes into a ring element term by term, with
 one power of the z-image per term, where the library uses Horner's scheme.
+``poisson_by_quotient`` computes {f, g} as the chart quotient
+(D f * E g - E f * D g) / x, where the library applies H_f to g by the
+Leibniz rule.
 
 The rest check identities of the paper a second way: the group law of a
 shear flow and the Taylor series of conjugation by it, the z-degree of a
@@ -29,7 +32,7 @@ from danielewski.automorphisms import (
 from danielewski.errors import DegreeGate, InvalidGenerator, MalformedNesting
 from danielewski.fields import bracket, lnd_check
 from danielewski.membership import Bracket, Leaf, evaluate_potential, make_sum
-from danielewski.ring import UniPoly, poly_divrem
+from danielewski.ring import SurfacePolynomial, UniPoly, poly_divrem
 
 
 def row_reduce(rows: list[list[Fraction]], ncols: int) -> list[int]:
@@ -158,6 +161,29 @@ def substitute_by_powers(e, img_x, img_y, img_z):
             t = img_z**j if base is None else base * img_z**j
             acc = acc + t.scale(v)
     return acc
+
+
+# -- the Poisson bracket -------------------------------------------------------
+
+
+def poisson_by_quotient(f, g):
+    """{f, g} = H_f(g) in the chart coordinates (x, z): there H_f = D f d/dx
+    - E f d/dz, while g_x = E g / x and g_z = D g / x, so
+    {f, g} = (D f * E g - E f * D g) / x.
+
+    The quotient by x is taken here: x^n q -> x^(n-1) q for n >= 1 and,
+    since 1/x = y/p, y^m q -> y^(m+1) q/p for m = -n >= 0, where p must
+    divide q exactly.
+    """
+    s = f.surface
+    num = f.x_dz() * g.euler() - f.euler() * g.x_dz()
+    quotient = {}
+    for n, q in num.coeffs.items():
+        if n <= 0:
+            q, rem = poly_divrem(q, s.p)
+            assert rem.is_zero(), f"x does not divide the weight-{n} part"
+        quotient[n - 1] = q
+    return SurfacePolynomial(s, quotient)
 
 
 # -- flows of shear fields ---------------------------------------------------

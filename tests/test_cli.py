@@ -191,6 +191,20 @@ def test_format_from_the_environment(capsys, monkeypatch):
     assert code == 0 and json.loads(out) == {"result": "-1 + z^2"}
     code, out, _ = run(capsys, "reduce", "x*y", "--surface", "z^2-1", "--format", "text")
     assert code == 0 and out == "-1 + z^2"
+    monkeypatch.setenv("DANIELEWSKI_FORMAT", "")  # empty means unset
+    assert run(capsys, "reduce", "x*y", "--surface", "z^2-1") == (0, "-1 + z^2", "")
+
+
+@pytest.mark.parametrize("env", ["xml", "JSON", "json ", "Text"])
+def test_format_from_the_environment_is_checked(capsys, monkeypatch, env):
+    monkeypatch.setenv("DANIELEWSKI_FORMAT", env)
+    code, out, err = run(capsys, "reduce", "x*y", "--surface", "z^2-1")
+    assert code == 2 and out == ""
+    assert err == f"error [syntax-error]: DANIELEWSKI_FORMAT must be text or json, not {env!r}"
+    # an explicit --format wins over the environment
+    for fmt, expected in (("text", "-1 + z^2"), ("json", '{"result": "-1 + z^2"}')):
+        code, out, _ = run(capsys, "reduce", "x*y", "--surface", "z^2-1", "--format", fmt)
+        assert code == 0 and out == expected
 
 
 _LEAF = {"leaf": {"kind": "SFx", "i": 0}}

@@ -8,10 +8,15 @@ independently by integrating the interior-product one-form by hand:
     potential(HF(q))  = antiderivative(q)(z)
 """
 
+import inspect
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from danielewski import (
     AlgebraicVectorField,
@@ -33,9 +38,12 @@ from danielewski import (
     shear_y,
     zero_field,
 )
-from danielewski.fields import apply_field, function_bracket
+from danielewski import fields
+from danielewski.fields import apply_field, poisson_bracket
+from danielewski.ring import SurfacePolynomial
 
-from conftest import P_QUARTIC2, random_surface_polynomial, upoly
+from conftest import P_CUBIC, P_QUAD, P_QUARTIC2, random_surface_polynomial, upoly
+from oracles import poisson_by_quotient
 
 RNG_SEED = 31415
 
@@ -164,9 +172,41 @@ def test_function_bracket_matches_field_bracket(quad):
         for _ in range(8):
             f = canonical_potential(random_surface_polynomial(s, rng, 4))
             g = canonical_potential(random_surface_polynomial(s, rng, 4))
-            lhs = hamiltonian_of(function_bracket(f, g))
+            lhs = hamiltonian_of(poisson_bracket(f, g))
             rhs = bracket(hamiltonian_of(f), hamiltonian_of(g))
             assert lhs == rhs
+
+
+_SURFACES = [make_surface(p) for p in (P_QUAD, P_CUBIC, P_QUARTIC2, upoly({5: 1, 1: -1, 0: 1}))]
+_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_unipolys = st.dictionaries(st.integers(0, 3), _fractions, max_size=3).map(UniPoly)
+
+
+@st.composite
+def _potential_pairs(draw):
+    """Two elements of one surface over weights -3..3, constant terms included."""
+    s = draw(st.sampled_from(_SURFACES))
+    elements = st.dictionaries(st.integers(-3, 3), _unipolys, max_size=4)
+    return SurfacePolynomial(s, draw(elements)), SurfacePolynomial(s, draw(elements))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_potential_pairs())
+def test_poisson_bracket_matches_the_chart_quotient(pair):
+    f, g = pair
+    assert poisson_bracket(f, g) == poisson_by_quotient(f, g)
+
+
+def test_one_leibniz_rule_and_no_division_by_x():
+    src = Path(__file__).parents[1] / "src" / "danielewski"
+    partials = re.compile(r"\.partial_[xyz]\(")
+    in_leibniz = len(partials.findall(inspect.getsource(fields._leibniz)))
+    assert in_leibniz == 3
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        expected = in_leibniz if path.name == "fields.py" else 0
+        assert len(partials.findall(text)) == expected, path.name
+        assert not re.search(r"\b(div_x|function_bracket)\b", text), path.name
 
 
 def test_bracket_table_x_shears_commute(cubic):

@@ -193,18 +193,6 @@ def test_ring_axioms_in_normal_form(cubic):
         assert (a * b) * c == a * (b * c)
 
 
-def test_div_x_inverts_multiplication_by_x(quad, cubic):
-    rng = random.Random(RNG_SEED + 9)
-    for s in (quad, cubic):
-        for _ in range(20):
-            f = random_surface_polynomial(s, rng)
-            assert (s.x() * f).div_x() == f
-        # p divides none of 1, z (pure z) and 1 (the y-coefficient)
-        for g in (s.const(1), s.z(), s.y()):
-            with pytest.raises(InternalInvariantViolation):
-                g.div_x()
-
-
 # ---- charts: {power of x: q(z)} Laurent dicts ---------------------------------
 
 
