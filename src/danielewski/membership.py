@@ -110,8 +110,11 @@ def fold(expr: BracketExpression, leaf, sum_, bracket_):
 
     ``leaf(e)`` is the value of a Leaf, ``sum_(terms)`` that of a Sum from
     its (weight, value) pairs, and ``bracket_(a, b)`` that of a Bracket from
-    the values of its two sides.  Equal subtrees are evaluated once per call;
-    a node that is not a Leaf, Sum or Bracket raises MalformedNesting.
+    the values of its two sides.  Equal subtrees are evaluated once per call,
+    and ``Record`` caches each node's hash, so the memo makes one hash per
+    distinct subtree: the cost grows with the distinct subtrees, not with the
+    expanded tree.  A node that is not a Leaf, Sum or Bracket raises
+    MalformedNesting.
     """
     memo: dict = {}
 
@@ -549,10 +552,10 @@ def _certifier(surface: SurfaceConfig, max_deg: int) -> _Certifier:
 
 
 # Ceiling on the degree bound of certify_shears_only, the default bound
-# included.  The family build dominates, above all verifying its entries,
-# whose number and product degrees grow with the bound: certifying x on
-# z^3 - z takes 0.03-0.05 s of CPU at 24 and 0.06-0.10 s at 32 (Python 3.11,
-# one core of a shared 2-core VM).
+# included.  The family's entries, their number and product degrees grow with
+# the bound: certifying x on z^3 - z takes 0.03-0.05 s of CPU at 24 and
+# 0.07-0.08 s at 32, and x*z on z^5 - z + 1 (a tree of 0.74 M nodes at 24,
+# 0.86 M at 32) 0.19 s and 0.35 s (Python 3.11, one core of a shared 2-core VM).
 MAX_CERTIFY_DEGREE = 32
 
 

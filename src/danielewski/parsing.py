@@ -469,10 +469,17 @@ _TOO_DEEP = f"certificate is nested deeper than MAX_CERT_DEPTH = {MAX_CERT_DEPTH
 
 def cert_from_obj(obj) -> BracketExpression:
     """Inverse of ``cert_to_obj``; raises ParseError on any other shape, and
-    on a node below level MAX_CERT_DEPTH."""
+    on a node below level MAX_CERT_DEPTH.  Equal subtrees are interned as they
+    are built, so the result has one object per distinct subtree."""
     from .membership import Bracket, Leaf, Sum
 
+    interned: dict = {}
+
     def node(obj, depth: int) -> BracketExpression:
+        e = build(obj, depth)
+        return interned.setdefault(e, e)
+
+    def build(obj, depth: int) -> BracketExpression:
         if depth > MAX_CERT_DEPTH:
             raise ParseError(_TOO_DEEP)
         if not isinstance(obj, dict) or len(obj) != 1:

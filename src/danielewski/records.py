@@ -5,6 +5,11 @@ generators) derives from ``Record``, which gives a class whose fields are
 its ``__slots__`` the frozen-dataclass behaviour without importing
 ``dataclasses``: with ``inspect`` and ``ast`` that module holds about
 0.8 MB in every process that loads it.
+
+A record's hash is computed on first use and cached, so hashing a bracket
+expression costs its distinct subtrees, not its expanded tree.  Fields must
+not change after construction (``UniPoly``, whose dict is mutable, by
+convention); pickling and copying rebuild a record from its fields.
 """
 
 from __future__ import annotations
@@ -18,12 +23,13 @@ class Record:
 
     A record is built from its fields by position or by name, then
     ``__post_init__`` runs to validate them.  Records of one class are equal
-    when their fields are; a record hashes and prints by its fields, matches
-    ``case`` class patterns positionally (``__match_args__``), cannot be
-    changed after construction, and pickles and copies by its fields.
+    when their fields are; a record hashes (once, cached in the ``_hash``
+    slot, which is not a field) and prints by its fields, matches ``case``
+    class patterns positionally (``__match_args__``), cannot be changed after
+    construction, and pickles and copies by its fields.
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
     def __init_subclass__(cls):
         names = cls.__slots__
@@ -64,7 +70,12 @@ class Record:
         return self._values(self) == self._values(other)
 
     def __hash__(self):
-        return hash(self._values(self))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self._values(self))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

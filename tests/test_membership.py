@@ -44,10 +44,11 @@ from danielewski.membership import (
     SpanningFamily,
     _Certifier,
     evaluate_potential,
+    fold,
     mirror_expr,
     solve_linear,
 )
-from danielewski.parsing import cert_to_obj, parse_expression, parse_unipoly
+from danielewski.parsing import cert_from_obj, cert_to_obj, parse_expression, parse_unipoly
 from danielewski.ring import Echelon
 from oracles import gauss_jordan_solve, nested_shear_shape, reference_family, row_reduce
 
@@ -253,6 +254,21 @@ def test_shears_only_pure_z_targets(quad):
         assert _shears_only(cert)
 
 
+QUINTIC_AT_24 = ["x*z", "x*z^2", "x*z^3", "x*z^4", "y*z^2"]
+
+
+@pytest.mark.parametrize("target", QUINTIC_AT_24)
+def test_shears_only_on_a_quintic(target):
+    """Shears-only certificates on z^5 - z + 1 at bound 24; their trees have
+    hundreds of thousands of nodes over a few hundred distinct subtrees."""
+    s = make_surface(parse_unipoly("z^5 - z + 1"))
+    f = parse_expression(s, target)
+    cert = certify_shears_only(f, 24)
+    assert verify_certificate(s, cert, f)
+    assert fold(cert, lambda e: e.kind != "HF", lambda terms: all(v for _, v in terms),
+                lambda a, b: a and b)
+
+
 def test_certify_deep_nesting_bounds(cubic):
     # depth-4 random bracket words evaluate to certifiable potentials
     rng = random.Random(RNG_SEED + 4)
@@ -349,6 +365,68 @@ def test_certificates_are_pinned(surface, target, bound, digest):
     f = parse_expression(make_surface(parse_unipoly(surface)), target)
     cert = json.dumps(cert_to_obj(certify_shears_only(f, bound)), sort_keys=True)
     assert hashlib.sha256(cert.encode()).hexdigest() == digest
+
+
+# ---- cost of shared subtrees ------------------------------------------------------------
+
+
+class _CountedPoly(UniPoly):
+    """A UniPoly that counts the calls of its ``__hash__``."""
+
+    __slots__ = ("hashes",)
+
+    def __init__(self, coeffs):
+        super().__init__(coeffs)
+        self.hashes = 0
+
+    def __hash__(self):
+        self.hashes += 1
+        return super().__hash__()
+
+
+def _distinct_nodes(expr) -> list:
+    """The nodes of ``expr``, one per object."""
+    seen: dict = {}
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        if id(e) not in seen:
+            seen[id(e)] = e
+            if isinstance(e, Sum):
+                stack.extend(t for _, t in e.terms)
+            elif isinstance(e, Bracket):
+                stack.extend((e.left, e.right))
+    return list(seen.values())
+
+
+def test_shared_subtrees_cost_their_distinct_count(cubic):
+    """A depth-16 doubling DAG: 17 distinct nodes, 2^17 - 1 as a tree.  Its
+    one leaf polynomial is hashed at most once by every walk over it, and it
+    reads back from its file form as 17 objects."""
+    q = _CountedPoly({1: 1})
+    e = Leaf("HF", poly=q)
+    for _ in range(16):
+        e = Sum(((1, e), (2, e)))
+    claimed = cubic.from_unipoly(q.antiderivative()).scale(3 ** 16)
+    assert verify_certificate(cubic, e, claimed)
+    assert expression_size(e) == 2 ** 17 - 1
+    obj = cert_to_obj(e)
+    assert q.hashes <= 1
+    back = cert_from_obj(obj)
+    assert back == e and verify_certificate(cubic, back, claimed)
+    assert len(_distinct_nodes(back)) == 17
+
+
+@pytest.mark.parametrize("surface", ["z^3 - z", "z^4 - z"])
+def test_certificates_read_back_as_shared_dags(surface):
+    s = make_surface(parse_unipoly(surface))
+    for target in ("x", "x*z^2", "y^2*z", "x^3 + y^2*z"):
+        f = parse_expression(s, target)
+        cert = certify_shears_only(f)
+        back = cert_from_obj(json.loads(json.dumps(cert_to_obj(cert))))
+        assert back == cert and verify_certificate(s, back, f)
+        nodes = _distinct_nodes(back)
+        assert len(nodes) == len(set(nodes)) < expression_size(back)
 
 
 # ---- linear solver -------------------------------------------------------------------
