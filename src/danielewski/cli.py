@@ -57,10 +57,13 @@ def _truth(ok: bool):
     return "true" if ok else "false", {"result": ok}, 0 if ok else 1
 
 
+# A certificate file is this JSON form of ``parsing.certificate_file_obj``.
+_CERT_JSON = {"sort_keys": True, "indent": 2}
+
+
 def _certificate(f, expr) -> str:
     """The certificate file for ``expr`` evaluating to the potential ``f``."""
-    obj = parsing.certificate_file_obj(f.surface, f, expr)
-    return json.dumps(obj, sort_keys=True, indent=2)
+    return json.dumps(parsing.certificate_file_obj(f.surface, f, expr), **_CERT_JSON)
 
 
 def _reduce(s, a):
@@ -124,12 +127,15 @@ def _certify(s, a):
         max_degree = parse_integer(a.max_degree, "--max-degree")
     f = parse_expression(s, a.expr)
     expr = certify_shears_only(f, max_degree) if a.shears_only else avdp_decompose(f)
-    text = _certificate(f, expr)
     if not a.output:
-        return text, None, 0
+        return _certificate(f, expr), None, 0
+    obj = parsing.certificate_file_obj(f.surface, f, expr)
     try:
         with open(a.output, "w") as fh:
-            fh.write(text + "\n")
+            # streamed: the expanded tree is never one string (with an indent,
+            # json.dumps and json.dump use the same encoder, so the bytes agree)
+            json.dump(obj, fh, **_CERT_JSON)
+            fh.write("\n")
     except OSError as exc:
         raise FileError(f"cannot write the certificate: {exc}") from exc
     return f"certificate written to {a.output}", {"written": a.output}, 0

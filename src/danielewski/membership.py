@@ -54,7 +54,7 @@ from .ring import (
     SurfaceConfig,
     SurfacePolynomial,
     UniPoly,
-    poly_divrem,
+    poly_rem_sparse,
 )
 
 # -- bracket expressions ---------------------------------------------------
@@ -216,10 +216,13 @@ class MembershipVerdict(Record):
 
 
 def decide(f: SurfacePolynomial) -> MembershipVerdict:
-    """Accept iff rem(antiderivative(a0), p) has degree <= 1."""
+    """Accept iff rem(antiderivative(a0), p) has degree <= 1.
+
+    The remainder is taken with no quotient (``poly_rem_sparse``), so a
+    sparse a0 of high degree costs its terms times the log of its degree."""
     norm = canonical_potential(f)
     a0 = norm.coeff(0)
-    _, rem = poly_divrem(a0.antiderivative(), f.surface.p)
+    rem = poly_rem_sparse(a0.antiderivative(), f.surface.p)
     return MembershipVerdict(rem.degree <= 1, rem, norm)
 
 

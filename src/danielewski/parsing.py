@@ -18,6 +18,7 @@ first).
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 from fractions import Fraction
@@ -532,13 +533,23 @@ def certificate_file_obj(
 
 
 def load_certificate_file(text: str):
-    """Returns (surface, claimed, expression)."""
+    """Returns (surface, claimed, expression).
+
+    The cyclic garbage collector is paused while the JSON is read: the
+    containers it creates hold no cycles, and on a large file the collector's
+    passes over them took most of the read.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         obj = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an integer over Python's digit limit
         raise ParseError(f"invalid certificate file: {exc}")
     except RecursionError:
         raise ParseError(_TOO_DEEP)
+    finally:
+        if collecting:
+            gc.enable()
     if not isinstance(obj, dict):
         raise ParseError("certificate file must hold a JSON object")
     for key in ("p", "claimed", "certificate"):

@@ -17,14 +17,24 @@ alone, and ``from_chart`` divides the coefficient of x^(-n) by p^n, which
 is exact for every product of surface elements.  Both take p^n from
 ``SurfaceConfig.p_power``, which checks the MAX_DIGITS gate on n before it
 forms anything and keeps the powers up to a small bound per surface, so
-each of them is formed once.  The derivations the field calculus needs,
-x d/dx and x d/dz of the chart, are computed on the weights directly
-(``euler``, ``x_dz``).
+each of them is formed once.
+
+``poly_divrem`` is one pass of long division over one copy of the
+dividend's coefficients, visiting only the exponents present, highest
+first; ``from_chart`` divides by p^n with it, and ``bezout`` takes its
+quotients from it.  ``poly_rem_sparse`` takes a remainder with no quotient,
+by Horner's scheme modulo the divisor, in time that follows the terms
+present and the log of the degree; the membership test takes
+rem(antiderivative(a0), p) with it.
+
+The derivations the field calculus needs, x d/dx and x d/dz of the chart,
+are computed on the weights directly (``euler``, ``x_dz``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import lcm
 
 from .errors import (
@@ -270,21 +280,96 @@ class Echelon:
         return None if v else self._on_kept(weights)
 
 
+def _divide(r: dict, b: dict, q: dict | None = None) -> None:
+    """Long division of the coefficient dict ``r`` by the nonzero ``b``, in
+    place: ``r`` becomes the remainder, and the quotient's terms go into
+    ``q`` when one is given.
+
+    One pass of the classical algorithm (Knuth, TAOCP vol. 2, §4.6.1,
+    Algorithm D): the exponents of ``r`` at or above deg b are taken highest
+    first from a heap, and each quotient term subtracts its shifted multiple
+    of b's lower terms from ``r``.  The cost follows the terms visited, not
+    deg r - deg b, so a sparse dividend of high degree is cheap.
+    """
+    db = max(b)
+    lb = b[db]
+    lower = [(e, v / lb) for e, v in b.items() if e != db]
+    heap = [-e for e in r if e >= db]
+    heapify(heap)
+    while heap:
+        e = -heappop(heap)
+        v = r.pop(e, None)
+        if v is None:  # cancelled, or already taken
+            continue
+        s = e - db
+        if q is not None:
+            q[s] = v / lb
+        for eb, c in lower:
+            k = s + eb
+            w = r.get(k)
+            if w is None:
+                r[k] = -v * c
+                if k >= db:
+                    heappush(heap, -k)
+            else:
+                w -= v * c
+                if w:
+                    r[k] = w
+                else:
+                    del r[k]
+
+
 def poly_divrem(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
-    """Long division: a = q*b + r with deg r < deg b."""
+    """Long division: a = q*b + r with deg r < deg b, over one copy of a's
+    coefficients (``_divide``)."""
     if b.is_zero():
         raise DivisionByZeroPolynomial("polynomial division by zero")
-    q = UniPoly()
-    r = a
-    db = b.degree
-    lb = b.lead()
-    while not r.is_zero() and r.degree >= db:
-        e = int(r.degree - db)
-        v = r.lead() / lb
-        t = UniPoly.monomial(e, v)
-        q = q + t
-        r = r - t * b
+    q, r = UniPoly(), UniPoly()
+    r.c = dict(a.c)
+    _divide(r.c, b.c, q.c)
     return q, r
+
+
+def poly_rem_sparse(a: UniPoly, m: UniPoly) -> UniPoly:
+    """poly_divrem(a, m)[1], with no quotient formed.
+
+    Horner's scheme in Q[z]/(m) over the exponents of a, highest first.
+    A gap below deg m multiplies by z^gap as a shift; a longer one by
+    z^gap mod m, taken by binary powering.  The cost follows terms of a
+    times log(deg a), so a sparse a of very high degree is cheap.
+    """
+    if m.is_zero():
+        raise DivisionByZeroPolynomial("polynomial division by zero")
+    dm = max(m.c)
+    if not dm:
+        return UniPoly()
+
+    def times_z_power(f: UniPoly, n: int) -> UniPoly:
+        """f * z^n mod m."""
+        if n < dm:
+            g = UniPoly()
+            g.c = {e + n: v for e, v in f.c.items()}
+            _divide(g.c, m.c)
+            return g
+        base = UniPoly.var()
+        while n:
+            if n & 1:
+                f = f * base
+                _divide(f.c, m.c)
+            n >>= 1
+            if n:
+                base = base * base
+                _divide(base.c, m.c)
+        return f
+
+    acc = UniPoly()
+    prev = 0
+    for e in sorted(a.c, reverse=True):
+        if prev > e:
+            acc = times_z_power(acc, prev - e)
+        acc = acc + UniPoly.const(a.c[e])
+        prev = e
+    return times_z_power(acc, prev)
 
 
 def bezout(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:

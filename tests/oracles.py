@@ -9,7 +9,9 @@ all three with ``ring.Echelon``, one column at a time.
 one power of the z-image per term, where the library uses Horner's scheme.
 ``poisson_by_quotient`` computes {f, g} as the chart quotient
 (D f * E g - E f * D g) / x, where the library applies H_f to g by the
-Leibniz rule.
+Leibniz rule.  ``divrem_by_products`` divides polynomials one quotient term
+at a time, with one new quotient, product and remainder per term, where the
+library divides in place over one coefficient table.
 
 The rest check identities of the paper a second way: the group law of a
 shear flow and the Taylor series of conjugation by it, the z-degree of a
@@ -29,10 +31,32 @@ from danielewski.automorphisms import (
     apply_auto,
     conjugate_field,
 )
-from danielewski.errors import DegreeGate, InvalidGenerator, MalformedNesting
+from danielewski.errors import (
+    DegreeGate,
+    DivisionByZeroPolynomial,
+    InvalidGenerator,
+    MalformedNesting,
+)
 from danielewski.fields import bracket, lnd_check
 from danielewski.membership import Bracket, Leaf, evaluate_potential, make_sum
 from danielewski.ring import SurfacePolynomial, UniPoly, poly_divrem
+
+
+def divrem_by_products(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
+    """Long division: a = q*b + r with deg r < deg b."""
+    if b.is_zero():
+        raise DivisionByZeroPolynomial("polynomial division by zero")
+    q = UniPoly()
+    r = a
+    db = b.degree
+    lb = b.lead()
+    while not r.is_zero() and r.degree >= db:
+        e = int(r.degree - db)
+        v = r.lead() / lb
+        t = UniPoly.monomial(e, v)
+        q = q + t
+        r = r - t * b
+    return q, r
 
 
 def row_reduce(rows: list[list[Fraction]], ncols: int) -> list[int]:

@@ -3,8 +3,10 @@
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -87,6 +89,45 @@ def test_certify_and_verify(capsys, tmp_path):
     cert.write_text(json.dumps(obj))
     code, out, _ = run(capsys, "verify-cert", str(cert), "--surface", "z^2-1")
     assert code == 1 and out == "false"
+
+
+def test_certificate_file_is_the_stdout_form(capsys, tmp_path):
+    """--output streams the file; its bytes are those certify prints."""
+    argv = ["certify", "x*z^2 + y^2", "--surface", "z^3 - z", "--shears-only"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    cert = tmp_path / "cert.json"
+    assert main(argv + ["--output", str(cert)]) == 0
+    assert cert.read_bytes() == printed.encode()
+    assert '"bracket"' in printed and "\n  " in printed
+
+
+@contextmanager
+def cpu_time_cap(seconds: float):
+    """Raise TimeoutError in the block once this process has spent
+    ``seconds`` more of CPU time."""
+    def expire(signum, frame):
+        raise TimeoutError(f"over {seconds} s of CPU time")
+
+    previous = signal.signal(signal.SIGPROF, expire)
+    signal.setitimer(signal.ITIMER_PROF, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, previous)
+
+
+@pytest.mark.parametrize("argv, out, exit_code", [
+    # one quotient term: the division visits the exponents present
+    (["mul", "y*((z^1000)^1000)^1000", "y"], "y^2*z^1000000000", 0),
+    # rem(z^1000001/1000001, p) by Horner's scheme, with no quotient formed
+    (["decide", "(z^1000)^1000"], "accepted, remainder 1/1000001*z", 0),
+], ids=["mul", "decide"])
+def test_sparse_high_degree_stays_cheap(capsys, argv, out, exit_code):
+    with cpu_time_cap(5):
+        code, text, _ = run(capsys, *argv, "--surface", "z^3 - z")
+    assert (code, text) == (exit_code, out)
 
 
 def test_certify_rejected_input(capsys):

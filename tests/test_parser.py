@@ -1,5 +1,6 @@
 """Grammar round-trips and error reporting for all textual formats."""
 
+import gc
 import json
 import random
 from fractions import Fraction
@@ -189,6 +190,31 @@ def test_certificate_json_roundtrip(quad):
     s2, claimed, expr2 = load_certificate_file(text)
     assert s2.p == quad.p and claimed == f and expr2 == expr
     assert verify_certificate(s2, expr2, claimed)
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_certificate_read_pauses_the_collector(quad, collecting, monkeypatch):
+    """The collector is off during the JSON read and left as it was found,
+    after a read that succeeds and after one that fails."""
+    loads, during = json.loads, []
+
+    def spy(text):
+        during.append(gc.isenabled())
+        return loads(text)
+
+    monkeypatch.setattr(json, "loads", spy)
+    text = json.dumps(certificate_file_obj(quad, quad.x(), Leaf("SFx", 0)))
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        assert load_certificate_file(text)[0].p == quad.p
+        assert gc.isenabled() == collecting
+        with pytest.raises(ParseError):
+            load_certificate_file("{not json")
+        assert gc.isenabled() == collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False, False]
 
 
 def test_certificate_file_errors(quad):

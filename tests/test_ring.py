@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from danielewski import (
     DegreeGate,
+    DivisionByZeroPolynomial,
     InternalInvariantViolation,
     RepeatedRoot,
     UniPoly,
@@ -29,11 +30,13 @@ from danielewski.ring import (
     formal_mul,
     from_chart,
     poly_divrem,
+    poly_rem_sparse,
     reduce,
     to_chart,
 )
 
-from conftest import P_CUBIC, P_QUAD, P_QUARTIC2, random_surface_polynomial, upoly
+from conftest import P_CUBIC, P_QUAD, P_QUARTIC, P_QUARTIC2, random_surface_polynomial, upoly
+from oracles import divrem_by_products
 
 RNG_SEED = 20260826
 
@@ -98,6 +101,87 @@ def test_divrem_and_gcd(a, b):
         assert poly_divrem(a, g)[1].is_zero()
     assert poly_divrem(b, g)[1].is_zero()
     assert u * a + v * b == g
+
+
+# ---- division against the reference, and the sparse remainder --------------------
+
+nonzero = coeff.filter(bool)
+# degree d with a nonzero, mostly non-monic, rational leading coefficient
+divisors = st.builds(
+    lambda low, d, lead: UniPoly({**{e: v for e, v in low.items() if e < d}, d: lead}),
+    st.dictionaries(st.integers(0, 4), coeff, max_size=4),
+    st.integers(0, 5),
+    nonzero,
+)
+SURFACE_PS = st.sampled_from([P_QUAD, P_CUBIC, P_QUARTIC, P_QUARTIC2])
+# exponents up to 10^6, few terms
+sparse = st.dictionaries(st.integers(0, 10**6), nonzero, max_size=4).map(UniPoly)
+
+
+def below(b: UniPoly, terms: dict) -> UniPoly:
+    """The part of ``terms`` below deg b: a valid remainder for b."""
+    return UniPoly({e: v for e, v in terms.items() if e < b.degree})
+
+
+def assert_division(a, b, q, r):
+    assert (q, r) == divrem_by_products(a, b)
+    assert q * b + r == a
+    assert r.degree < b.degree
+
+
+@given(unipolys, divisors)
+def test_divrem_matches_the_reference(a, b):
+    """Any dividend, zero and those below the divisor's degree included, by
+    a non-monic rational divisor."""
+    assert_division(a, b, *poly_divrem(a, b))
+
+
+@given(SURFACE_PS, st.integers(0, 4), unipolys)
+def test_exact_division_by_powers_of_p(p, k, c):
+    a = c * p**k
+    q, r = poly_divrem(a, p**k)
+    assert q == c and r.is_zero()
+    assert_division(a, p**k, q, r)
+
+
+@given(sparse, divisors, st.dictionaries(st.integers(0, 4), coeff))
+def test_sparse_dividend_of_high_degree(c, b, rest):
+    """a = c*b + r with c sparse up to z^(10^6): the division takes one step
+    per term of c, as the reference does."""
+    r = below(b, rest)
+    a = c * b + r
+    q, rem = poly_divrem(a, b)
+    assert q == c and rem == r
+    assert_division(a, b, q, rem)
+
+
+@settings(deadline=None)  # z^e mod p has digits in proportion to e on P_QUARTIC
+@given(sparse, SURFACE_PS, unipolys)
+def test_sparse_remainder_of_high_degree(c, p, rest):
+    r = below(p, rest.c)
+    assert poly_rem_sparse(c * p + r, p) == r
+
+
+@given(unipolys, divisors)
+def test_sparse_remainder_matches_divrem(a, b):
+    assert poly_rem_sparse(a, b) == poly_divrem(a, b)[1]
+
+
+@given(sparse, st.integers(1, 5), st.sampled_from([1, -1]), nonzero)
+def test_sparse_remainder_modulo_a_binomial(a, k, c, lead):
+    """z^e = c^(e // k) z^(e % k) modulo z^k - c for c = +-1: a remainder of a
+    dividend of degree up to 10^6 that no quotient is needed to check."""
+    m = UniPoly({k: lead, 0: -c * lead})
+    expect = UniPoly()
+    for e, v in a.c.items():
+        expect = expect + UniPoly.monomial(e % k, v * c ** (e // k))
+    assert poly_rem_sparse(a, m) == expect
+
+
+def test_division_by_zero_is_refused():
+    for f in (poly_divrem, poly_rem_sparse, divrem_by_products):
+        with pytest.raises(DivisionByZeroPolynomial):
+            f(upoly({1: 1}), UniPoly())
 
 
 # ---- surface construction ------------------------------------------------------
