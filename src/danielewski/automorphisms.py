@@ -138,12 +138,18 @@ def _rewrite_pair(a: Generator, b: Generator, s: SurfaceConfig):
     if isinstance(a, Symmetry) and isinstance(b, Symmetry):
         return [Symmetry(b.c * a.c, b.c * a.b + b.b)]
     # push symmetry / hyperbolic / involution to the right of shears; a shear
-    # by f(u) conjugated by u -> t*u is the shear by t*f(t*u)
-    if isinstance(a, Hyperbolic):
-        if isinstance(b, XShear):
-            return [XShear(b.f.compose(UniPoly.monomial(1, a.lam)).scale(a.lam)), a]
-        if isinstance(b, YShear):
-            return [YShear(b.f.compose(UniPoly.monomial(1, 1 / a.lam)).scale(1 / a.lam)), a]
+    # by f(u) conjugated by u -> t*u, z -> c*z + b is the shear by c*t*f(t*u),
+    # (t, c) = (lam, 1) for H(lam) on an x-shear, (1/lam, 1) on a y-shear, and
+    # (1, c), (a0, c) for Sym(c, b) (y -> a0*y)
+    if isinstance(a, Symmetry):
+        a0 = a.factor(s)  # raises on a non-symmetry, whatever b is
+    if isinstance(a, (Hyperbolic, Symmetry)) and isinstance(b, (XShear, YShear)):
+        on_x = isinstance(b, XShear)
+        if isinstance(a, Hyperbolic):
+            t, c = (a.lam if on_x else 1 / a.lam), 1
+        else:
+            t, c = (1 if on_x else a0), a.c
+        return [type(b)(UniPoly({e: c * t ** (e + 1) * v for e, v in b.f.c.items()})), a]
     if isinstance(a, Involution):
         if isinstance(b, XShear):
             return [YShear(b.f), a]
@@ -153,12 +159,6 @@ def _rewrite_pair(a: Generator, b: Generator, s: SurfaceConfig):
             return [Hyperbolic(1 / b.lam), a]
         if isinstance(b, Symmetry):
             return [b, Hyperbolic(b.factor(s)), a]
-    if isinstance(a, Symmetry):
-        a0 = a.factor(s)
-        if isinstance(b, XShear):
-            return [XShear(b.f.scale(a.c)), a]
-        if isinstance(b, YShear):
-            return [YShear(b.f.compose(UniPoly.monomial(1, a0)).scale(a.c * a0)), a]
     if isinstance(a, Hyperbolic) and isinstance(b, Symmetry):
         return [b, a]
     return None

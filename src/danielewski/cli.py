@@ -13,8 +13,8 @@ Each subcommand is declared once, in ``COMMANDS``: its own argparse
 arguments and a handler ``(surface, args) -> (text, data, exit_code)``.
 ``main`` builds the surface from --surface (so a bad surface is reported
 first), calls the handler and prints ``json.dumps(data, sort_keys=True)``
-under --format json, or ``text`` in text mode and whenever ``data`` is
-None (a certificate prints as indented JSON in both formats).  A
+under --format json, or ``text`` in text mode; a certificate handler
+returns the file's object instead, streamed to stdout in both formats.  A
 DanielewskiError prints ``{"error": CODE, "message": TEXT}`` on stdout
 under --format json, else ``error [CODE]: TEXT`` on stderr; under JSON an
 argparse usage error is a ``syntax-error`` too.
@@ -31,6 +31,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 from . import parsing
 from .errors import DanielewskiError, FileError, ParseError
@@ -57,13 +58,13 @@ def _truth(ok: bool):
     return "true" if ok else "false", {"result": ok}, 0 if ok else 1
 
 
-# A certificate file is this JSON form of ``parsing.certificate_file_obj``.
-_CERT_JSON = {"sort_keys": True, "indent": 2}
-
-
-def _certificate(f, expr) -> str:
-    """The certificate file for ``expr`` evaluating to the potential ``f``."""
-    return json.dumps(parsing.certificate_file_obj(f.surface, f, expr), **_CERT_JSON)
+def _write_certificate(obj: dict, out) -> None:
+    """Write the certificate file of ``obj``: its JSON with sorted keys and an
+    indent of 2, in blocks of encoder chunks (never one string), and a newline."""
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj)
+    while block := "".join(islice(chunks, 4096)):
+        out.write(block)
+    out.write("\n")
 
 
 def _reduce(s, a):
@@ -127,15 +128,12 @@ def _certify(s, a):
         max_degree = parse_integer(a.max_degree, "--max-degree")
     f = parse_expression(s, a.expr)
     expr = certify_shears_only(f, max_degree) if a.shears_only else avdp_decompose(f)
-    if not a.output:
-        return _certificate(f, expr), None, 0
     obj = parsing.certificate_file_obj(f.surface, f, expr)
+    if not a.output:
+        return obj
     try:
         with open(a.output, "w") as fh:
-            # streamed: the expanded tree is never one string (with an indent,
-            # json.dumps and json.dump use the same encoder, so the bytes agree)
-            json.dump(obj, fh, **_CERT_JSON)
-            fh.write("\n")
+            _write_certificate(obj, fh)
     except OSError as exc:
         raise FileError(f"cannot write the certificate: {exc}") from exc
     return f"certificate written to {a.output}", {"written": a.output}, 0
@@ -186,7 +184,7 @@ def _z2_certify(s, a):
     from .z2 import z2_certificate
 
     f = parse_expression(s, a.expr)
-    return _certificate(f, z2_certificate(f)), None, 0
+    return parsing.certificate_file_obj(s, f, z2_certificate(f))
 
 
 def _z2_check(s, a):
@@ -298,8 +296,12 @@ def _run(argv) -> int:
         if args.format not in ("text", "json"):  # argparse checks no default
             raise ParseError(f"DANIELEWSKI_FORMAT must be text or json, not {args.format!r}")
         surface = make_surface(parse_unipoly(args.surface))
-        text, data, code = COMMANDS[args.command][1](surface, args)
-        print(json.dumps(data, sort_keys=True) if as_json and data is not None else text)
+        out = COMMANDS[args.command][1](surface, args)
+        if isinstance(out, dict):  # a certificate file
+            _write_certificate(out, sys.stdout)
+            return 0
+        text, data, code = out
+        print(json.dumps(data, sort_keys=True) if as_json else text)
         return code
     except SystemExit as exc:  # argparse: -h, or a usage error in text mode
         return 2 if exc.code else 0

@@ -209,10 +209,9 @@ def expression_size(expr: BracketExpression) -> int:
 
 
 class MembershipVerdict(Record):
-    __slots__ = ("accepted", "witness_remainder", "normalized_potential")
+    __slots__ = ("accepted", "witness_remainder")
     accepted: bool
     witness_remainder: UniPoly
-    normalized_potential: SurfacePolynomial
 
 
 def decide(f: SurfacePolynomial) -> MembershipVerdict:
@@ -220,10 +219,9 @@ def decide(f: SurfacePolynomial) -> MembershipVerdict:
 
     The remainder is taken with no quotient (``poly_rem_sparse``), so a
     sparse a0 of high degree costs its terms times the log of its degree."""
-    norm = canonical_potential(f)
-    a0 = norm.coeff(0)
+    a0 = canonical_potential(f).coeff(0)
     rem = poly_rem_sparse(a0.antiderivative(), f.surface.p)
-    return MembershipVerdict(rem.degree <= 1, rem, norm)
+    return MembershipVerdict(rem.degree <= 1, rem)
 
 
 def verify_certificate(
@@ -588,7 +586,7 @@ def certify_shears_only(
 
 def default_certify_bound(f: SurfacePolynomial) -> int:
     n = f.surface.degree
-    deg = {k: int(q.degree) for k, q in f.coeffs.items()}
+    deg = {k: q.degree for k, q in f.coeffs.items()}
     deg_z = deg.pop(0, 0)
     deg_mixed = max(deg.values(), default=0)
     return max(4 * n, deg_z + 2 * n, deg_mixed + 3 * n, 12)

@@ -32,11 +32,11 @@ from .ring import (
     SurfaceConfig,
     SurfacePolynomial,
     UniPoly,
-    formal_add,
     formal_mul,
-    formal_scale,
     make_surface,
     reduce,
+    table_add,
+    table_scale,
 )
 
 # The readers and printers of fields, words and certificates import
@@ -216,7 +216,7 @@ def _parse_factor(t: _Tokens) -> dict:
         for _ in range(n):
             acc = _check_height(formal_mul(acc, e), t)
         e = acc
-    return formal_scale(e, sign) if sign < 0 else e
+    return table_scale(e, sign) if sign < 0 else e
 
 
 def _parse_term(t: _Tokens) -> dict:
@@ -234,7 +234,7 @@ def _parse_sum(t: _Tokens) -> dict:
     while t.peek() in ("+", "-"):
         op = t.take()
         rhs = _parse_term(t)
-        e = formal_add(e, formal_scale(rhs, -1) if op == "-" else rhs)
+        e = table_add(e, table_scale(rhs, -1) if op == "-" else rhs)
     return e
 
 

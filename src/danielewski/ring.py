@@ -45,8 +45,6 @@ from .errors import (
     ZeroPolynomial,
 )
 
-NEG_INF = float("-inf")
-
 # Ceiling on the digits of a numerator or denominator: the parser holds its
 # literals, products and power steps to it, and ``SurfaceConfig.p_power``
 # every power of p the library forms, before forming it.  int() refuses
@@ -91,9 +89,17 @@ class UniPoly:
     def var(cls) -> "UniPoly":
         return cls({1: Fraction(1)})
 
+    @staticmethod
+    def _new(c: dict) -> "UniPoly":
+        """The polynomial with the table ``c``, which has no zero values."""
+        r = object.__new__(UniPoly)
+        r.c = c
+        return r
+
     @property
-    def degree(self):
-        return max(self.c) if self.c else NEG_INF
+    def degree(self) -> int:
+        """The largest exponent present; -1 for the zero polynomial."""
+        return max(self.c, default=-1)
 
     def is_zero(self) -> bool:
         return not self.c
@@ -107,21 +113,10 @@ class UniPoly:
         return self.c[max(self.c)]
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        c = dict(self.c)
-        for e, v in other.c.items():
-            w = c.get(e, Fraction(0)) + v
-            if w:
-                c[e] = w
-            else:
-                c.pop(e, None)
-        r = UniPoly()
-        r.c = c
-        return r
+        return UniPoly._new(table_add(self.c, other.c))
 
     def __neg__(self) -> "UniPoly":
-        r = UniPoly()
-        r.c = {e: -v for e, v in self.c.items()}
-        return r
+        return UniPoly._new({e: -v for e, v in self.c.items()})
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         return self + (-other)
@@ -136,15 +131,10 @@ class UniPoly:
                     c[e] = w
                 else:
                     del c[e]
-        r = UniPoly()
-        r.c = c
-        return r
+        return UniPoly._new(c)
 
     def scale(self, v) -> "UniPoly":
-        v = _frac(v)
-        r = UniPoly()
-        r.c = {} if not v else {e: w * v for e, w in self.c.items()}
-        return r
+        return UniPoly._new(table_scale(self.c, v))
 
     def __pow__(self, n: int) -> "UniPoly":
         return power(self, n, UniPoly.const(1))
@@ -193,6 +183,25 @@ class UniPoly:
         return f"UniPoly({self.c!r})"
 
 
+def table_add(f: dict, g: dict) -> dict:
+    """f + g for coefficient tables {key: Fraction} with no zero values (a
+    UniPoly's terms, or a formal polynomial's), as a new such table."""
+    r = dict(f)
+    for k, v in g.items():
+        w = r[k] + v if k in r else v
+        if w:
+            r[k] = w
+        else:
+            r.pop(k, None)
+    return r
+
+
+def table_scale(f: dict, v) -> dict:
+    """The coefficient table ``f`` times the rational ``v``."""
+    v = _frac(v)
+    return {k: w * v for k, w in f.items()} if v else {}
+
+
 def power(base, n: int, one):
     """base**n by binary powering; ``one`` is the unit of base's ring."""
     if n < 0:
@@ -209,14 +218,16 @@ def power(base, n: int, one):
 class Echelon:
     """Exact Gaussian elimination over Q, one column at a time.
 
-    A column is a sparse vector {row: value}.  ``add`` keeps a column iff it
-    is independent of the columns kept so far, so the kept columns are the
-    pivot columns of a column-order Gauss-Jordan elimination.  Each kept
-    column is stored reduced: normalized to 1 at a pivot row where every
-    later stored vector is 0, together with its expression in the kept
-    columns.  ``solve`` then writes a vector in terms of the kept columns by
-    one pass over the stored vectors, so every solve against the same
-    columns reuses one elimination.
+    A column is a sparse vector {row: value}, rows >= 0.  ``add`` keeps a
+    column iff it is independent of the columns kept so far, so the kept
+    columns are the pivot columns of a column-order Gauss-Jordan
+    elimination.  Each kept column is stored reduced: normalized to 1 at a
+    pivot row where every later stored vector is 0, with minus its
+    expression in the kept columns in the rows < 0 (the k-th kept column's
+    weight at row -1 - k).  One pass of ``_reduce`` over the stored vectors
+    thus leaves a residual in the rows >= 0 and, in the rows < 0, the
+    weights on the kept columns of the combination it took, so every solve
+    against the same columns reuses one elimination.
     """
 
     __slots__ = ("columns", "pivots", "_basis")
@@ -224,60 +235,46 @@ class Echelon:
     def __init__(self):
         self.columns = 0  # columns offered
         self.pivots: list[int] = []  # the indices of the kept columns
-        # (pivot row, reduced vector, its weights on the kept columns)
-        self._basis: list[tuple] = []
+        self._basis: list[tuple[int, dict]] = []  # (pivot row, stored vector)
 
-    def _reduce(self, vector: dict) -> tuple[dict, list]:
-        """``vector`` minus its combination of the stored vectors, and the
-        weights of that combination."""
+    def _reduce(self, vector: dict) -> dict:
+        """``vector`` minus its combination of the stored vectors."""
         v = {k: w for k, w in vector.items() if w}
-        weights = []
-        for row, b, _ in self._basis:
+        for row, b in self._basis:
             c = v.get(row)
-            weights.append(c)
-            if c:
+            if c:  # v -= c * b
+                c = -c
                 for k, w in b.items():
-                    u = v.get(k, 0) - c * w
+                    u = v[k] + c * w if k in v else c * w
                     if u:
                         v[k] = u
                     else:
                         del v[k]
-        return v, weights
-
-    def _on_kept(self, weights: list) -> list[Fraction]:
-        """The combination of the stored vectors with ``weights``, as weights
-        on the kept columns."""
-        out = [Fraction(0)] * len(self._basis)
-        for c, (_, _, t) in zip(weights, self._basis):
-            if c:
-                for k, w in enumerate(t):
-                    if w:
-                        out[k] += c * w
-        return out
+        return v
 
     def add(self, column: dict) -> bool:
         """Offer the next column; True iff it is independent of the kept
         columns, and so kept."""
-        index = self.columns
         self.columns += 1
-        v, weights = self._reduce(column)
-        if not v:
+        v = self._reduce(column)
+        row = max(v, default=-1)
+        if row < 0:
             return False
-        row = max(v)
+        v[-1 - len(self._basis)] = Fraction(-1)  # minus the weight 1 of this column
         inv = 1 / v[row]
-        # v = column - sum c_j b_j
-        t = [-w * inv for w in self._on_kept(weights)]
-        t.append(inv)
-        self._basis.append((row, {k: w * inv for k, w in v.items()}, t))
-        self.pivots.append(index)
+        self._basis.append((row, {k: w * inv for k, w in v.items()}))
+        self.pivots.append(self.columns - 1)
         return True
 
     def solve(self, target: dict) -> list[Fraction] | None:
         """The weights w, one per kept column, with sum(w_k * kept_k) = target,
         or None if no combination of the columns gives ``target``.  Such
         weights are unique, since the kept columns are independent."""
-        v, weights = self._reduce(target)
-        return None if v else self._on_kept(weights)
+        v = self._reduce(target)
+        if max(v, default=-1) >= 0:
+            return None
+        zero = Fraction(0)
+        return [v.get(-1 - k, zero) for k in range(len(self._basis))]
 
 
 def _divide(r: dict, b: dict, q: dict | None = None) -> None:
@@ -324,8 +321,7 @@ def poly_divrem(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
     coefficients (``_divide``)."""
     if b.is_zero():
         raise DivisionByZeroPolynomial("polynomial division by zero")
-    q, r = UniPoly(), UniPoly()
-    r.c = dict(a.c)
+    q, r = UniPoly._new({}), UniPoly._new(dict(a.c))
     _divide(r.c, b.c, q.c)
     return q, r
 
@@ -347,8 +343,7 @@ def poly_rem_sparse(a: UniPoly, m: UniPoly) -> UniPoly:
     def times_z_power(f: UniPoly, n: int) -> UniPoly:
         """f * z^n mod m."""
         if n < dm:
-            g = UniPoly()
-            g.c = {e + n: v for e, v in f.c.items()}
+            g = UniPoly._new({e + n: v for e, v in f.c.items()})
             _divide(g.c, m.c)
             return g
         base = UniPoly.var()
@@ -400,7 +395,7 @@ class SurfaceConfig:
             raise ZeroPolynomial("p must have degree >= 1")
         self.p = p
         self.p_prime = p.derivative()
-        self.degree = int(p.degree)
+        self.degree = p.degree
         u, v, g = bezout(p, self.p_prime)
         if g.degree != 0:
             raise RepeatedRoot("p has a repeated root: gcd(p, p') = nontrivial")
@@ -479,18 +474,7 @@ def make_surface(p: UniPoly) -> SurfaceConfig:
 #
 # A formal polynomial is a dict (a, b, c) -> Fraction for the monomial
 # x^a y^b z^c, with no zero values.  Used by the parser, by ``reduce`` and
-# by test oracles.
-
-
-def formal_add(f: dict, g: dict) -> dict:
-    r = dict(f)
-    for k, v in g.items():
-        w = r.get(k, Fraction(0)) + v
-        if w:
-            r[k] = w
-        else:
-            r.pop(k, None)
-    return r
+# by test oracles; ``table_add`` and ``table_scale`` add and scale them.
 
 
 def formal_mul(f: dict, g: dict) -> dict:
@@ -504,11 +488,6 @@ def formal_mul(f: dict, g: dict) -> dict:
             else:
                 del r[k]
     return r
-
-
-def formal_scale(f: dict, v) -> dict:
-    v = _frac(v)
-    return {k: w * v for k, w in f.items()} if v else {}
 
 
 def reduce(surface: SurfaceConfig, raw: dict) -> "SurfacePolynomial":

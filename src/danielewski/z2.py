@@ -110,8 +110,8 @@ class Z2ReportRow(Record):
 
 
 # Ceiling on z2_avdp_check's max_deg.  The targets and their certificates
-# grow quickly with the total degree: the check took 3.3 s at 9 and 7.7 s
-# at 11.
+# grow quickly with the total degree: on z^2 - 1 the check took 0.04 s at 9,
+# 0.09 s at 11 and 1.9 s at 19 (CPU time, Python 3.11, 2.1 GHz Xeon VM).
 MAX_Z2_DEGREE = 11
 
 

@@ -37,6 +37,7 @@ from danielewski import (
 )
 from danielewski.automorphisms import _rewrite_pair, normalize_word, substitute
 from danielewski.fields import apply_field
+from danielewski.parsing import format_word, parse_unipoly, parse_word
 
 from conftest import P_CUBIC, P_QUAD, P_QUARTIC2, random_surface_polynomial, upoly
 from oracles import (
@@ -199,6 +200,55 @@ def test_normalize_word_is_one_pass_to_irreducible(case):
     nf = normalize_word(surface, list(word))
     assert all(_rewrite_pair(a, b, surface) is None for a, b in zip(nf, nf[1:]))
     assert normalize_word(surface, list(nf)) == nf
+
+
+# H and Sym moved right past x- and y-shears: the shear by f(u) becomes the
+# shear by c*t*f(t*u) (automorphisms._rewrite_pair).
+MOVED_PAST_SHEARS = {
+    "z^3 - z": [
+        ("H(2);Dx(x^2 + 1)", "Dx(2 + 8*x^2);H(2)"),
+        ("H(-1/3);Dy(y^3 - 2*y)", "Dy(-18*y + 81*y^3);H(-1/3)"),
+        ("H(3/2);Dx(x);Dy(y^2)", "Dx(9/4*x);Dy(8/27*y^2);H(3/2)"),
+        ("Sym(-1,0);Dx(x^2 + 3)", "Dx(-3 - x^2);Sym(-1, 0)"),
+        ("Sym(-1,0);Dy(y^2 + y + 1)", "Dy(1 - y + y^2);Sym(-1, 0)"),
+        ("Sym(-1,0);H(2);Dy(2*y^3)", "Dy(-1/8*y^3);Sym(-1, 0);H(2)"),
+        ("H(5);Sym(-1,0);Dx(x);Dy(y)", "Dx(-25*x);Dy(-1/25*y);Sym(-1, 0);H(5)"),
+        ("I;Sym(-1,0);Dx(x^2)", "Dy(-y^2);Sym(-1, 0);H(-1);I"),
+    ],
+    "z^2 - 1": [
+        ("H(2);Dy(y^2 - 1/2)", "Dy(-1/4 + 1/8*y^2);H(2)"),
+        ("Sym(-1,0);Dx(x^3 + x)", "Dx(-x - x^3);Sym(-1, 0)"),
+        ("Sym(-1,0);Dy(y^2 + 2*y)", "Dy(-2*y - y^2);Sym(-1, 0)"),
+        ("H(-2);Sym(-1,0);Dy(y);Dx(x^2)", "Dy(-1/4*y);Dx(8*x^2);Sym(-1, 0);H(-2)"),
+        ("Sym(-1,0);I;Dy(y^3)", "Dx(-x^3);Sym(-1, 0);I"),
+    ],
+    "z^2 - z": [  # Sym(-1, 1): z -> 1 - z, so b != 0
+        ("Sym(-1,1);Dx(x^2 + 2)", "Dx(-2 - x^2);Sym(-1, 1)"),
+        ("Sym(-1,1);Dy(3*y^2 - y)", "Dy(y - 3*y^2);Sym(-1, 1)"),
+        ("Sym(-1,1);H(1/2);Dx(x);Dy(y^2)", "Dx(-1/4*x);Dy(-8*y^2);Sym(-1, 1);H(1/2)"),
+        ("H(3);Sym(-1,1);Dy(y + 1)", "Dy(-1/3 - 1/9*y);Sym(-1, 1);H(3)"),
+        ("Dx(x);Sym(-1,1);Dy(y^2);H(2);Dx(x^3)", "Dx(x);Dy(-y^2);Dx(-16*x^3);Sym(-1, 1);H(2)"),
+        ("I;Sym(-1,1);Dx(x^2);Dy(y)", "Dy(-y^2);Dx(-x);Sym(-1, 1);I"),
+        ("Sym(-1,1);Dy(y);Sym(-1,1)", "Dy(-y)"),
+    ],
+}
+
+
+@pytest.mark.parametrize("p, word, normal", [
+    (p, word, normal) for p, cases in MOVED_PAST_SHEARS.items() for word, normal in cases
+])
+def test_moving_past_a_shear_is_pinned(p, word, normal):
+    s = make_surface(parse_unipoly(p))
+    assert format_word(parse_word(s, word)) == normal
+
+
+def test_a_non_symmetry_is_rejected_even_when_merged_away():
+    # the two Sym merge into z -> z, but neither is a symmetry of z^3 - z:
+    # each is checked as it is moved past H
+    s = make_surface(parse_unipoly("z^3 - z"))
+    with pytest.raises(InvalidGenerator) as err:
+        parse_word(s, "Sym(1,5);H(2);Sym(1,-5)")
+    assert str(err.value) == "z -> 1*z + 5 is not a symmetry of p (p(c z + b) != +-p(z))"
 
 
 def test_normal_form_shape(quad):

@@ -102,6 +102,27 @@ def test_certificate_file_is_the_stdout_form(capsys, tmp_path):
     assert '"bracket"' in printed and "\n  " in printed
 
 
+@pytest.mark.parametrize("argv", [
+    ["certify", "x*z^2 + y^2", "--surface", "z^3 - z"],
+    ["certify", "x*z^2 + y^2", "--surface", "z^3 - z", "--shears-only"],
+    ["z2-certify", "x", "--surface", "z^2 - 1"],
+], ids=["certify", "shears-only", "z2-certify"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_certificates_are_streamed(capsys, monkeypatch, argv, fmt):
+    """A certificate is printed by the encoder's chunks, in both formats,
+    never as one string from json.dumps."""
+    def whole_string(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(json, "dumps", whole_string)
+    assert main(argv + ["--format", fmt]) == 0
+    printed = capsys.readouterr().out
+    monkeypatch.undo()
+    obj = json.loads(printed)
+    assert set(obj) == {"p", "claimed", "certificate"}
+    assert printed == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
 @contextmanager
 def cpu_time_cap(seconds: float):
     """Raise TimeoutError in the block once this process has spent

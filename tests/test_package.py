@@ -1,10 +1,12 @@
-"""The package namespace and the modules a command-line process loads.
+"""The package namespace, the modules a command-line process loads, and the
+library's exact arithmetic (no float in its code).
 
 `danielewski/__init__.py` resolves its public names on first use, and
 `danielewski.cli` imports each library module inside the handler that
 calls it, so a cold process compiles only what its subcommand runs.
 """
 
+import ast
 import copy
 import importlib
 import json
@@ -128,3 +130,18 @@ def test_no_module_loads_dataclasses():
         env=ENV, capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "False\n"
+
+
+def test_the_library_has_no_float():
+    """Arithmetic is exact: no module of the library holds a float constant or
+    calls ``float``.  Comments and docstrings are not code, so timings quoted
+    in them do not count."""
+    found = []
+    for path in sorted((ROOT / "src" / "danielewski").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "float"):
+                found.append(f"{path.name}:{node.lineno}: float(...)")
+    assert not found, found

@@ -26,12 +26,12 @@ from danielewski.ring import (
     _P_TABLE_MAX,
     MAX_DIGITS,
     bezout,
-    formal_add,
     formal_mul,
     from_chart,
     poly_divrem,
     poly_rem_sparse,
     reduce,
+    table_add,
     to_chart,
 )
 
@@ -369,7 +369,7 @@ def _random_formal(rng, max_exp, n_terms=5, normal=False):
         a, b, c = (rng.randint(0, max_exp) for _ in range(3))
         if normal:
             a, b = rng.choice(((a, 0), (0, b)))
-        f = formal_add(f, {(a, b, c): Fraction(rng.randint(-9, 9), rng.randint(1, 4))})
+        f = table_add(f, {(a, b, c): Fraction(rng.randint(-9, 9), rng.randint(1, 4))})
     return f
 
 
@@ -378,7 +378,7 @@ def _formal_diff(f, axis):
     for k, v in f.items():
         if k[axis]:
             lower = tuple(e - (n == axis) for n, e in enumerate(k))
-            out = formal_add(out, {lower: v * k[axis]})
+            out = table_add(out, {lower: v * k[axis]})
     return out
 
 
