@@ -41,6 +41,8 @@ class Hyperbolic(Record):
     def __post_init__(self):
         if not self.lam:
             raise InvalidGenerator("hyperbolic parameter must be nonzero")
+        # an int lam would make 1 / lam a float
+        object.__setattr__(self, "lam", Fraction(self.lam))
 
 
 class Involution(Record):

@@ -220,8 +220,8 @@ class LndVerdict(Record):
 
 
 # Ceiling on lnd_check's max_iter.  The iterates grow in degree, so the
-# cost grows faster than the bound: on z^3 - z, HF(z^3 - z + 2) took 0.97 s
-# at 256 and 19 s at 1024 (CPU time, Python 3.11, 2.1 GHz Xeon VM).
+# cost grows faster than the bound: on z^3 - z, HF(z^3 - z + 2) took 0.71 s
+# at 256 and 13 s at 1024 (CPU time, Python 3.11, shared 2-core Xeon VM).
 MAX_LND_ITER = 256
 # The default bound of lnd_check and of the CLI's ``lnd-check --max-iter``.
 DEFAULT_LND_ITER = 64

@@ -253,9 +253,10 @@ def avdp_decompose(f: SurfacePolynomial) -> BracketExpression:
     pure powers to scaled leaves; constants correspond to the zero field.
     """
     terms = []
+    coeffs = f.coeffs
     for n in f.weights():
         kind, i = "SFx" if n > 0 else "SFy", abs(n)
-        for j, v in sorted(f.coeffs[n].c.items()):
+        for j, v in sorted(coeffs[n].c.items()):
             if n == 0:
                 if j >= 1:
                     terms.append((j * v, Leaf("HF", poly=UniPoly.monomial(j - 1))))
@@ -531,8 +532,9 @@ class _Certifier:
 
     def certify(self, f: SurfacePolynomial) -> BracketExpression:
         terms: list = []
+        coeffs = f.coeffs
         for n in f.weights():
-            q = f.coeffs[n]
+            q = coeffs[n]
             if n > 0:
                 terms.append((Fraction(1), self.x_part(n, q)))
             elif n < 0:
@@ -554,9 +556,10 @@ def _certifier(surface: SurfaceConfig, max_deg: int) -> _Certifier:
 
 # Ceiling on the degree bound of certify_shears_only, the default bound
 # included.  The family's entries, their number and product degrees grow with
-# the bound: certifying x on z^3 - z takes 0.03-0.05 s of CPU at 24 and
-# 0.07-0.08 s at 32, and x*z on z^5 - z + 1 (a tree of 0.74 M nodes at 24,
-# 0.86 M at 32) 0.19 s and 0.35 s (Python 3.11, one core of a shared 2-core VM).
+# the bound: certifying x on z^3 - z takes 0.02 s of CPU at 24 and 0.04 s
+# at 32, and x*z on z^5 - z + 1 (a tree of 0.74 M nodes at 24, 0.86 M at 32)
+# 0.08 s and 0.16 s (CPU time of the call in a fresh process, Python 3.11,
+# one core of a shared 2-core Xeon VM).
 MAX_CERTIFY_DEGREE = 32
 
 

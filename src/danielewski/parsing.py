@@ -349,8 +349,9 @@ def format_unipoly(q: UniPoly, var: str = "z") -> str:
 
 def format_surface_polynomial(f: SurfacePolynomial) -> str:
     terms = []
+    coeffs = f.coeffs
     for n in f.weights():
-        q = f.coeffs[n]
+        q = coeffs[n]
         for e in sorted(q.c):
             parts = [_var_power("x" if n > 0 else "y", abs(n))] if n else []
             if e:

@@ -110,8 +110,8 @@ class Z2ReportRow(Record):
 
 
 # Ceiling on z2_avdp_check's max_deg.  The targets and their certificates
-# grow quickly with the total degree: on z^2 - 1 the check took 0.04 s at 9,
-# 0.09 s at 11 and 1.9 s at 19 (CPU time, Python 3.11, 2.1 GHz Xeon VM).
+# grow quickly with the total degree: on z^2 - 1 the check took 0.03 s at 9,
+# 0.07 s at 11 and 1.6 s at 19 (CPU time, Python 3.11, shared 2-core Xeon VM).
 MAX_Z2_DEGREE = 11
 
 

@@ -158,6 +158,25 @@ def test_hyperbolic_rejects_zero():
         Hyperbolic(Fraction(0))
 
 
+@pytest.mark.parametrize("lam", [3, -2])
+def test_an_integer_hyperbolic_parameter_is_exact(cubic, lam):
+    """1 / lam of an int lam would be a float; the generator keeps a Fraction."""
+    f = upoly({0: 1, 1: -2})
+    words = [
+        [Hyperbolic(lam)],
+        [XShear(f), Hyperbolic(lam), YShear(f)],  # H moves past a y-shear by 1/lam
+        [Involution(), Hyperbolic(lam)],  # I moves past H as H(1/lam)
+        [Hyperbolic(lam), XShear(f), Involution(), Hyperbolic(lam)],
+    ]
+    for word in words:
+        exact = [Hyperbolic(Fraction(g.lam)) if isinstance(g, Hyperbolic) else g for g in word]
+        phi, psi = PolynomialAutomorphism(cubic, word), PolynomialAutomorphism(cubic, exact)
+        assert phi == psi
+        assert invert(phi) == invert(psi)
+        assert phi.word == psi.word == normalize_word(cubic, word)
+        assert all(isinstance(g.lam, Fraction) for g in phi.word if isinstance(g, Hyperbolic))
+
+
 def test_normalized_word_preserves_action(quad, cubic):
     rng = random.Random(RNG_SEED + 1)
     for s in (quad, cubic):

@@ -4,6 +4,7 @@ Independent oracle: evaluation at random rational points of the surface,
 parametrized as (x0, p(z0)/x0, z0) with x0 != 0.
 """
 
+import gc
 import random
 import re
 from fractions import Fraction
@@ -18,6 +19,7 @@ from danielewski import (
     DivisionByZeroPolynomial,
     InternalInvariantViolation,
     RepeatedRoot,
+    SurfacePolynomial,
     UniPoly,
     ZeroPolynomial,
     make_surface,
@@ -30,6 +32,7 @@ from danielewski.ring import (
     from_chart,
     poly_divrem,
     poly_rem_sparse,
+    power,
     reduce,
     table_add,
     to_chart,
@@ -327,6 +330,32 @@ def test_negative_power_is_rejected(cubic):
         cubic.x() ** -1
 
 
+class _Counted:
+    """x^n in a ring that logs its products: a squaring when both factors
+    are one object, another product otherwise."""
+
+    def __init__(self, n, log):
+        self.n, self.log = n, log
+
+    def __mul__(self, other):
+        self.log["squarings" if other is self else "products"] += 1
+        return _Counted(self.n + other.n, self.log)
+
+
+def test_power_takes_the_products_of_binary_powering():
+    """No squaring after the last bit and no product by one: n.bit_length() - 1
+    squarings and popcount(n) - 1 other products."""
+    for n in range(65):
+        log = {"squarings": 0, "products": 0}
+        one = _Counted(0, log)
+        result = power(_Counted(1, log), n, one)
+        assert result.n == n and (n or result is one)
+        assert log == {
+            "squarings": max(n.bit_length() - 1, 0),
+            "products": max(n.bit_count() - 1, 0),
+        }, n
+
+
 def test_power_matches_repeated_product(cubic):
     rng = random.Random(RNG_SEED + 5)
     f = random_surface_polynomial(cubic, rng, 3)
@@ -348,6 +377,58 @@ def test_graded_layout_and_term_views(cubic):
     assert f.ypart == {(3, 2): 3}
     assert f.zpart == upoly({0: 1, 1: -1})
     assert cubic.zero().coeffs == {} and cubic.zero().zpart == UniPoly()
+
+
+def assert_term_table(f):
+    """The table is (weight, z-exponent, coefficient) triples, sorted by
+    (weight, z-exponent) with no key twice, each coefficient a nonzero Fraction."""
+    t = f._terms
+    assert type(t) is tuple and len(t) % 3 == 0
+    keys = list(zip(t[0::3], t[1::3]))
+    assert keys == sorted(set(keys))
+    assert all(type(k) is int for key in keys for k in key)
+    assert all(type(c) is Fraction and c for c in t[2::3])
+
+
+SURFACES = st.sampled_from([make_surface(p) for p in (P_QUAD, P_CUBIC, P_QUARTIC)])
+formals = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), nonzero, max_size=5)
+
+
+@settings(deadline=None)
+@given(SURFACES, formals, formals, formals)
+def test_equal_elements_have_equal_tables(s, a, b, c):
+    """Whatever built an element, its value fixes its table and its hash."""
+    fa, fb, fc = reduce(s, a), reduce(s, b), reduce(s, c)
+    ab = formal_mul(a, b)
+    product = reduce(s, ab)
+    for f in (
+        fa * fb,
+        fb * fa,
+        sum((reduce(s, {k: v}) for k, v in reversed(ab.items())), s.zero()),
+        (fa * fb).swap_xy().swap_xy(),
+        SurfacePolynomial(s, product.coeffs),
+        (product + fc) - fc,
+        product + fc.scale(0),
+        -(-product),
+    ):
+        assert f == product and hash(f) == hash(product)
+        assert f._terms == product._terms
+        assert_term_table(f)
+    for f in (fa, fc, product.swap_xy(), fc.partial_x(), fc.partial_y(), fc.partial_z(),
+              fc.euler(), fc.x_dz(), fc.drop_constant(), fa + fc):
+        assert_term_table(f)
+
+
+def test_an_element_holds_one_flat_tuple(cubic):
+    """No dict, UniPoly or cached view lives on an element, before or after
+    its views are read."""
+    f = (cubic.x(2, 1) + cubic.y(3, 2, 3) - cubic.z() + cubic.const(1)) * cubic.y(1)
+    f.coeffs, f.xpart, f.ypart, f.zpart, f.coeff(0), hash(f), f.weights()
+    assert not hasattr(f, "__dict__")
+    held = [r for r in gc.get_referents(f) if r is not cubic and not isinstance(r, type)]
+    assert held == [f._terms] and type(f._terms) is tuple
+    assert all(type(r) in (int, Fraction) for r in gc.get_referents(f._terms))
+    assert_term_table(f)
 
 
 def test_swap_xy_against_point_oracle(quad, cubic):
@@ -416,6 +497,15 @@ def test_only_ring_names_the_term_views():
     for path in sorted(src.glob("*.py")):
         if path.name != "ring.py":
             assert not re.search(r"\b(xpart|ypart|zpart)\b", path.read_text()), path.name
+
+
+def test_only_ring_names_the_term_table():
+    """Other modules read an element through ``coeffs`` and the term views,
+    and build one through the constructors, never through ``_new``."""
+    src = Path(__file__).parents[1] / "src" / "danielewski"
+    for path in sorted(src.glob("*.py")):
+        if path.name != "ring.py":
+            assert not re.search(r"\b(_terms|_triples|_new)\b", path.read_text()), path.name
 
 
 def test_only_p_power_forms_powers_of_p():
