@@ -2,15 +2,15 @@
 
 The coordinate ring Q[x,y,z]/(x*y - p(z)) is represented in a normal form
 graded by weight (x has weight 1, y weight -1, z weight 0), one polynomial
-in z per weight, stored as {weight: q(z)}; volume-preserving algebraic
-vector fields are manipulated through their potentials, and membership of a
-potential in the Lie algebra generated by the standard locally nilpotent
-fields is decided and certified by explicit bracket expressions; words in
-the automorphism generators act on functions and push fields forward.  The
-public names are what the command line runs and what a library user calls;
-identities that the tests check a second way (flows, Taylor series of
-conjugation, the z-degree of shear words, the sigma-grading) live in the
-tests.
+in z per weight, stored as one flat table of terms; volume-preserving
+algebraic vector fields are manipulated through their potentials, and
+membership of a potential in the Lie algebra generated by the standard
+locally nilpotent fields is decided and certified by explicit bracket
+expressions; words in the automorphism generators act on functions and push
+fields forward.  The public names are what the command line runs and what a
+library user calls; identities that the tests check a second way (flows,
+Taylor series of conjugation, the z-degree of shear words, the
+sigma-grading) live in the tests.
 
 The public names below are imported on first use (PEP 562): ``import
 danielewski`` loads no submodule, and ``danielewski.bracket`` loads

@@ -199,9 +199,6 @@ class PolynomialAutomorphism:
         if not relation.is_zero():
             raise InternalInvariantViolation("automorphism breaks the surface relation")
 
-    def is_identity(self) -> bool:
-        return not self.word
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PolynomialAutomorphism)

@@ -159,22 +159,13 @@ def bracket(theta: AlgebraicVectorField, psi: AlgebraicVectorField) -> Algebraic
     )
 
 
-def _candidate_potential(theta: AlgebraicVectorField) -> SurfacePolynomial:
-    """The only f with zero constant term that can have H_f = Theta."""
-    coeffs = {n: q.scale(Fraction(-1, n)) for n, q in theta.img_z.coeffs.items() if n}
-    coeffs[0] = theta.img_x.coeff(1).antiderivative()
-    return SurfacePolynomial(theta.surface, coeffs)
-
-
 def is_volume_preserving(theta: AlgebraicVectorField) -> bool:
-    """True iff Theta = H_f for the candidate potential f.
-
-    Only the x- and z-images are compared: Theta and H_f are both tangent,
-    so x*imgY = p'*imgZ - y*imgX fixes their y-images, and x is not a zero
-    divisor.  That spares the construction of H_f and its tangency check.
-    """
-    f = _candidate_potential(theta)
-    return theta.img_x == f.x_dz() and theta.img_z == -f.euler()
+    """True iff Theta has a potential (``potential_of``)."""
+    try:
+        potential_of(theta)
+    except NotVolumePreserving:
+        return False
+    return True
 
 
 def canonical_potential(f: SurfacePolynomial) -> SurfacePolynomial:
@@ -183,10 +174,19 @@ def canonical_potential(f: SurfacePolynomial) -> SurfacePolynomial:
 
 
 def potential_of(theta: AlgebraicVectorField) -> SurfacePolynomial:
-    """The f with i_Theta omega = df, canonicalized to zero constant term."""
-    if not is_volume_preserving(theta):
+    """The f with i_Theta omega = df, canonicalized to zero constant term.
+
+    Only one f with zero constant term can have H_f = Theta, and only the x-
+    and z-images are compared: Theta and H_f are both tangent, so x*imgY =
+    p'*imgZ - y*imgX fixes their y-images, and x is not a zero divisor.
+    That spares the construction of H_f and its tangency check.
+    """
+    coeffs = {n: q.scale(Fraction(-1, n)) for n, q in theta.img_z.coeffs.items() if n}
+    coeffs[0] = theta.img_x.coeff(1).antiderivative()
+    f = SurfacePolynomial(theta.surface, coeffs)
+    if theta.img_x != f.x_dz() or theta.img_z != -f.euler():
         raise NotVolumePreserving("field has no potential: i_Theta omega is not closed")
-    return _candidate_potential(theta)
+    return f
 
 
 def _hamiltonian_images(f: SurfacePolynomial):

@@ -212,6 +212,9 @@ def _parse_factor(t: _Tokens) -> dict:
         n = _parse_exponent(t)
         k = len(e)
         _check_size(comb(n + k - 1, k - 1) if k else 1, [n * d for d in _degrees(e)], t)
+        # One product per unit, not ring.power: each step's height is gated,
+        # MAX_EXPONENT rests on this count, and binary powering was slower
+        # on powers of small sums ((1 + x + y + z)^20: 0.19 s -> 0.31 s).
         acc = {(0, 0, 0): Fraction(1)}
         for _ in range(n):
             acc = _check_height(formal_mul(acc, e), t)

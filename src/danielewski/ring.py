@@ -28,9 +28,9 @@ each of them is formed once.
 dividend's coefficients, visiting only the exponents present, highest
 first; ``from_chart`` divides by p^n with it, and ``bezout`` takes its
 quotients from it.  ``poly_rem_sparse`` takes a remainder with no quotient,
-by Horner's scheme modulo the divisor, in time that follows the terms
-present and the log of the degree; the membership test takes
-rem(antiderivative(a0), p) with it.
+as ``eval_generic`` at z in Q[z]/(divisor), each gap between exponents one
+product by a ``power`` of z, so the membership test's rem(antiderivative(a0),
+p) costs the terms present times the log of the degree.
 
 The derivations the field calculus needs, x d/dx and x d/dz of the chart,
 are computed on the weights directly (``euler``, ``x_dz``).
@@ -176,17 +176,17 @@ class UniPoly:
     def eval_generic(self, x, one):
         """Evaluate at an element of any commutative ring, by Horner's scheme.
 
-        ``x`` and ``one`` must support ``+``, ``*`` and ``scale``.
+        ``x`` and ``one`` must support ``+``, ``*`` and ``scale``.  Each gap
+        between the exponents present costs one product by x^gap (``power``),
+        so a dense polynomial costs one product per degree and a sparse one
+        its terms times the log of its degree.
         """
         acc = one.scale(0)
-        prev = max(self.c, default=0)
-        for e in sorted(self.c, reverse=True):
-            for _ in range(prev - e):
-                acc = acc * x
+        es = sorted(self.c, reverse=True)
+        for e, below in zip(es, es[1:] + [0]):
             acc = acc + one.scale(self.c[e])
-            prev = e
-        for _ in range(prev):
-            acc = acc * x
+            if e > below:
+                acc = acc * power(x, e - below, one)
         return acc
 
     def __repr__(self):
@@ -349,45 +349,38 @@ def poly_divrem(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
     return q, r
 
 
-def poly_rem_sparse(a: UniPoly, m: UniPoly) -> UniPoly:
-    """poly_divrem(a, m)[1], with no quotient formed.
+class _Residue:
+    """A polynomial modulo the nonzero ``m``, the ring ``poly_rem_sparse``
+    evaluates in.  Products are reduced by m (``_divide``); sums and
+    multiples are not, since those of reduced residues stay reduced."""
 
-    Horner's scheme in Q[z]/(m) over the exponents of a, highest first.
-    A gap below deg m multiplies by z^gap as a shift; a longer one by
-    z^gap mod m, taken by binary powering.  The cost follows terms of a
-    times log(deg a), so a sparse a of very high degree is cheap.
+    __slots__ = ("q", "m")
+
+    def __init__(self, q: UniPoly, m: UniPoly):
+        self.q, self.m = q, m
+
+    def __add__(self, other: "_Residue") -> "_Residue":
+        return _Residue(self.q + other.q, self.m)
+
+    def __mul__(self, other: "_Residue") -> "_Residue":
+        r = self.q * other.q
+        _divide(r.c, self.m.c)
+        return _Residue(r, self.m)
+
+    def scale(self, v) -> "_Residue":
+        return _Residue(self.q.scale(v), self.m)
+
+
+def poly_rem_sparse(a: UniPoly, m: UniPoly) -> UniPoly:
+    """poly_divrem(a, m)[1], with no quotient formed: a evaluated at z in
+    Q[z]/(m) (``eval_generic``), so its cost follows the terms of a times
+    log(deg a), and a sparse a of very high degree is cheap.
     """
     if m.is_zero():
         raise DivisionByZeroPolynomial("polynomial division by zero")
-    dm = max(m.c)
-    if not dm:
+    if not m.degree:
         return UniPoly()
-
-    def times_z_power(f: UniPoly, n: int) -> UniPoly:
-        """f * z^n mod m."""
-        if n < dm:
-            g = UniPoly._new({e + n: v for e, v in f.c.items()})
-            _divide(g.c, m.c)
-            return g
-        base = UniPoly.var()
-        while n:
-            if n & 1:
-                f = f * base
-                _divide(f.c, m.c)
-            n >>= 1
-            if n:
-                base = base * base
-                _divide(base.c, m.c)
-        return f
-
-    acc = UniPoly()
-    prev = 0
-    for e in sorted(a.c, reverse=True):
-        if prev > e:
-            acc = times_z_power(acc, prev - e)
-        acc = acc + UniPoly.const(a.c[e])
-        prev = e
-    return times_z_power(acc, prev)
+    return a.eval_generic(_Residue(UniPoly.var(), m), _Residue(UniPoly.const(1), m)).q
 
 
 def bezout(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
@@ -505,11 +498,14 @@ def formal_mul(f: dict, g: dict) -> dict:
     for (a1, b1, c1), v1 in f.items():
         for (a2, b2, c2), v2 in g.items():
             k = (a1 + a2, b1 + b2, c1 + c2)
-            w = r.get(k, Fraction(0)) + v1 * v2
-            if w:
-                r[k] = w
+            if k in r:
+                w = r[k] + v1 * v2
+                if w:
+                    r[k] = w
+                else:
+                    del r[k]
             else:
-                del r[k]
+                r[k] = v1 * v2
     return r
 
 

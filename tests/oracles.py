@@ -13,10 +13,11 @@ Leibniz rule.  ``divrem_by_products`` divides polynomials one quotient term
 at a time, with one new quotient, product and remainder per term, where the
 library divides in place over one coefficient table.
 
-The rest check identities of the paper a second way: the group law of a
-shear flow and the Taylor series of conjugation by it, the z-degree of a
-word of shears, the shape of a nested shear bracket's potential, and the
-involution sigma of x*y = z^2 - 1.
+``is_identity`` reads whether a word normalized to nothing.  The rest check
+identities of the paper a second way: the group law of a shear flow and the
+Taylor series of conjugation by it, the z-degree of a word of shears, the
+shape of a nested shear bracket's potential, and the involution sigma of
+x*y = z^2 - 1.
 """
 
 from fractions import Fraction
@@ -291,6 +292,11 @@ def taylor_flow_identity(at, kind, psi, terms) -> bool:
 
 
 # -- words of shears and nested shear brackets --------------------------------
+
+
+def is_identity(phi) -> bool:
+    """True iff phi's word normalized away to the empty word."""
+    return not phi.word
 
 
 def z_x_degree(phi) -> int:

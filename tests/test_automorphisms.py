@@ -42,6 +42,7 @@ from danielewski.parsing import format_word, parse_unipoly, parse_word
 from conftest import P_CUBIC, P_QUAD, P_QUARTIC2, random_surface_polynomial, upoly
 from oracles import (
     flow_group_law,
+    is_identity,
     shear_flow,
     substitute_by_powers,
     taylor_flow_identity,
@@ -288,12 +289,12 @@ def test_normal_form_shape(quad):
 
 def test_identity_and_inverse(quad):
     rng = random.Random(RNG_SEED + 3)
-    assert PolynomialAutomorphism(quad, []).is_identity()
+    assert is_identity(PolynomialAutomorphism(quad, []))
     for _ in range(15):
         word = random_word(rng, rng.randint(1, 3))
         phi = PolynomialAutomorphism(quad, word)
-        assert compose(phi, invert(phi)).is_identity()
-        assert compose(invert(phi), phi).is_identity()
+        assert is_identity(compose(phi, invert(phi)))
+        assert is_identity(compose(invert(phi), phi))
 
 
 def test_compose_matches_point_action(cubic):
@@ -438,7 +439,7 @@ def test_z_x_degree_positive(cubic):
             f = upoly({0: rng.choice([-2, -1, 1, 2])})
             word.append(XShear(f) if rng.random() < 0.5 else YShear(f))
         phi = PolynomialAutomorphism(cubic, word)
-        if not phi.is_identity():
+        if not is_identity(phi):
             assert z_x_degree(phi) > 0
 
 

@@ -365,6 +365,49 @@ def test_unusable_file_is_a_structured_error(capsys, tmp_path, argv, error, fmt)
         assert out == "" and err.startswith(f"error [{error}]: ")
 
 
+# Verdicts in both formats: (argv after the subcommand, with {tmp} for a
+# directory that holds a certificate of x on z^3 - z, surface, exit code,
+# text output).  The JSON output is {"result": <whether the text is "true">}.
+VERDICTS = {
+    "volume-preserving": (["is-volume-preserving", "SFy(2)"], "z^3 - z", 0, "true"),
+    "not volume-preserving": (
+        ["is-volume-preserving", "[0; z*(3*z^2 - 1); z*x]"], "z^3 - z", 1, "false"),
+    "certificate of another surface": (
+        ["verify-cert", "{tmp}/cubic.json"], "z^2 - 1", 1, "false (different surface)"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv, surface, exit_code, text", VERDICTS.values(),
+                         ids=VERDICTS.keys())
+def test_verdicts_in_both_formats(capsys, tmp_path, argv, surface, exit_code, text, fmt):
+    assert main(["certify", "x", "--surface", "z^3 - z", "--shears-only",
+                 "--output", str(tmp_path / "cubic.json")]) == 0
+    capsys.readouterr()
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code, out, err = run(capsys, *argv, "--surface", surface, "--format", fmt)
+    assert (code, err) == (exit_code, "")
+    if fmt == "json":
+        assert json.loads(out) == {"result": text == "true"}
+    else:
+        assert out == text
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_exhausted_search_names_its_bound(capsys, fmt):
+    """x on z^5 - z + 1 needs a pure-z potential of degree 17, over the bound."""
+    code, out, err = run(capsys, "certify", "--shears-only", "x", "--surface",
+                         "z^5 - z + 1", "--max-degree", "16", "--format", fmt)
+    if fmt == "json":
+        obj = json.loads(out)
+        assert (code, err, obj["error"]) == (1, "", "search-exhausted")
+        message = obj["message"]
+    else:
+        assert (code, out) == (1, "") and err.startswith("error [search-exhausted]: ")
+        message = err
+    assert "bound 16" in message and "retry with a larger bound" in message
+
+
 def test_certificate_at_the_depth_ceiling_is_read(capsys, tmp_path):
     cert = tmp_path / "deep.json"
     cert.write_text(_bracket_chain(MAX_CERT_DEPTH - 1))

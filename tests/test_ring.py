@@ -366,6 +366,44 @@ def test_power_matches_repeated_product(cubic):
         acc_f, acc_q = acc_f * f, acc_q * q
 
 
+class _Modular:
+    """An integer modulo the prime 2^61 - 1, in a ring that counts its
+    products in ``log[0]``."""
+
+    P = 2**61 - 1
+
+    def __init__(self, v, log):
+        self.v, self.log = v % self.P, log
+
+    def __add__(self, other):
+        return _Modular(self.v + other.v, self.log)
+
+    def __mul__(self, other):
+        self.log[0] += 1
+        return _Modular(self.v * other.v, self.log)
+
+    def scale(self, c):
+        c = Fraction(c)
+        return _Modular(self.v * c.numerator * pow(c.denominator, -1, self.P), self.log)
+
+
+@pytest.mark.parametrize("a", [
+    upoly({10**6: 1, 3: 2, 0: 1}),
+    upoly({10**6: 1, 999_999: -1, 2: 1}),
+    upoly(dict.fromkeys(range(7), 1)),
+], ids=["sparse", "two-high", "dense"])
+def test_eval_generic_powers_each_gap(a):
+    """Horner's scheme takes each gap between exponents as one power, so it
+    makes at most 2 * terms * bit_length(degree) products, and a dense
+    polynomial one per degree."""
+    log = [0]
+    r = a.eval_generic(_Modular(3, log), _Modular(1, log))
+    assert r.v == sum(v * pow(3, e, _Modular.P) for e, v in a.c.items()) % _Modular.P
+    assert log[0] <= 2 * len(a.c) * a.degree.bit_length()
+    if len(a.c) == a.degree + 1:
+        assert log[0] == a.degree
+
+
 # ---- the weight-graded layout ------------------------------------------------------
 
 
