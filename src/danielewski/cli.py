@@ -11,13 +11,15 @@ error exits with its class's ``exit_code``.
 
 Each subcommand is declared once, in ``COMMANDS``: its own argparse
 arguments and a handler ``(surface, args) -> (text, data, exit_code)``.
-``main`` builds the surface from --surface (so a bad surface is reported
-first), calls the handler and prints ``json.dumps(data, sort_keys=True)``
-under --format json, or ``text`` in text mode; a certificate handler
-returns the file's object instead, streamed to stdout in both formats.  A
-DanielewskiError prints ``{"error": CODE, "message": TEXT}`` on stdout
-under --format json, else ``error [CODE]: TEXT`` on stderr; under JSON an
-argparse usage error is a ``syntax-error`` too.
+argparse reads the options in argv order, --surface into the surface and
+an integer by ``parsing.parse_integer``, and reports the first bad one;
+``main`` then calls the handler, which parses the positional arguments, and
+prints ``json.dumps(data, sort_keys=True)`` under --format json, or ``text``
+in text mode; a certificate handler returns the file's object instead,
+streamed to stdout in both formats.  A DanielewskiError prints
+``{"error": CODE, "message": TEXT}`` on stdout under --format json, else
+``error [CODE]: TEXT`` on stderr; under JSON an argparse usage error is a
+``syntax-error`` too.
 
 This module imports only ``errors``, ``ring`` and ``parsing``; each handler
 imports the library module it calls (``fields``, ``automorphisms``,
@@ -103,9 +105,7 @@ def _is_volume_preserving(s, a):
 def _lnd_check(s, a):
     from .fields import DEFAULT_LND_ITER, lnd_check
 
-    max_iter = DEFAULT_LND_ITER
-    if a.max_iter is not None:
-        max_iter = parse_integer(a.max_iter, "--max-iter")
+    max_iter = DEFAULT_LND_ITER if a.max_iter is None else a.max_iter
     v = lnd_check(parse_field(s, a.field), max_iter)
     data = {"nilpotent": v.nilpotent, "degree": v.degree, "bound": v.bound}
     return str(v), data, 0 if v.nilpotent else 1
@@ -123,11 +123,8 @@ def _decide(s, a):
 def _certify(s, a):
     from .membership import avdp_decompose, certify_shears_only
 
-    max_degree = None
-    if a.max_degree is not None:
-        max_degree = parse_integer(a.max_degree, "--max-degree")
     f = parse_expression(s, a.expr)
-    expr = certify_shears_only(f, max_degree) if a.shears_only else avdp_decompose(f)
+    expr = certify_shears_only(f, a.max_degree) if a.shears_only else avdp_decompose(f)
     obj = parsing.certificate_file_obj(f.surface, f, expr)
     if not a.output:
         return obj
@@ -190,7 +187,7 @@ def _z2_certify(s, a):
 def _z2_check(s, a):
     from .z2 import z2_avdp_check
 
-    rows = z2_avdp_check(s, parse_integer(a.max_degree, "--max-degree"))
+    rows = z2_avdp_check(s, a.max_degree)
     text = "\n".join(f"{r.monomial}\tsize {r.size}\t{'ok' if r.verified else 'FAIL'}"
                      for r in rows)
     data = {"rows": [{"monomial": r.monomial, "size": r.size, "verified": r.verified}
@@ -198,12 +195,15 @@ def _z2_check(s, a):
     return text, data, 0 if all(r.verified for r in rows) else 1
 
 
+def _integer(name: str):
+    """The argparse type of the integer option ``name``."""
+    return lambda src: parse_integer(src, name)
+
+
 # name -> ([(argument, add_argument keywords)], handler); the order is the
 # order of the usage line.  --max-iter defaults to None, read by _lnd_check
 # as fields.DEFAULT_LND_ITER, so that building the parser imports no
-# library module.  Integer options are kept as strings here and read by
-# their handler with parsing.parse_integer, so that a malformed one is a
-# syntax-error like any other malformed input.
+# library module.
 COMMANDS = {
     "reduce": ([("expr", {})], _reduce),
     "mul": ([("left", {}), ("right", {})], _mul),
@@ -211,13 +211,13 @@ COMMANDS = {
     "potential": ([("field", {})], _potential),
     "hamiltonian": ([("expr", {})], _hamiltonian),
     "is-volume-preserving": ([("field", {})], _is_volume_preserving),
-    "lnd-check": ([("field", {}), ("--max-iter", {"default": None})],
+    "lnd-check": ([("field", {}), ("--max-iter", {"type": _integer("--max-iter")})],
                   _lnd_check),
     "decide": ([("expr", {})], _decide),
     "certify": ([
         ("expr", {}),
         ("--shears-only", {"action": "store_true"}),
-        ("--max-degree", {"default": None}),
+        ("--max-degree", {"type": _integer("--max-degree")}),
         ("--output", {"default": None, "help": "write the certificate file here"}),
     ], _certify),
     "verify-cert": ([("file", {})], _verify_cert),
@@ -229,7 +229,8 @@ COMMANDS = {
         ("fields", {"nargs": "*", "help": "optional field literals"}),
     ], _flex_check),
     "z2-certify": ([("expr", {})], _z2_certify),
-    "z2-check": ([("--max-degree", {"default": "7"})], _z2_check),
+    "z2-check": ([("--max-degree", {"default": 7, "type": _integer("--max-degree")})],
+                 _z2_check),
 }
 
 
@@ -260,7 +261,8 @@ def _build_parser(as_json: bool) -> argparse.ArgumentParser:
         sub = sp.add_parser(name)
         for arg, kw in arguments:
             sub.add_argument(arg, **kw)
-        sub.add_argument("--surface", required=True, help="defining polynomial p(z)")
+        sub.add_argument("--surface", required=True, help="defining polynomial p(z)",
+                         type=lambda src: make_surface(parse_unipoly(src)))
         sub.add_argument(
             "--format",
             choices=("text", "json"),
@@ -295,8 +297,7 @@ def _run(argv) -> int:
         as_json = args.format == "json"
         if args.format not in ("text", "json"):  # argparse checks no default
             raise ParseError(f"DANIELEWSKI_FORMAT must be text or json, not {args.format!r}")
-        surface = make_surface(parse_unipoly(args.surface))
-        out = COMMANDS[args.command][1](surface, args)
+        out = COMMANDS[args.command][1](args.surface, args)
         if isinstance(out, dict):  # a certificate file
             _write_certificate(out, sys.stdout)
             return 0

@@ -302,17 +302,14 @@ def _mod_const(q: UniPoly) -> dict:
 
 
 class FamilyEntry(Record):
-    __slots__ = ("expr", "potential", "x_form")
-    expr: BracketExpression  # shears-only, potential exactly `potential`
+    __slots__ = ("expr", "potential")
+    expr: BracketExpression  # [SF_i^x, ...], potential exactly `potential`
     potential: UniPoly  # pure-z, constant term included
-    x_form: BracketExpression  # the same potential as +-[SF_i^x, ...], for _lift
 
 
-def _lift(x_form: BracketExpression, i2: int) -> BracketExpression:
+def _lift(expr: Bracket, i2: int) -> Bracket:
     """Raise the index of the outer SF^x by i2: the potential gains x^i2."""
-    if isinstance(x_form, Sum):
-        return make_sum([(w, _lift(t, i2)) for w, t in x_form.terms])
-    return Bracket(Leaf("SFx", x_form.left.i + i2), x_form.right)
+    return Bracket(Leaf("SFx", expr.left.i + i2), expr.right)
 
 
 class SpanningFamily:
@@ -331,10 +328,12 @@ class SpanningFamily:
     constants, of dimension bound + 2 - deg(p) (bound when deg(p) = 1, where
     (p c)' is a constant), so the build stops once it holds that many
     entries; short of that (z^5 - z + 1 at bound 12) it reduces every
-    candidate.  `multipliers` maps each entry's multiplier potential' to its
-    expression (a shears-only expression of the hyperbolic field with that
-    multiplier); a dropped multiplier's derivative chain in `x_high` would
-    likewise be a combination of earlier columns.
+    candidate.  Every entry is a bracket [SF_i^x, ...], a shears-only
+    expression of the hyperbolic field whose multiplier is the entry's
+    potential'.  `lifted` raises its outer index, which multiplies the
+    potential by a power of x, and `x_high` nests it under x-shears; a
+    dropped candidate's derivative chain in `x_high` would likewise be a
+    combination of earlier columns.
     """
 
     def __init__(self, surface: SurfaceConfig, max_deg: int):
@@ -343,19 +342,17 @@ class SpanningFamily:
         self.surface = surface
         self.max_deg = max_deg
         self.entries: list[FamilyEntry] = []
-        self.multipliers: dict[UniPoly, BracketExpression] = {}
         self.echelon = Echelon()  # the entries' potentials modulo constants
         full = max_deg if surface.degree == 1 else max_deg + 2 - surface.degree
         seeds = self._seeds()
         # the non-constant seed potentials have distinct degrees, so they
         # are all pivots: their multipliers seed the closure
-        current = [(pot.derivative(), expr) for expr, pot, _ in seeds if pot.degree > 0]
-        for expr, pot, x_form in chain(seeds, self._towers(current), self._products(current)):
+        current = [(pot.derivative(), expr) for expr, pot in seeds if pot.degree > 0]
+        for expr, pot in chain(seeds, self._towers(current), self._products(current)):
             if not self.echelon.add(_mod_const(pot)):
                 continue
             verified(expr, surface.from_unipoly(pot), "spanning-family entry")
-            self.entries.append(FamilyEntry(expr, pot, x_form))
-            self.multipliers[pot.derivative()] = expr
+            self.entries.append(FamilyEntry(expr, pot))
             if len(self.entries) == full:
                 break
 
@@ -368,12 +365,12 @@ class SpanningFamily:
         i = 0
         while (pot := s.p_power(i) * pp).degree <= self.max_deg:
             e = Bracket(Leaf("SFx", i), Leaf("SFy", i))
-            out.append((e, pot, e))
+            out.append((e, pot))
             i += 1
         pot2 = (p * pp).derivative()
         if pot2.degree <= self.max_deg:
             e = Bracket(Leaf("SFx", 0), Bracket(Leaf("SFx", 0), Leaf("SFy", 1)))
-            out.append((e, pot2, e))
+            out.append((e, pot2))
         return out
 
     def _towers(self, current):
@@ -390,14 +387,13 @@ class SpanningFamily:
                     break
                 tower = Bracket(Leaf("SFy", 0), tower)
                 e = Bracket(Leaf("SFx", c - 1), tower)
-                yield e, pot, e
+                yield e, pot
                 deriv = deriv.derivative()
                 c += 1
 
     def _products(self, current):
-        # [SF_i^y, [E_{f_k}, ... [SF_i^x, E_{f_1}]...]] has potential
-        # (i+1)^(k-1) (p^(i+1) f_1 .. f_k)'; the x-form mirrors the nesting
-        # and carries the sign (-1)^(k-1).
+        # [SF_i^x, [E_{f_k}, ... [SF_i^y, E_{f_1}]...]] has potential
+        # (-1)^(k-1) (i+1)^(k-1) (p^(i+1) f_1 .. f_k)'.
         s = self.surface
         for k in (1, 2, 3):
             for combo in combinations_with_replacement(current, k):
@@ -405,19 +401,14 @@ class SpanningFamily:
                 product = prod(fs[1:], start=fs[0])
                 i = 0
                 while True:
-                    scale = Fraction(i + 1) ** (k - 1)
+                    scale = Fraction(-(i + 1)) ** (k - 1)
                     pot = (s.p_power(i + 1) * product).derivative().scale(scale)
                     if pot.degree > self.max_deg:
                         break
-
-                    def build(outer_kind, inner_kind):
-                        inner = Bracket(Leaf(inner_kind, i), efs[0])
-                        for ef in efs[1:]:
-                            inner = Bracket(ef, inner)
-                        return Bracket(Leaf(outer_kind, i), inner)
-
-                    x_form = make_sum([(Fraction(-1) ** (k - 1), build("SFx", "SFy"))])
-                    yield build("SFy", "SFx"), pot, x_form
+                    inner = Bracket(Leaf("SFy", i), efs[0])
+                    for ef in efs[1:]:
+                        inner = Bracket(ef, inner)
+                    yield Bracket(Leaf("SFx", i), inner), pot
                     i += 1
 
 
@@ -465,7 +456,7 @@ class _Certifier:
             raise InternalInvariantViolation(
                 "mixed-term lift has a constant discrepancy"
             )
-        return make_sum([(w, _lift(e.x_form, i2)) for w, e in terms])
+        return make_sum([(w, _lift(e.expr, i2)) for w, e in terms])
 
     # x_high's columns for x^i, as an echelon and the expressions of the kept
     # ones: chains of x-shears over certified hyperbolic fields give x^i f^(d)
@@ -474,12 +465,12 @@ class _Certifier:
     def x_high_basis(self, i: int) -> tuple[Echelon, list[BracketExpression]]:
         echelon = Echelon()
         exprs: list[BracketExpression] = []
-        for f, ef in self.family.multipliers.items():
-            deriv = f
+        for entry in self.family.entries:
+            deriv = entry.potential.derivative()
             d = 0
             while d <= i - 1:
                 if echelon.add(deriv.c):
-                    inner = Bracket(Leaf("SFx", i - d - 1), ef)
+                    inner = Bracket(Leaf("SFx", i - d - 1), entry.expr)
                     for _ in range(d):
                         inner = Bracket(Leaf("SFx", 0), inner)
                     exprs.append(inner)

@@ -384,7 +384,7 @@ def poly_rem_sparse(a: UniPoly, m: UniPoly) -> UniPoly:
 
 
 def bezout(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
-    """Extended Euclid: u*a + v*b = g = gcd(a, b), g monic."""
+    """Extended Euclid: u*a + v*b = g = gcd(a, b), g monic; a and b not both 0."""
     r0, r1 = a, b
     u0, u1 = UniPoly.const(1), UniPoly()
     v0, v1 = UniPoly(), UniPoly.const(1)
@@ -393,8 +393,6 @@ def bezout(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
         r0, r1 = r1, r
         u0, u1 = u1, u0 - q * u1
         v0, v1 = v1, v0 - q * v1
-    if r0.is_zero():
-        return u0, v0, r0
     s = 1 / r0.lead()
     return u0.scale(s), v0.scale(s), r0.scale(s)
 
@@ -744,8 +742,6 @@ def from_chart(surface: SurfaceConfig, c: dict) -> SurfacePolynomial:
     """
     coeffs: dict = {}
     for k, q in c.items():
-        if q.is_zero():
-            continue
         if k < 0:
             q, rem = poly_divrem(q, surface.p_power(-k))
             if not rem.is_zero():
@@ -761,8 +757,6 @@ def constant_quotient(num: SurfacePolynomial, den: SurfacePolynomial) -> Fractio
     """The constant J with num = J * den; InternalInvariantViolation otherwise."""
     if den.is_zero():
         raise InternalInvariantViolation("constant quotient by zero")
-    if num.is_zero():
-        return Fraction(0)
     k, e, v = den._terms[-3:]  # the last term of den
     j = num.coeff(k).coeff(e) / v
     if not (num - den.scale(j)).is_zero():

@@ -39,7 +39,7 @@ from danielewski.errors import (
     MalformedNesting,
 )
 from danielewski.fields import bracket, lnd_check
-from danielewski.membership import Bracket, Leaf, evaluate_potential, make_sum
+from danielewski.membership import Bracket, Leaf, evaluate_potential
 from danielewski.ring import SurfacePolynomial, UniPoly, poly_divrem
 
 
@@ -107,19 +107,17 @@ def gauss_jordan_solve(columns, target, mod_const=False):
 
 
 def family_candidates(surface, max_deg) -> list:
-    """Every spanning-family candidate (expr, potential, x-form), in order."""
+    """Every spanning-family candidate (expr, potential), in order."""
     p, pp = surface.p, surface.p_prime
     seeds = []
     i = 0
     while (pot := p**i * pp).degree <= max_deg:
-        e = Bracket(Leaf("SFx", i), Leaf("SFy", i))
-        seeds.append((e, pot, e))
+        seeds.append((Bracket(Leaf("SFx", i), Leaf("SFy", i)), pot))
         i += 1
     pot2 = (p * pp).derivative()
     if pot2.degree <= max_deg:
-        e = Bracket(Leaf("SFx", 0), Bracket(Leaf("SFx", 0), Leaf("SFy", 1)))
-        seeds.append((e, pot2, e))
-    current = [(pot.derivative(), expr) for expr, pot, _ in seeds if pot.degree > 0]
+        seeds.append((Bracket(Leaf("SFx", 0), Bracket(Leaf("SFx", 0), Leaf("SFy", 1))), pot2))
+    current = [(pot.derivative(), expr) for expr, pot in seeds if pot.degree > 0]
 
     towers = []
     for f, ef in current:
@@ -129,11 +127,12 @@ def family_candidates(surface, max_deg) -> list:
             if pot.degree > max_deg:
                 break
             tower = Bracket(Leaf("SFy", 0), tower)
-            e = Bracket(Leaf("SFx", c - 1), tower)
-            towers.append((e, pot, e))
+            towers.append((Bracket(Leaf("SFx", c - 1), tower), pot))
             deriv = deriv.derivative()
             c += 1
 
+    # [SF_i^x, [E_{f_k}, ... [SF_i^y, E_{f_1}]...]] has potential
+    # (-1)^(k-1) (i+1)^(k-1) (p^(i+1) f_1 .. f_k)'
     products = []
     for k in (1, 2, 3):
         for combo in combinations_with_replacement(range(len(current)), k):
@@ -144,33 +143,25 @@ def family_candidates(surface, max_deg) -> list:
                 prod = prod * f
             i = 0
             while True:
-                pot = (p ** (i + 1) * prod).derivative().scale(Fraction(i + 1) ** (k - 1))
+                pot = (p ** (i + 1) * prod).derivative().scale(Fraction(-(i + 1)) ** (k - 1))
                 if pot.degree > max_deg:
                     break
-
-                def build(outer_kind, inner_kind):
-                    inner = Bracket(Leaf(inner_kind, i), efs[0])
-                    for ef in efs[1:]:
-                        inner = Bracket(ef, inner)
-                    return Bracket(Leaf(outer_kind, i), inner)
-
-                x_form = make_sum([(Fraction(-1) ** (k - 1), build("SFx", "SFy"))])
-                products.append((build("SFy", "SFx"), pot, x_form))
+                inner = Bracket(Leaf("SFy", i), efs[0])
+                for ef in efs[1:]:
+                    inner = Bracket(ef, inner)
+                products.append((Bracket(Leaf("SFx", i), inner), pot))
                 i += 1
     return seeds + towers + products
 
 
 def reference_family(surface, max_deg):
-    """(entries as (expr, potential, x-form), multipliers, number of
-    candidates): the pivots of one ``row_reduce`` over every candidate's
-    potential modulo constants."""
+    """(entries as (expr, potential), number of candidates): the pivots of
+    one ``row_reduce`` over every candidate's potential modulo constants."""
     cands = family_candidates(surface, max_deg)
-    pots = [pot for _, pot, _ in cands]
+    pots = [pot for _, pot in cands]
     rows = sorted({e for pot in pots for e in pot.c if e})
     a = [[pot.coeff(e) for pot in pots] for e in rows]
-    entries = [cands[k] for k in row_reduce(a, len(pots))]
-    multipliers = {pot.derivative(): expr for expr, pot, _ in entries}
-    return entries, multipliers, len(cands)
+    return [cands[k] for k in row_reduce(a, len(pots))], len(cands)
 
 
 # -- substitution ------------------------------------------------------------

@@ -348,6 +348,8 @@ FILE_CASES = {
     "output into a missing directory": (
         ["certify", "x", "--output", "{tmp}/missing/cert.json"], "file-error"),
     "certificate not UTF-8": (["verify-cert", "{tmp}/latin1.json"], "syntax-error"),
+    "certificate node of no known kind": (
+        ["verify-cert", "{tmp}/unknown-node.json"], "syntax-error"),
 }
 
 
@@ -356,6 +358,7 @@ FILE_CASES = {
 def test_unusable_file_is_a_structured_error(capsys, tmp_path, argv, error, fmt):
     (tmp_path / "latin1.json").write_bytes(
         b'{"p": "z^3 - z", "claimed": "x", "certificate": {"leaf": {"kind": "\xe9"}}}')
+    (tmp_path / "unknown-node.json").write_text(json.dumps(_cert_file({"foo": 1})))
     argv = [a.format(tmp=tmp_path) for a in argv]
     code, out, err = run(capsys, *argv, "--surface", "z^3-z", "--format", fmt)
     assert code == 2
@@ -406,6 +409,40 @@ def test_exhausted_search_names_its_bound(capsys, fmt):
         assert (code, out) == (1, "") and err.startswith("error [search-exhausted]: ")
         message = err
     assert "bound 16" in message and "retry with a larger bound" in message
+
+
+# Error paths in both formats: (argv after the subcommand, surface, exit
+# code, error code, phrases of the message).
+ERROR_PATHS = {
+    "symmetry of slope 2": (
+        ["compose", "Sym(2, 0)", "id"], "z^2 - 1", 2, "invalid-generator", ["slope"]),
+    "point of two coordinates": (
+        ["flex-check", "1,0"], "z^2 - 1", 2, "syntax-error", ["three rationals"]),
+    "unclosed field triple": (
+        ["potential", "[x; y; z"], "z^2 - 1", 2, "syntax-error", ["expected ']'"]),
+    "unknown field literal": (
+        ["potential", "Q(1)"], "z^2 - 1", 2, "syntax-error", ["not a field literal"]),
+    "symmetry of one argument": (
+        ["compose", "Sym(1)", "id"], "z^2 - 1", 2, "syntax-error", ["two arguments"]),
+    "x-part over the bound": (
+        ["certify", "x^3*z^5", "--shears-only", "--max-degree", "3"], "z^3 - z", 1,
+        "search-exhausted", ["x-part", "bound 3", "retry with a larger bound"]),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv, surface, exit_code, error, phrases", ERROR_PATHS.values(),
+                         ids=ERROR_PATHS.keys())
+def test_error_paths_in_both_formats(capsys, argv, surface, exit_code, error, phrases, fmt):
+    code, out, err = run(capsys, *argv, "--surface", surface, "--format", fmt)
+    if fmt == "json":
+        obj = json.loads(out)
+        assert (code, err, obj["error"]) == (exit_code, "", error)
+        message = obj["message"]
+    else:
+        assert (code, out) == (exit_code, "") and err.startswith(f"error [{error}]: ")
+        message = err
+    assert all(phrase in message for phrase in phrases)
 
 
 def test_certificate_at_the_depth_ceiling_is_read(capsys, tmp_path):
@@ -605,6 +642,15 @@ def test_bad_surface_is_reported_first(capsys, name):
     placeholders = ["x" for arg, _ in COMMANDS[name][0] if not arg.startswith("-")]
     code, out, _ = run(capsys, name, *placeholders, "--surface", "z^2", "--format", "json")
     assert code == 2 and json.loads(out)["error"] == "repeated-root"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["--max-degree", "q", "--surface", "z^2"], "syntax-error"),
+    (["--surface", "z^2", "--max-degree", "q"], "repeated-root"),
+])
+def test_bad_options_are_reported_in_argv_order(capsys, argv, error):
+    code, out, _ = run(capsys, "certify", "x", *argv, "--format", "json")
+    assert code == 2 and json.loads(out)["error"] == error
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
