@@ -125,7 +125,7 @@ class ParseError(DanielewskiError):
     exit_code = 2
 
     def __init__(self, message: str, position: int = -1):
-        self.position = position
+        self.detail, self.position = message, position
         if position >= 0:
             message = f"{message} (at position {position})"
         super().__init__(message)

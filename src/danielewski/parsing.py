@@ -374,26 +374,53 @@ def format_field(theta: AlgebraicVectorField) -> str:
 # -- field literals --------------------------------------------------------------
 
 
+def _inner(offset: int, parse, *args):
+    """``parse(*args)`` on a part of an argument that starts at ``offset`` in
+    it: a ParseError's position is moved to count from the argument's start."""
+    try:
+        return parse(*args)
+    except ParseError as exc:
+        if exc.position < 0:
+            raise
+        raise type(exc)(exc.detail, exc.position + offset) from None
+
+
+def _split(src: str, at: int) -> list[tuple[int, str]]:
+    """The ';'-separated parts of ``src``, each with its position, where
+    ``src`` starts at position ``at``."""
+    parts = []
+    for part in src.split(";"):
+        parts.append((at, part))
+        at += len(part) + 1
+    return parts
+
+
+def _shear_index(src: str) -> int:
+    t = _Tokens(src)
+    i = t.integer()
+    if not t.done():
+        raise ParseError("expected ')' after the shear index", t.pos)
+    return i
+
+
 def parse_field(surface: SurfaceConfig, src: str) -> AlgebraicVectorField:
     from .fields import AlgebraicVectorField, hyperbolic, shear_x, shear_y
 
     s = src.strip()
+    lead = len(src) - len(src.lstrip())  # the position of s in src
     if s.startswith("["):
         if not s.endswith("]"):
             raise ParseError("expected ']' to close the field triple")
-        comps = s[1:-1].split(";")
+        comps = _split(s[1:-1], lead + 1)
         if len(comps) != 3:
             raise ParseError("field triple must have three ';'-separated components")
-        ex, ey, ez = (parse_expression(surface, c) for c in comps)
+        ex, ey, ez = (_inner(at, parse_expression, surface, c) for at, c in comps)
         return AlgebraicVectorField(ex, ey, ez)
     if s.startswith(("SFx(", "SFy(")) and s.endswith(")"):
-        t = _Tokens(s[4:-1])
-        i = t.integer()
-        if not t.done():
-            raise ParseError("expected ')' after the shear index", t.pos)
+        i = _inner(lead + 4, _shear_index, s[4:-1])
         return (shear_x if s[2] == "x" else shear_y)(surface, i)
     if s.startswith("HF(") and s.endswith(")"):
-        return hyperbolic(surface, parse_unipoly(s[3:-1]))
+        return hyperbolic(surface, _inner(lead + 3, parse_unipoly, s[3:-1]))
     raise ParseError(f"not a field literal: {src!r}")
 
 
@@ -404,12 +431,13 @@ def parse_generator(src: str) -> Generator:
     from .automorphisms import Hyperbolic, Involution, Symmetry, XShear, YShear
 
     s = src.strip()
+    lead = len(src) - len(src.lstrip())  # the position of s in src
     if s == "I":
         return Involution()
     if s.startswith("Dx(") and s.endswith(")"):
-        return XShear(parse_unipoly(s[3:-1]))
+        return XShear(_inner(lead + 3, parse_unipoly, s[3:-1]))
     if s.startswith("Dy(") and s.endswith(")"):
-        return YShear(parse_unipoly(s[3:-1]))
+        return YShear(_inner(lead + 3, parse_unipoly, s[3:-1]))
     if s.startswith("H(") and s.endswith(")"):
         return Hyperbolic(_parse_rational(s[2:-1]))
     if s.startswith("Sym(") and s.endswith(")"):
@@ -425,7 +453,9 @@ def parse_word(surface: SurfaceConfig, src: str) -> PolynomialAutomorphism:
     from .automorphisms import PolynomialAutomorphism
 
     s = src.strip()
-    word = [] if not s or s == "id" else [parse_generator(g) for g in s.split(";")]
+    lead = len(src) - len(src.lstrip())  # the position of s in src
+    word = [] if not s or s == "id" else [
+        _inner(at, parse_generator, g) for at, g in _split(s, lead)]
     return PolynomialAutomorphism(surface, word)
 
 
@@ -526,9 +556,27 @@ def cert_from_obj(obj) -> BracketExpression:
     return node(obj, 1)
 
 
+# Ceiling on the tree nodes of a certificate that is printed or written: the
+# file form is the expanded tree, about 300 bytes per node as indented JSON.
+# x on z^5 - z + 1 has 258,950 nodes at its default bound (a 79 MB file);
+# x on z^6 - z + 1 has 9,226,714 (about 3 GB) and is refused.
+MAX_CERT_NODES = 10**6
+
+
 def certificate_file_obj(
     surface: SurfaceConfig, claimed: SurfacePolynomial, expr: BracketExpression
 ) -> dict:
+    """The certificate file of ``expr``; DegreeGate when its tree has more than
+    MAX_CERT_NODES nodes, counted over the shared subtrees before anything is
+    built."""
+    from .membership import expression_size
+
+    nodes = expression_size(expr)
+    if nodes > MAX_CERT_NODES:
+        raise DegreeGate(
+            f"the certificate has {nodes} tree nodes, over the ceiling "
+            f"MAX_CERT_NODES = {MAX_CERT_NODES}"
+        )
     return {
         "p": format_unipoly(surface.p),
         "claimed": format_surface_polynomial(claimed),

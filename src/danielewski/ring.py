@@ -70,6 +70,18 @@ def _frac(v) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
 
 
+# One shared Fraction per integer of absolute value at most 256, as CPython
+# keeps one int per small integer.  Coefficients of parsed elements and
+# weights of certificates are mostly such integers; a held element or
+# certificate then points at the shared value instead of owning a copy.
+_SMALL_FRACTIONS = {n: Fraction(n) for n in range(-256, 257)}
+
+
+def shared(v: Fraction) -> Fraction:
+    """``v``, or the shared Fraction equal to it when ``v`` is a small integer."""
+    return _SMALL_FRACTIONS.get(v.numerator, v) if v.denominator == 1 else v
+
+
 class UniPoly:
     """Sparse univariate polynomial over Q, keyed by exponent."""
 
@@ -568,7 +580,7 @@ class SurfacePolynomial:
         for n in sorted(coeffs or ()):
             c, k = coeffs[n].c, int(n)
             for e in sorted(c):
-                t += (k, e, c[e])
+                t += (k, e, shared(c[e]))
         self._terms = tuple(t)
 
     def _new(self, terms: tuple) -> "SurfacePolynomial":

@@ -14,12 +14,14 @@ import pytest
 from danielewski import errors
 from danielewski.cli import COMMANDS, main
 from danielewski.fields import MAX_LND_ITER
-from danielewski.membership import MAX_CERTIFY_DEGREE
+from danielewski.membership import MAX_CERTIFY_DEGREE, expression_size
 from danielewski.parsing import (
     MAX_CERT_DEPTH,
     MAX_EXPONENT,
     MAX_PAREN_DEPTH,
     MAX_PARSED_TERMS,
+    cert_from_obj,
+    load_certificate_file,
 )
 from danielewski.ring import MAX_DIGITS
 from danielewski.z2 import MAX_Z2_DEGREE
@@ -89,6 +91,25 @@ def test_certify_and_verify(capsys, tmp_path):
     cert.write_text(json.dumps(obj))
     code, out, _ = run(capsys, "verify-cert", str(cert), "--surface", "z^2-1")
     assert code == 1 and out == "false"
+
+
+def test_a_certificate_of_unreduced_cofactors_still_verifies(capsys):
+    """x on z^3 - z as certify wrote it while x_part left the coefficient of p'
+    unreduced: 306 tree nodes, where certify now writes 204."""
+    old = Path(__file__).parent / "certificates" / "x_on_cubic_unreduced_cofactors.json"
+    assert expression_size(load_certificate_file(old.read_text())[2]) == 306
+    code, out, _ = run(capsys, "verify-cert", str(old), "--surface", "z^3 - z")
+    assert code == 0 and out == "true"
+    code, out, _ = run(capsys, "certify", "x", "--surface", "z^3 - z", "--shears-only")
+    assert code == 0 and expression_size(cert_from_obj(json.loads(out)["certificate"])) == 204
+
+
+def test_certificate_over_the_node_ceiling_writes_no_file(capsys, tmp_path):
+    cert = tmp_path / "cert.json"
+    code, out, err = run(capsys, "certify", "x", "--surface", "z^6 - z + 1", "--shears-only",
+                         "--output", str(cert))
+    assert code == 2 and out == "" and "MAX_CERT_NODES" in err
+    assert not cert.exists()
 
 
 def test_certificate_file_is_the_stdout_form(capsys, tmp_path):
@@ -398,9 +419,10 @@ def test_verdicts_in_both_formats(capsys, tmp_path, argv, surface, exit_code, te
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_exhausted_search_names_its_bound(capsys, fmt):
-    """x on z^5 - z + 1 needs a pure-z potential of degree 17, over the bound."""
+    """x on z^5 - z + 1 needs a pure-z potential of degree 5; at bound 12 the
+    spanning family holds 8 of its 9 entries and cannot combine it."""
     code, out, err = run(capsys, "certify", "--shears-only", "x", "--surface",
-                         "z^5 - z + 1", "--max-degree", "16", "--format", fmt)
+                         "z^5 - z + 1", "--max-degree", "12", "--format", fmt)
     if fmt == "json":
         obj = json.loads(out)
         assert (code, err, obj["error"]) == (1, "", "search-exhausted")
@@ -408,7 +430,7 @@ def test_exhausted_search_names_its_bound(capsys, fmt):
     else:
         assert (code, out) == (1, "") and err.startswith("error [search-exhausted]: ")
         message = err
-    assert "bound 16" in message and "retry with a larger bound" in message
+    assert "bound 12" in message and "retry with a larger bound" in message
 
 
 # Error paths in both formats: (argv after the subcommand, surface, exit
@@ -427,6 +449,14 @@ ERROR_PATHS = {
     "x-part over the bound": (
         ["certify", "x^3*z^5", "--shears-only", "--max-degree", "3"], "z^3 - z", 1,
         "search-exhausted", ["x-part", "bound 3", "retry with a larger bound"]),
+    # a syntax error inside a literal is placed from the start of the argument
+    "shear index": (
+        ["potential", "SFx(a)"], "z^2 - 1", 2, "syntax-error", ["(at position 4)"]),
+    "shear in a word": (
+        ["conjugate", "Dx(x+);I", "SFx(0)"], "z^2 - 1", 2, "syntax-error",
+        ["(at position 5)"]),
+    "component of a field triple": (
+        ["potential", "[x; y; z+]"], "z^2 - 1", 2, "syntax-error", ["(at position 9)"]),
 }
 
 
@@ -465,6 +495,8 @@ CEILINGS = {
     "certify --max-degree": (
         ["certify", "x", "--shears-only", "--max-degree", str(MAX_CERTIFY_DEGREE + 1)],
         "z^3-z", "degree-gate", "MAX_CERTIFY_DEGREE"),
+    "certificate tree nodes": (
+        ["certify", "x", "--shears-only"], "z^6 - z + 1", "degree-gate", "MAX_CERT_NODES"),
     "certify default bound": (
         ["certify", "30*z^29 - 28*z^27", "--shears-only"],
         "z^3-z", "degree-gate", "MAX_CERTIFY_DEGREE"),

@@ -13,6 +13,8 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -259,14 +261,53 @@ QUINTIC_AT_24 = ["x*z", "x*z^2", "x*z^3", "x*z^4", "y*z^2"]
 
 @pytest.mark.parametrize("target", QUINTIC_AT_24)
 def test_shears_only_on_a_quintic(target):
-    """Shears-only certificates on z^5 - z + 1 at bound 24; their trees have
-    hundreds of thousands of nodes over a few hundred distinct subtrees."""
+    """Shears-only certificates on z^5 - z + 1 at bound 24; each tree has
+    258,950 nodes over 107 to 347 distinct subtrees."""
     s = make_surface(parse_unipoly("z^5 - z + 1"))
     f = parse_expression(s, target)
     cert = certify_shears_only(f, 24)
     assert verify_certificate(s, cert, f)
     assert fold(cert, lambda e: e.kind != "HF", lambda terms: all(v for _, v in terms),
                 lambda a, b: a and b)
+
+
+COFACTOR_SURFACES = ["z^2 - 1", "z^3 - z", "z^4 - z", "z^5 - z + 1"]
+mixed_terms = st.lists(st.tuples(st.integers(-5, 5).filter(bool), st.integers(0, 10),
+                                 st.sampled_from([1, -1, 2, -3])), min_size=1, max_size=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(COFACTOR_SURFACES), mixed_terms, st.lists(st.integers(-2, 2), max_size=6))
+def test_reduced_cofactors_certify_accepted_potentials(surface, terms, q):
+    """c x^k z^j and c y^k z^j terms plus (p*q)': each certifies at the default
+    bound and verifies, and x_part's coefficient of p' has degree < deg(p),
+    so w1 is asked for z-exponents below deg(p) only."""
+    s = make_surface(parse_unipoly(surface))
+    f = s.from_unipoly((s.p * UniPoly(dict(enumerate(q)))).derivative())
+    for k, j, c in terms:
+        f = f + (s.x(k, j, c) if k > 0 else s.y(-k, j, c))
+    asked = []
+    w1 = _Certifier.w1
+
+    def spy(self, i, j):
+        asked.append(j)
+        return w1(self, i, j)
+
+    with patch.object(_Certifier, "w1", spy):
+        cert = certify_shears_only(f)
+    assert verify_certificate(s, cert, f)
+    assert all(j < s.degree for j in asked)
+
+
+def test_reduced_cofactor_of_a_high_power(cubic):
+    # g = z^9 on z^3 - z: unreduced cofactors asked w1 for z^9 up to z^13
+    certifier = _Certifier(cubic, 24)
+    asked = []
+    w1 = certifier.w1
+    certifier.w1 = lambda i, j: asked.append(j) or w1(i, j)
+    expr = certifier.x_part(1, UniPoly.monomial(9))
+    assert asked and max(asked) < cubic.degree
+    assert verify_certificate(cubic, expr, cubic.x(1, 9))
 
 
 def test_certify_deep_nesting_bounds(cubic):
@@ -345,25 +386,25 @@ PINNED_CERTIFICATES = [
     ("z^2 - 1", "x^2*z + y + 3*z^2 - 1", 24,
      "d034dccd57b5158de5f8e428fca8ded82e5b385c18fd9234d3a869e41f9deb8c"),
     ("z^2 - 1", "x*z^2 - 2*y^3*z", None,
-     "cb0935db3dea8c0fc0a064a6f8680622a4b645c5c2375909a14f1d214ac77976"),
+     "ae0c6fb23d2442f484833800b2be5f181477cf6c0a33c080e38d90738d3fcbea"),
     ("z^2 - 1", "x*z^2 - 2*y^3*z", 24,
-     "cb0935db3dea8c0fc0a064a6f8680622a4b645c5c2375909a14f1d214ac77976"),
+     "ae0c6fb23d2442f484833800b2be5f181477cf6c0a33c080e38d90738d3fcbea"),
     ("z^3 - z", "x^2*z + y*z^2 + z^2", None,
-     "06fd2984dddda8cb41ce2ad8665eed540d61efe33f4cde045c13fba27be9bf80"),
+     "c06de5b6d77f5de7c7c90f5de39ebb436dac6beeb1e00aec4d4c67e63676d217"),
     ("z^3 - z", "x^2*z + y*z^2 + z^2", 24,
-     "06fd2984dddda8cb41ce2ad8665eed540d61efe33f4cde045c13fba27be9bf80"),
+     "c06de5b6d77f5de7c7c90f5de39ebb436dac6beeb1e00aec4d4c67e63676d217"),
     ("z^3 - z", "x*z^3 - 2*y^3 + 5*z^4 - 3*z^2", None,
-     "a0d4d5905107b6abeaf942a23ccfa1c6ec313381e4b09c5580d38a21e4185602"),
+     "545f787b08ba0f16106a5d5cec423862f14cbbd4367d3931c64113a9e0a7fe59"),
     ("z^3 - z", "x*z^3 - 2*y^3 + 5*z^4 - 3*z^2", 24,
-     "a0d4d5905107b6abeaf942a23ccfa1c6ec313381e4b09c5580d38a21e4185602"),
+     "545f787b08ba0f16106a5d5cec423862f14cbbd4367d3931c64113a9e0a7fe59"),
     ("z^4 - z", "x^3 + y^2*z", None,
-     "fc3691b8531973778601958577970814a3e598052bb45f3ff505f5805d32183b"),
+     "3a4118afc24ff306400e4a48c68556a4e04ebecde43d9b70b09e71c567b61d9d"),
     ("z^4 - z", "x^3 + y^2*z", 24,
-     "b114e04f46ee4da130f2caf238851d5fc03abb00b4719bd744e6a511c5bd6fe7"),
+     "3a4118afc24ff306400e4a48c68556a4e04ebecde43d9b70b09e71c567b61d9d"),
     ("z^4 - z", "x^2*z^4 + 4*z^3 - 1", None,
-     "fb93476470bc304fe46584795c663ea22ebd2ab5b511a662c9cbae99052c4a30"),
+     "6e8e491fe6707a406dceea48ffaba7dca7a638f8f0aa7fb26b5067c4b64370e0"),
     ("z^4 - z", "x^2*z^4 + 4*z^3 - 1", 24,
-     "d8046994ac5333ab468c1a6873d23bea1a6c23925d5b313e2378f3923a89f174"),
+     "6e8e491fe6707a406dceea48ffaba7dca7a638f8f0aa7fb26b5067c4b64370e0"),
     # its pure-z part weights a product entry of the family
     ("z^4 - z", "-2*x^5*z + 2*y^3 + 6*z^5 + 5*z^4 - 3*z^2 - 2*z", None,
      "36e06f98701bd813e78762c40a5285544cf268478d12eb98eade33865b70d917"),

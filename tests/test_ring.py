@@ -24,6 +24,7 @@ from danielewski import (
     ZeroPolynomial,
     make_surface,
 )
+from danielewski.parsing import parse_expression
 from danielewski.ring import (
     _P_TABLE_MAX,
     MAX_DIGITS,
@@ -34,6 +35,7 @@ from danielewski.ring import (
     poly_rem_sparse,
     power,
     reduce,
+    shared,
     table_add,
     to_chart,
 )
@@ -467,6 +469,23 @@ def test_an_element_holds_one_flat_tuple(cubic):
     assert held == [f._terms] and type(f._terms) is tuple
     assert all(type(r) in (int, Fraction) for r in gc.get_referents(f._terms))
     assert_term_table(f)
+
+
+def test_small_integer_coefficients_are_shared(cubic):
+    """``__init__`` stores one shared Fraction per small integer; an element
+    built so equals, and hashes like, the same element built by arithmetic,
+    whose coefficients are fresh Fractions."""
+    parsed = [parse_expression(cubic, "2*x^2*z - 12*y + 300*z^2 - 1/2") for _ in range(2)]
+    built = (cubic.x(2, 1).scale(Fraction(4)) + cubic.y(1).scale(Fraction(-24))
+             + cubic.z() * cubic.z().scale(Fraction(600)) - cubic.const(1)).scale(Fraction(1, 2))
+    a, b = (f._terms[2::3] for f in parsed)
+    c = built._terms[2::3]
+    assert a == b == c == (Fraction(-12), Fraction(-1, 2), Fraction(300), Fraction(2))
+    assert [u is v for u, v in zip(a, b)] == [True, False, False, True]  # |v| <= 256 shared
+    assert not any(u is v for u, v in zip(a, c))
+    assert all(shared(v) is v for v in a) and shared(c[3]) is a[3]
+    assert parsed[0] == built and hash(parsed[0]) == hash(built)
+    assert {parsed[0]: 1}[built] == 1
 
 
 def test_swap_xy_against_point_oracle(quad, cubic):
