@@ -16,10 +16,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InternalInvariantViolation, InvalidGenerator
-from .fields import AlgebraicVectorField, apply_field, poisson_bracket
+from .errors import InternalInvariantViolation, InvalidGenerator, NotVolumePreserving
+from .fields import (
+    AlgebraicVectorField,
+    apply_field,
+    hamiltonian_of,
+    poisson_bracket,
+    potential_of,
+)
 from .records import Record
-from .ring import SurfaceConfig, SurfacePolynomial, UniPoly, constant_quotient
+from .ring import SurfaceConfig, SurfacePolynomial, UniPoly, constant_quotient, shared
 
 # -- generators ----------------------------------------------------------------
 
@@ -182,9 +188,15 @@ def normalize_word(surface: SurfaceConfig, word: list) -> list:
 
 
 class PolynomialAutomorphism:
-    """Normalized word of generators with its cached ring action."""
+    """Normalized word of generators with its cached ring action.
 
-    __slots__ = ("surface", "word", "img_x", "img_y", "img_z")
+    The images are held with shared small-integer coefficients
+    (``SurfacePolynomial.with_shared``), since an automorphism is often kept
+    long after it is built.  ``volume_factor`` fills ``_volume`` on its first
+    call, so a word built only to be composed or applied never pays for it.
+    """
+
+    __slots__ = ("surface", "word", "img_x", "img_y", "img_z", "_volume")
 
     def __init__(self, surface: SurfaceConfig, word: list):
         self.surface = surface
@@ -194,10 +206,12 @@ class PolynomialAutomorphism:
         for g in reversed(self.word):
             gen = _gen_images(surface, g)
             images = [substitute(e, *gen) for e in images]
-        self.img_x, self.img_y, self.img_z = x, y, z = images
+        x, y, z = images
         relation = x * y - substitute(surface.from_unipoly(surface.p), x, y, z)
         if not relation.is_zero():
             raise InternalInvariantViolation("automorphism breaks the surface relation")
+        self.img_x, self.img_y, self.img_z = (e.with_shared() for e in images)
+        self._volume = None
 
     def __eq__(self, other) -> bool:
         return (
@@ -244,7 +258,7 @@ def invert(phi: PolynomialAutomorphism) -> PolynomialAutomorphism:
     )
 
 
-def conjugate_field(
+def _conjugate_by_images(
     phi: PolynomialAutomorphism, theta: AlgebraicVectorField
 ) -> AlgebraicVectorField:
     """(phi_* Theta)(g) = Theta(g o phi^-1) o phi; for g = x, y, z the
@@ -255,11 +269,37 @@ def conjugate_field(
     ))
 
 
+def conjugate_field(
+    phi: PolynomialAutomorphism, theta: AlgebraicVectorField
+) -> AlgebraicVectorField:
+    """The push-forward phi_* Theta, with (phi_* Theta)(g) = Theta(g o phi^-1) o phi.
+
+    A volume-preserving Theta = H_f is pushed through its potential,
+
+        phi_* H_f = H_{J (f o phi)},   J = volume_factor(phi),
+
+    because phi^* omega = J omega: one ``apply_auto`` of f, with no inverse
+    word and no image of a field.  H_g depends on g only modulo constants,
+    so f o phi needs no canonical form.  A field with no potential (the CLI
+    takes any tangent [X; Y; Z]) is pushed by the images of phi^-1.
+    """
+    try:
+        f = potential_of(theta)
+    except NotVolumePreserving:
+        return _conjugate_by_images(phi, theta)
+    return hamiltonian_of(apply_auto(phi, f).scale(volume_factor(phi)))
+
+
 def volume_factor(phi: PolynomialAutomorphism) -> Fraction:
     """The constant J with phi^* omega = J * omega, for omega = dx/x ^ dz.
 
     With X, Z the images of x, z, phi^* omega = dX/X ^ dZ, and in terms of
     E = x d/dx and D = x d/dz (see ``fields``) J = (E X D Z - D X E Z)/(x X),
-    that is J X = H_Z(X), the un-normalised Poisson bracket {Z, X}.
+    that is J X = H_Z(X), the un-normalised Poisson bracket {Z, X}.  It is
+    computed on the first call and kept on phi, as the shared Fraction when
+    it is a small integer (it is +-1 for every word of the generators).
     """
-    return constant_quotient(poisson_bracket(phi.img_z, phi.img_x), phi.img_x)
+    if phi._volume is None:
+        phi._volume = shared(
+            constant_quotient(poisson_bracket(phi.img_z, phi.img_x), phi.img_x))
+    return phi._volume

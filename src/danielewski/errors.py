@@ -10,7 +10,12 @@ class DanielewskiError(Exception):
     code = "error"
     exit_code = 1
 
-    def __init__(self, message: str = ""):
+    # ``position``, when given, is where in an input argument the error lies;
+    # the message then ends with it, and ``detail`` keeps the message without.
+    def __init__(self, message: str = "", position: int = -1):
+        self.detail, self.position = message, position
+        if position >= 0:
+            message = f"{message} (at position {position})"
         super().__init__(message or self.__doc__ or self.code)
 
 
@@ -123,12 +128,6 @@ class ParseError(DanielewskiError):
 
     code = "syntax-error"
     exit_code = 2
-
-    def __init__(self, message: str, position: int = -1):
-        self.detail, self.position = message, position
-        if position >= 0:
-            message = f"{message} (at position {position})"
-        super().__init__(message)
 
 
 class NegativeExponent(ParseError):

@@ -195,9 +195,13 @@ def _hamiltonian_images(f: SurfacePolynomial):
 
 
 def hamiltonian_of(f: SurfacePolynomial) -> AlgebraicVectorField:
-    """The volume-preserving field with potential f (inverse of potential_of)."""
+    """The volume-preserving field with potential f (inverse of potential_of).
+
+    Its images are kept with shared small-integer coefficients
+    (``SurfacePolynomial.with_shared``), as the field is a result.
+    """
     try:
-        return AlgebraicVectorField(*_hamiltonian_images(f))
+        return AlgebraicVectorField(*(e.with_shared() for e in _hamiltonian_images(f)))
     except TangencyViolation as exc:
         raise InternalInvariantViolation(f"hamiltonian construction failed: {exc}")
 

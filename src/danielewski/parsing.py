@@ -142,7 +142,7 @@ def _check_size(terms: int, degrees: list[int], t: _Tokens):
     if bound > MAX_PARSED_TERMS:
         raise DegreeGate(
             f"the expansion may have {bound} terms, over the ceiling "
-            f"MAX_PARSED_TERMS = {MAX_PARSED_TERMS} (at position {t.pos})"
+            f"MAX_PARSED_TERMS = {MAX_PARSED_TERMS}", t.pos
         )
 
 
@@ -153,7 +153,7 @@ def _check_height(e: dict, t: _Tokens) -> dict:
         if abs(v.numerator) >= HEIGHT or v.denominator >= HEIGHT:
             raise DegreeGate(
                 f"a coefficient has more than {MAX_DIGITS} digits, over the ceiling "
-                f"MAX_DIGITS = {MAX_DIGITS} (at position {t.pos})"
+                f"MAX_DIGITS = {MAX_DIGITS}", t.pos
             )
     return e
 
@@ -376,10 +376,11 @@ def format_field(theta: AlgebraicVectorField) -> str:
 
 def _inner(offset: int, parse, *args):
     """``parse(*args)`` on a part of an argument that starts at ``offset`` in
-    it: a ParseError's position is moved to count from the argument's start."""
+    it: the position of a ParseError or of a parse-time DegreeGate is moved
+    to count from the argument's start."""
     try:
         return parse(*args)
-    except ParseError as exc:
+    except (ParseError, DegreeGate) as exc:
         if exc.position < 0:
             raise
         raise type(exc)(exc.detail, exc.position + offset) from None

@@ -665,6 +665,14 @@ class SurfacePolynomial:
     def __pow__(self, n: int) -> "SurfacePolynomial":
         return power(self, n, self.surface.const(1))
 
+    def with_shared(self) -> "SurfacePolynomial":
+        """This element with each small-integer coefficient the shared
+        Fraction (``shared``), in one pass.  Sums, scaling and the partials
+        build their tables (``_new``) with fresh Fractions, since sharing
+        there would slow every operation; a result that is kept long is
+        passed through this once."""
+        return self._new(_with_coefficients(self._terms, list(map(shared, self._terms[2::3]))))
+
     def weights(self) -> list[int]:
         """The weights present, in printing order: x-terms by ascending power,
         then y-terms by ascending power, then the pure-z part."""

@@ -9,9 +9,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from danielewski import automorphisms
 from danielewski import (
     DegreeGate,
     Hyperbolic,
@@ -35,9 +36,15 @@ from danielewski import (
     shear_y,
     volume_factor,
 )
-from danielewski.automorphisms import _rewrite_pair, normalize_word, substitute
+from danielewski.automorphisms import (
+    _conjugate_by_images,
+    _rewrite_pair,
+    normalize_word,
+    substitute,
+)
 from danielewski.fields import apply_field
-from danielewski.parsing import format_word, parse_unipoly, parse_word
+from danielewski.parsing import format_field, format_word, parse_field, parse_unipoly, parse_word
+from danielewski.ring import shared
 
 from conftest import P_CUBIC, P_QUAD, P_QUARTIC2, random_surface_polynomial, upoly
 from oracles import (
@@ -365,6 +372,26 @@ def test_volume_factors(quad):
         assert j == (-1) ** n_inv
 
 
+def test_volume_factor_is_computed_once(quad, monkeypatch):
+    """The first call computes J and keeps it on the automorphism; a second
+    call, and composing, compute nothing."""
+    calls = []
+
+    def counted(num, den):
+        calls.append(den)
+        return constant_quotient(num, den)
+
+    constant_quotient = automorphisms.constant_quotient
+    monkeypatch.setattr(automorphisms, "constant_quotient", counted)
+    phi = PolynomialAutomorphism(quad, [XShear(upoly({0: 1})), Involution()])
+    psi = compose(phi, phi)
+    assert calls == []
+    j = volume_factor(phi)
+    assert type(j) is Fraction and j == -1 and len(calls) == 1
+    assert volume_factor(phi) is j and len(calls) == 1
+    assert volume_factor(psi) == 1 and len(calls) == 2
+
+
 def test_volume_factor_multiplicative(cubic):
     rng = random.Random(RNG_SEED + 7)
     for _ in range(10):
@@ -406,6 +433,83 @@ def test_conjugation_preserves_nilpotency(cubic):
         phi = PolynomialAutomorphism(cubic, word)
         th = conjugate_field(phi, shear_x(cubic, 1))
         assert lnd_check(th).nilpotent
+
+
+# z^2 - 1 and z^3 - z with their symmetry z -> -z, of volume factor -1 on
+# both (on z^3 - z it also sends y to -y)
+CONJUGATION_SURFACES = [(make_surface(p), Symmetry(-1, Fraction(0))) for p in (P_QUAD, P_CUBIC)]
+
+
+@st.composite
+def _conjugations(draw):
+    """A word of up to two constant shears or one of degree 1, and up to two
+    of H, I and Sym, in any order, and a volume-preserving field SF_i^x,
+    SF_i^y or HF_q.  Each shear multiplies the degrees of the images: a
+    degree-1 shear and a constant one across it cost the image route, the
+    oracle, up to 50 s on z^3 - z (Python 3.11, a shared 2-vCPU VM)."""
+    surface, sym = draw(st.sampled_from(CONJUGATION_SURFACES))
+    kind = st.sampled_from([XShear, YShear])
+    constant = st.integers(-2, 2).map(lambda c: upoly({0: c}))
+    linear = st.tuples(st.integers(-2, 2), st.integers(-2, 2).filter(bool)).map(
+        lambda cs: upoly({0: cs[0], 1: cs[1]}))
+    shears = draw(st.one_of(st.lists(st.builds(lambda g, f: g(f), kind, constant), max_size=2),
+                            st.builds(lambda g, f: [g(f)], kind, linear)))
+    others = draw(st.lists(st.one_of(
+        st.sampled_from([Fraction(2), Fraction(-1, 2), Fraction(-1), Fraction(3)]).map(Hyperbolic),
+        st.just(Involution()),
+        st.just(sym),
+    ), max_size=2))
+    word = draw(st.permutations(shears + others))
+    field = draw(st.one_of(
+        st.integers(0, 2).map(lambda i: shear_x(surface, i)),
+        st.integers(0, 2).map(lambda i: shear_y(surface, i)),
+        st.dictionaries(st.integers(0, 2), st.integers(-2, 2), max_size=2).map(
+            lambda q: hyperbolic(surface, upoly(q))),
+    ))
+    return PolynomialAutomorphism(surface, word), field
+
+
+def _conjugation(p: str, word: str, field: str):
+    s = make_surface(parse_unipoly(p))
+    return parse_word(s, word), parse_field(s, field)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_conjugations())
+@example(_conjugation("z^2 - 1", "I", "SFx(1)"))
+@example(_conjugation("z^2 - 1", "Sym(-1, 0);Dx(1)", "HF(1 + z)"))
+@example(_conjugation("z^3 - z", "Dy(1 - y);Sym(-1, 0);H(-1/2)", "SFy(0)"))
+@example(_conjugation("z^3 - z", "I;Dx(2)", "SFx(2)"))
+def test_conjugation_through_the_potential_matches_the_images(case):
+    """conjugate_field pushes a volume-preserving field through its potential;
+    pushing it by the images of the inverse word is the oracle.  The examples
+    have J = -1.  Both results, and the automorphism's images, hold shared
+    small-integer coefficients."""
+    phi, theta = case
+    conj = conjugate_field(phi, theta)
+    assert conj == _conjugate_by_images(phi, theta)
+    for e in (phi.img_x, phi.img_y, phi.img_z, conj.img_x, conj.img_y, conj.img_z):
+        assert all(shared(c) is c for c in e._terms[2::3])
+
+
+def test_a_field_without_potential_is_pushed_by_images(quad, monkeypatch):
+    """A tangent field with no potential takes the image route; a field with
+    one does not."""
+    calls = []
+
+    def counted(phi, theta):
+        calls.append(theta)
+        return by_images(phi, theta)
+
+    by_images = automorphisms._conjugate_by_images
+    monkeypatch.setattr(automorphisms, "_conjugate_by_images", counted)
+    theta = parse_field(quad, "[x^2; 1 - z^2; 0]")
+    for word, pushed in (("Dx(1)", "[x^2; -2*x*z + 1 - z^2; -x^2]"),
+                         ("I", "[1 - z^2; y^2; 0]")):
+        assert format_field(conjugate_field(parse_word(quad, word), theta)) == pushed
+    assert calls == [theta, theta]
+    conjugate_field(parse_word(quad, "Dx(1)"), shear_y(quad, 0))
+    assert calls == [theta, theta]
 
 
 def test_hyperbolic_conjugation_rescales_shears(quad):

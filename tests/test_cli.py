@@ -1,5 +1,6 @@
 """End-to-end CLI checks: output, formats, exit codes."""
 
+import hashlib
 import json
 import os
 import re
@@ -191,6 +192,72 @@ def test_conjugate(capsys):
     code, out, _ = run(capsys, "conjugate", "Dx(1)", "SFy(0)",
                        "--surface", "z^2-1")
     assert code == 0 and out == "[2*x + 2*z; -2*y - 2*z; -x + y]"
+
+
+# (surface, word, field, sha256 of stdout under --format text, and json): the
+# words of every stratum of bench/ops.py's CONJUGATE_STRATA (constant shears
+# with H and I on SF0 and SF1, a linear shear, one shear on z^3 - z), words
+# with Sym, H(-1/2) and I, HF fields, the identity, and a tangent field with
+# no potential.  A change in how a conjugate is computed or printed shows here.
+PINNED_CONJUGATES = [
+    ("z^2 - 1", "Dx(1)", "SFx(0)",
+     "1f28c0ca0cfe3d0f50a046f474c6c63fd538e3e1ec0039fffa44d50fb5347ebf",
+     "1ab3a1d859cebcb8c233ad9e3d211ed3997a79aedba1b6bd8bafcf8a84f9f24c"),
+    ("z^2 - 1", "Dx(1);H(2);Dy(2)", "SFy(0)",
+     "2d76058853a1dc9ce50af64776daee1cb956038b952d058ca42a332f7b134abc",
+     "d27368af50e45f2eb26747d4c84bfba6a4f06bc5659c671e030af6bb359e547c"),
+    ("z^2 - 1", "Dy(1);Dx(2);Dy(-1);I", "SFx(0)",
+     "f048c6f71a5770ebe7556dc26f528c3b1daa4d111e0d001e78fdfc794ffc9ea3",
+     "6afbd42edba26bc87d1fb07ed180a7c6db5fa2575482a2f742e11c5c2ca8ebf9"),
+    ("z^2 - 1", "Dx(1)", "SFy(1)",
+     "1bfb0bfb5b987e80aed69a455f9502104f716214aade4e3d747cd099d678e0cf",
+     "c4b0f3e0cd7fdfa5d55dadb6b798b3a998f171bbd38600bd7831800818a27dcd"),
+    ("z^2 - 1", "Dy(1);Dx(2);H(2);Dy(-1);Dx(-2);I", "SFy(1)",
+     "3ebc71949cfe0188a360ed7550d57db4b51c6fe671e0935824816cf575d229e3",
+     "701ef91194457bb1b2a0705f06608521bc51058af094b22f1cfef5ef6ab21e10"),
+    ("z^2 - 1", "Dx(-1 + 2*x);Dy(2)", "SFy(0)",
+     "8dfa940c6a273d82ec6f2663299a7ffd84ddc1fbc435fba2ca88e85791cc0b70",
+     "1cc075b298f797184d7240a76cc0fde210cf987669a2bebbbb2cdf7c22407ac5"),
+    ("z^2 - 1", "Dy(-1 + 2*y);Dx(2);I", "SFy(0)",
+     "237ff6ec5489beb8a53cb93bab1236d1e49724954f73c7b0b35f72c78bdf0c7b",
+     "c7b4d5d6d5a32752c65f8d86481d741e7e8f9c1158afc8353ddb6eac654ce4f2"),
+    ("z^3 - z", "Dx(-1 + 2*x)", "SFx(0)",
+     "6a83dc752c8cda7bd130ec20020e2e0b90cd9bd27df93d5e6b667cbe8475f481",
+     "bd4049454d0ca58073a03341ef6e5ba2021b4342f2e329a29d1d6f9b841d0a05"),
+    ("z^3 - z", "Dx(2)", "SFy(0)",
+     "c9cb7173f8f25e8e2d4831ac69c8c85512086e1089251d0dd4d5d1cfbeea76ab",
+     "b685541e26d2c077b304d4a4adcf94c4d975c43571e3e6200d8536d2c06f0e5e"),
+    ("z^2 - 1", "Sym(-1, 0);Dx(1)", "SFx(1)",
+     "5e22fcf49e64d15d494dd1ada844f57133ba9d0c3b8cb6a29bbbfa3958ac2c0d",
+     "334dae5dc1a5cea80ab464a9cb23f5a0947bf4aed45143dcb374514a4f8ba808"),
+    ("z^3 - z", "Sym(-1, 0);Dy(y)", "HF(z)",
+     "bdf3b4417cd79253f2f5743b616d737e7079535082d9005c244fea10851e6d9e",
+     "4783d1eb2f7fc6c4efd49c435a23949d2d33b69b04d6627e874243f673eda1b7"),
+    ("z^2 - 1", "Dx(1);I", "HF(1 + z)",
+     "3c072f25fd24c672317dd3c7dc19e6a8710190c65a7ac6a916dc9fcdbd45047e",
+     "9dc951c3510fc0b4e5b3e2eec032099f9e138d8d0ea87e28fa154206b4f9ea4c"),
+    ("z^3 - z", "H(-1/2);Dy(1)", "SFx(1)",
+     "b2c05d293befeffca89243640cfd85eea1b704d920fa52828c5e6c231aa81a31",
+     "d1b15d68fa5cc01d92ab7bb74a72b0e66ef10a71f9a4bdfc5b8b56c2d906143b"),
+    ("z^2 - 1", "Dx(1)", "[x^2; 1 - z^2; 0]",
+     "062d4148724fb265984f3981dd3f3800a858eca2a927026b4bedfae48882ebf1",
+     "820761343e2e922bac4943f9f06529fceecc2d612a68b97da9ff9812f22e8010"),
+    ("z^2 - 1", "I", "[x^2; 1 - z^2; 0]",
+     "ba569441339cffa92613f69d6833d2049920a78293c5a59107887a81a46a2268",
+     "03c11e51874ae048e949851cd1407154b6fd5e706eedcfc1a79ca857d491b0a7"),
+    ("z^3 - z", "id", "SFy(2)",
+     "21ff603b1536ad5d0dc9254ab539e74b97bdb46de6f4ee335585c14dbd75c08f",
+     "1ee998c24d8eaac3398240fd10d0e0eb266e0c8136ca000f4c97487b4ae79539"),
+]
+
+
+@pytest.mark.parametrize("surface, word, field, text_digest, json_digest", PINNED_CONJUGATES,
+                         ids=[f"{s}: {w} on {f}" for s, w, f, _, _ in PINNED_CONJUGATES])
+def test_conjugate_output_is_pinned(capsys, surface, word, field, text_digest, json_digest):
+    for fmt, digest in (("text", text_digest), ("json", json_digest)):
+        code = main(["conjugate", word, field, "--surface", surface, "--format", fmt])
+        out = capsys.readouterr().out
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_flex_check(capsys):
@@ -457,6 +524,9 @@ ERROR_PATHS = {
         ["(at position 5)"]),
     "component of a field triple": (
         ["potential", "[x; y; z+]"], "z^2 - 1", 2, "syntax-error", ["(at position 9)"]),
+    "expansion in a field triple": (
+        ["potential", "[x; y; (1+x+y+z)^80]"], "z^2 - 1", 2, "degree-gate",
+        ["MAX_PARSED_TERMS", "(at position 19)"]),
 }
 
 

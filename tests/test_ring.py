@@ -472,9 +472,9 @@ def test_an_element_holds_one_flat_tuple(cubic):
 
 
 def test_small_integer_coefficients_are_shared(cubic):
-    """``__init__`` stores one shared Fraction per small integer; an element
-    built so equals, and hashes like, the same element built by arithmetic,
-    whose coefficients are fresh Fractions."""
+    """``__init__`` and ``with_shared`` store one shared Fraction per small
+    integer; an element built so equals, and hashes like, the same element
+    built by arithmetic, whose coefficients are fresh Fractions."""
     parsed = [parse_expression(cubic, "2*x^2*z - 12*y + 300*z^2 - 1/2") for _ in range(2)]
     built = (cubic.x(2, 1).scale(Fraction(4)) + cubic.y(1).scale(Fraction(-24))
              + cubic.z() * cubic.z().scale(Fraction(600)) - cubic.const(1)).scale(Fraction(1, 2))
@@ -486,6 +486,9 @@ def test_small_integer_coefficients_are_shared(cubic):
     assert all(shared(v) is v for v in a) and shared(c[3]) is a[3]
     assert parsed[0] == built and hash(parsed[0]) == hash(built)
     assert {parsed[0]: 1}[built] == 1
+    kept = built.with_shared()  # shares the small integers in one pass
+    assert [u is v for u, v in zip(kept._terms[2::3], a)] == [True, False, False, True]
+    assert kept == built and hash(kept) == hash(built) and {kept: 1}[parsed[1]] == 1
 
 
 def test_swap_xy_against_point_oracle(quad, cubic):
