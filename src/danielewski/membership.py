@@ -333,8 +333,8 @@ class SpanningFamily:
     candidate.  Every entry is a bracket [SF_i^x, ...], a shears-only
     expression of the hyperbolic field whose multiplier is the entry's
     potential'.  `lifted` raises its outer index, which multiplies the
-    potential by a power of x, and `x_high` nests it under x-shears; a
-    dropped candidate's derivative chain in `x_high` would likewise be a
+    potential by a power of x, and `x_high_basis` nests it under x-shears; a
+    dropped candidate's derivative chain there would likewise be a
     combination of earlier columns.
     """
 
@@ -460,9 +460,10 @@ class _Certifier:
             )
         return make_sum([(w, _lift(e.expr, i2)) for w, e in terms])
 
-    # x_high's columns for x^i, as an echelon and the expressions of the kept
-    # ones: chains of x-shears over certified hyperbolic fields give x^i f^(d)
-    # for every derivative order d <= i-1, a triangular family in the degree.
+    # The columns for x^i, any i >= 1, as an echelon and the expressions of
+    # the kept ones: chains of x-shears over certified hyperbolic fields
+    # give x^i f^(d) for every derivative order d <= i-1, a triangular family
+    # in the degree.
     @_memoised
     def x_high_basis(self, i: int) -> tuple[Echelon, list[BracketExpression]]:
         echelon = Echelon()
@@ -481,17 +482,6 @@ class _Certifier:
                 deriv = deriv.derivative()
                 d += 1
         return echelon, exprs
-
-    # potential exactly x^i * g for i >= deg(p)
-    def x_high(self, i: int, g: UniPoly) -> BracketExpression:
-        echelon, exprs = self.x_high_basis(i)
-        sol = echelon.solve(g.c)
-        if sol is None:
-            raise SearchExhausted(
-                "no shears-only combination found for an x-part within "
-                f"degree bound {self.family.max_deg}; retry with a larger bound"
-            )
-        return make_sum([(w, e) for w, e in zip(sol, exprs) if w])
 
     @_memoised
     def x_monomial(self, i: int, j: int) -> BracketExpression:
@@ -512,18 +502,30 @@ class _Certifier:
         w = Fraction(1, i * (j + 1))
         return make_sum([(w * (i + 1), v), (-w, u)])
 
-    # potential exactly x^i * g, any i >= 1 (downward induction below deg(p)
-    # through the Bezout identity 1 = u*p + v*p')
+    # potential exactly x^i * g, any i >= 1: the part of g that the columns of
+    # x_high_basis(i) span is their weighted expressions; only the residual,
+    # and only below deg(p), descends through the Bezout identity
+    # 1 = u*p + v*p'
     def x_part(self, i: int, g: UniPoly) -> BracketExpression:
-        if i >= self.s.degree:
-            return self.x_high(i, g)
-        # g = g*v*p' + g*u*p; with g*v = k*p + a this is a*p' + (g*u + k*p')*p.
-        # a is a remainder modulo p, so deg a < deg p: each level of the
-        # descent asks w1 for z-degrees below deg p, whatever the degree of g.
-        k, a = poly_divrem(g * self.s.gcd_v, self.s.p)  # a: coefficient of p'
-        b = g * self.s.gcd_u + k * self.s.p_prime  # coefficient of p
-        terms = [(v, self.w1(i, j)) for j, v in sorted(a.c.items())]
-        terms += [(v, self.w2(i, j)) for j, v in sorted(b.c.items())]
+        echelon, exprs = self.x_high_basis(i)
+        weights, residual = echelon.split(g.c)
+        terms = [(w, e) for w, e in zip(weights, exprs) if w]
+        if residual:
+            r = UniPoly(residual)
+            if i >= self.s.degree:
+                raise SearchExhausted(
+                    f"no shears-only combination found for an x-part of x-degree {i}: "
+                    f"its residual of z-degree {r.degree} is outside the x-shear "
+                    f"chains within degree bound {self.family.max_deg}; retry with "
+                    "a larger bound"
+                )
+            # r = r*v*p' + r*u*p; with r*v = k*p + a this is a*p' + (r*u + k*p')*p.
+            # a is a remainder modulo p, so deg a < deg p: each level of the
+            # descent asks w1 for z-degrees below deg p, whatever the degree of r.
+            k, a = poly_divrem(r * self.s.gcd_v, self.s.p)  # a: coefficient of p'
+            b = r * self.s.gcd_u + k * self.s.p_prime  # coefficient of p
+            terms += [(v, self.w1(i, j)) for j, v in sorted(a.c.items())]
+            terms += [(v, self.w2(i, j)) for j, v in sorted(b.c.items())]
         return make_sum(terms)
 
     def certify(self, f: SurfacePolynomial) -> BracketExpression:
@@ -552,12 +554,12 @@ def _certifier(surface: SurfaceConfig, max_deg: int) -> _Certifier:
 
 # Ceiling on the degree bound of certify_shears_only, the default bound
 # included.  The family's entries, their number and product degrees grow with
-# the bound: certifying x on z^3 - z (a tree of 204 nodes) takes 0.05 s of CPU
-# at 24 and 0.07 s at 32, and x*z on z^5 - z + 1 (259 k nodes at both) 0.10 s
-# and 0.20 s (median CPU time of the call over three fresh processes, Python
-# 3.11, one core of a shared 2-core VM).  The tree a certificate may print is
-# bounded apart from this (parsing.MAX_CERT_NODES): x on z^6 - z + 1
-# certifies at its default bound 24 in about 0.2 s, as 9.2 M tree nodes.
+# the bound: certifying x on z^3 - z (a tree of 68 nodes) takes 0.05 s of CPU
+# at 24 and 0.09 s at 32, and x*z on z^5 - z + 1 (551 nodes at both) 0.06 s
+# and 0.16 s; x on z^6 - z + 1 certifies at its default bound 24 in 0.08 s,
+# as 1,087 nodes (median CPU time of the call over three fresh processes,
+# Python 3.11, one core of a shared 2-core VM).  The tree a certificate may
+# print is bounded apart from this (parsing.MAX_CERT_NODES).
 MAX_CERTIFY_DEGREE = 32
 
 

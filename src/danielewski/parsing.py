@@ -558,9 +558,10 @@ def cert_from_obj(obj) -> BracketExpression:
 
 
 # Ceiling on the tree nodes of a certificate that is printed or written: the
-# file form is the expanded tree, about 300 bytes per node as indented JSON.
-# x on z^5 - z + 1 has 258,950 nodes at its default bound (a 79 MB file);
-# x on z^6 - z + 1 has 9,226,714 (about 3 GB) and is refused.
+# file form is the expanded tree, 150 to 300 bytes per node as indented JSON.
+# x on z^6 - z + 1 has 1,087 nodes at its default bound (a 184 KB file), and
+# x on z^7 - 2z^2 + 3 3,026.  No certificate tried within MAX_CERTIFY_DEGREE
+# comes near the ceiling; it stands against an input that does.
 MAX_CERT_NODES = 10**6
 
 

@@ -301,15 +301,20 @@ class Echelon:
         self.pivots.append(self.columns - 1)
         return True
 
+    def split(self, target: dict) -> tuple[list[Fraction], dict]:
+        """The weights w, one per kept column, and the residual r, with
+        target = sum(w_k * kept_k) + r and r zero at every pivot row.  The
+        residual is {} iff the columns give ``target``; the weights are then
+        the unique ones, since the kept columns are independent."""
+        v = self._reduce(target)
+        zero = Fraction(0)
+        return [v.pop(-1 - k, zero) for k in range(len(self._basis))], v
+
     def solve(self, target: dict) -> list[Fraction] | None:
         """The weights w, one per kept column, with sum(w_k * kept_k) = target,
-        or None if no combination of the columns gives ``target``.  Such
-        weights are unique, since the kept columns are independent."""
-        v = self._reduce(target)
-        if max(v, default=-1) >= 0:
-            return None
-        zero = Fraction(0)
-        return [v.get(-1 - k, zero) for k in range(len(self._basis))]
+        or None if no combination of the columns gives ``target``."""
+        weights, residual = self.split(target)
+        return None if residual else weights
 
 
 def _divide(r: dict, b: dict, q: dict | None = None) -> None:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from danielewski import errors
+from danielewski import errors, parsing
 from danielewski.cli import COMMANDS, main
 from danielewski.fields import MAX_LND_ITER
 from danielewski.membership import MAX_CERTIFY_DEGREE, expression_size
@@ -96,18 +96,38 @@ def test_certify_and_verify(capsys, tmp_path):
 
 def test_a_certificate_of_unreduced_cofactors_still_verifies(capsys):
     """x on z^3 - z as certify wrote it while x_part left the coefficient of p'
-    unreduced: 306 tree nodes, where certify now writes 204."""
+    unreduced: 306 tree nodes, where certify now writes 68."""
     old = Path(__file__).parent / "certificates" / "x_on_cubic_unreduced_cofactors.json"
     assert expression_size(load_certificate_file(old.read_text())[2]) == 306
     code, out, _ = run(capsys, "verify-cert", str(old), "--surface", "z^3 - z")
     assert code == 0 and out == "true"
     code, out, _ = run(capsys, "certify", "x", "--surface", "z^3 - z", "--shears-only")
-    assert code == 0 and expression_size(cert_from_obj(json.loads(out)["certificate"])) == 204
+    assert code == 0 and expression_size(cert_from_obj(json.loads(out)["certificate"])) == 68
 
 
-def test_certificate_over_the_node_ceiling_writes_no_file(capsys, tmp_path):
+def test_a_certificate_on_a_sextic_is_written_and_verifies(capsys, tmp_path):
+    """x on z^6 - z + 1 at its default bound: 1,087 tree nodes, far below
+    MAX_CERT_NODES."""
     cert = tmp_path / "cert.json"
-    code, out, err = run(capsys, "certify", "x", "--surface", "z^6 - z + 1", "--shears-only",
+    code, _, _ = run(capsys, "certify", "x", "--surface", "z^6 - z + 1", "--shears-only",
+                     "--output", str(cert))
+    assert code == 0
+    assert expression_size(load_certificate_file(cert.read_text())[2]) == 1087
+    code, out, _ = run(capsys, "verify-cert", str(cert), "--surface", "z^6 - z + 1")
+    assert code == 0 and out == "true"
+
+
+@pytest.fixture
+def node_ceiling(monkeypatch):
+    """parsing.MAX_CERT_NODES lowered below the 68 tree nodes of x on z^3 - z:
+    no certificate tried within MAX_CERTIFY_DEGREE comes near 10^6 nodes (x on
+    z^7 - 2z^2 + 3 has 3,026), so the ceiling is tested in-process."""
+    monkeypatch.setattr(parsing, "MAX_CERT_NODES", 67)
+
+
+def test_certificate_over_the_node_ceiling_writes_no_file(capsys, tmp_path, node_ceiling):
+    cert = tmp_path / "cert.json"
+    code, out, err = run(capsys, "certify", "x", "--surface", "z^3 - z", "--shears-only",
                          "--output", str(cert))
     assert code == 2 and out == "" and "MAX_CERT_NODES" in err
     assert not cert.exists()
@@ -515,7 +535,8 @@ ERROR_PATHS = {
         ["compose", "Sym(1)", "id"], "z^2 - 1", 2, "syntax-error", ["two arguments"]),
     "x-part over the bound": (
         ["certify", "x^3*z^5", "--shears-only", "--max-degree", "3"], "z^3 - z", 1,
-        "search-exhausted", ["x-part", "bound 3", "retry with a larger bound"]),
+        "search-exhausted",
+        ["x-part of x-degree 3", "z-degree 5", "bound 3", "retry with a larger bound"]),
     # a syntax error inside a literal is placed from the start of the argument
     "shear index": (
         ["potential", "SFx(a)"], "z^2 - 1", 2, "syntax-error", ["(at position 4)"]),
@@ -565,8 +586,9 @@ CEILINGS = {
     "certify --max-degree": (
         ["certify", "x", "--shears-only", "--max-degree", str(MAX_CERTIFY_DEGREE + 1)],
         "z^3-z", "degree-gate", "MAX_CERTIFY_DEGREE"),
+    # over the node ceiling as the node_ceiling fixture lowers it
     "certificate tree nodes": (
-        ["certify", "x", "--shears-only"], "z^6 - z + 1", "degree-gate", "MAX_CERT_NODES"),
+        ["certify", "x", "--shears-only"], "z^3 - z", "degree-gate", "MAX_CERT_NODES"),
     "certify default bound": (
         ["certify", "30*z^29 - 28*z^27", "--shears-only"],
         "z^3-z", "degree-gate", "MAX_CERTIFY_DEGREE"),
@@ -651,7 +673,7 @@ CEILINGS = {
 
 @pytest.mark.parametrize("argv, surface, error, ceiling", CEILINGS.values(),
                          ids=CEILINGS.keys())
-def test_numeric_input_outside_its_range(capsys, argv, surface, error, ceiling):
+def test_numeric_input_outside_its_range(capsys, node_ceiling, argv, surface, error, ceiling):
     code, out, _ = run(capsys, *argv, "--surface", surface, "--format", "json")
     obj = json.loads(out)
     assert code == 2 and obj["error"] == error and ceiling in obj["message"]

@@ -261,8 +261,8 @@ QUINTIC_AT_24 = ["x*z", "x*z^2", "x*z^3", "x*z^4", "y*z^2"]
 
 @pytest.mark.parametrize("target", QUINTIC_AT_24)
 def test_shears_only_on_a_quintic(target):
-    """Shears-only certificates on z^5 - z + 1 at bound 24; each tree has
-    258,950 nodes over 107 to 347 distinct subtrees."""
+    """Shears-only certificates on z^5 - z + 1 at bound 24; the trees have 6
+    to 621 nodes."""
     s = make_surface(parse_unipoly("z^5 - z + 1"))
     f = parse_expression(s, target)
     cert = certify_shears_only(f, 24)
@@ -271,7 +271,7 @@ def test_shears_only_on_a_quintic(target):
                 lambda a, b: a and b)
 
 
-COFACTOR_SURFACES = ["z^2 - 1", "z^3 - z", "z^4 - z", "z^5 - z + 1"]
+COFACTOR_SURFACES = ["z^2 - 1", "z^3 - z", "z^4 - z", "z^5 - z + 1", "z^6 - z + 1"]
 mixed_terms = st.lists(st.tuples(st.integers(-5, 5).filter(bool), st.integers(0, 10),
                                  st.sampled_from([1, -1, 2, -3])), min_size=1, max_size=3)
 
@@ -279,9 +279,10 @@ mixed_terms = st.lists(st.tuples(st.integers(-5, 5).filter(bool), st.integers(0,
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(COFACTOR_SURFACES), mixed_terms, st.lists(st.integers(-2, 2), max_size=6))
 def test_reduced_cofactors_certify_accepted_potentials(surface, terms, q):
-    """c x^k z^j and c y^k z^j terms plus (p*q)': each certifies at the default
-    bound and verifies, and x_part's coefficient of p' has degree < deg(p),
-    so w1 is asked for z-exponents below deg(p) only."""
+    """c x^k z^j and c y^k z^j terms plus (p*q)', on surfaces of degree 2 to 6:
+    each certifies at the default bound and verifies, and x_part's
+    coefficient of p' has degree < deg(p), so w1 is asked for z-exponents
+    below deg(p) only."""
     s = make_surface(parse_unipoly(surface))
     f = s.from_unipoly((s.p * UniPoly(dict(enumerate(q)))).derivative())
     for k, j, c in terms:
@@ -300,14 +301,18 @@ def test_reduced_cofactors_certify_accepted_potentials(surface, terms, q):
 
 
 def test_reduced_cofactor_of_a_high_power(cubic):
-    # g = z^9 on z^3 - z: unreduced cofactors asked w1 for z^9 up to z^13
+    # g = z^10 on z^3 - z: the x_high columns at x^1 leave a nonzero residual,
+    # which descends by reduced cofactors (unreduced ones asked w1 for
+    # z-exponents up to 14)
     certifier = _Certifier(cubic, 24)
+    g = UniPoly.monomial(10)
+    assert certifier.x_high_basis(1)[0].split(g.c)[1]
     asked = []
     w1 = certifier.w1
     certifier.w1 = lambda i, j: asked.append(j) or w1(i, j)
-    expr = certifier.x_part(1, UniPoly.monomial(9))
+    expr = certifier.x_part(1, g)
     assert asked and max(asked) < cubic.degree
-    assert verify_certificate(cubic, expr, cubic.x(1, 9))
+    assert verify_certificate(cubic, expr, cubic.x(1, 10))
 
 
 def test_certify_deep_nesting_bounds(cubic):
@@ -382,41 +387,47 @@ def test_family_entries_are_x_shear_brackets(surface):
 # or the solver that alters a certificate by one byte shows here.
 PINNED_CERTIFICATES = [
     ("z^2 - 1", "x^2*z + y + 3*z^2 - 1", None,
-     "d034dccd57b5158de5f8e428fca8ded82e5b385c18fd9234d3a869e41f9deb8c"),
+     "fc1f1573d204794b2f9ef16a908fba18846825e91c2e15e4ab864e4e7eefeec1"),
     ("z^2 - 1", "x^2*z + y + 3*z^2 - 1", 24,
-     "d034dccd57b5158de5f8e428fca8ded82e5b385c18fd9234d3a869e41f9deb8c"),
+     "fc1f1573d204794b2f9ef16a908fba18846825e91c2e15e4ab864e4e7eefeec1"),
     ("z^2 - 1", "x*z^2 - 2*y^3*z", None,
-     "ae0c6fb23d2442f484833800b2be5f181477cf6c0a33c080e38d90738d3fcbea"),
+     "dc188719d8473627632e386eb3b01f3dca2f86177f6aeacced78a5602fa8a166"),
     ("z^2 - 1", "x*z^2 - 2*y^3*z", 24,
-     "ae0c6fb23d2442f484833800b2be5f181477cf6c0a33c080e38d90738d3fcbea"),
+     "dc188719d8473627632e386eb3b01f3dca2f86177f6aeacced78a5602fa8a166"),
     ("z^3 - z", "x^2*z + y*z^2 + z^2", None,
-     "c06de5b6d77f5de7c7c90f5de39ebb436dac6beeb1e00aec4d4c67e63676d217"),
+     "0be91f394d2b9299f31ef3486410b15fb18b84cbbd6fc9b8487b000137704bdd"),
     ("z^3 - z", "x^2*z + y*z^2 + z^2", 24,
-     "c06de5b6d77f5de7c7c90f5de39ebb436dac6beeb1e00aec4d4c67e63676d217"),
+     "0be91f394d2b9299f31ef3486410b15fb18b84cbbd6fc9b8487b000137704bdd"),
     ("z^3 - z", "x*z^3 - 2*y^3 + 5*z^4 - 3*z^2", None,
-     "545f787b08ba0f16106a5d5cec423862f14cbbd4367d3931c64113a9e0a7fe59"),
+     "af8cb8214a1449abd398e39f443454fcd4d8b77d8be7f81ec7987aa29cd21c61"),
     ("z^3 - z", "x*z^3 - 2*y^3 + 5*z^4 - 3*z^2", 24,
-     "545f787b08ba0f16106a5d5cec423862f14cbbd4367d3931c64113a9e0a7fe59"),
+     "af8cb8214a1449abd398e39f443454fcd4d8b77d8be7f81ec7987aa29cd21c61"),
     ("z^4 - z", "x^3 + y^2*z", None,
-     "3a4118afc24ff306400e4a48c68556a4e04ebecde43d9b70b09e71c567b61d9d"),
+     "0d3db5abf4da403aa1fdb718a5727698c2dc677b8f5d7d5dc6d658d6598fdbeb"),
     ("z^4 - z", "x^3 + y^2*z", 24,
-     "3a4118afc24ff306400e4a48c68556a4e04ebecde43d9b70b09e71c567b61d9d"),
+     "0d3db5abf4da403aa1fdb718a5727698c2dc677b8f5d7d5dc6d658d6598fdbeb"),
     ("z^4 - z", "x^2*z^4 + 4*z^3 - 1", None,
-     "6e8e491fe6707a406dceea48ffaba7dca7a638f8f0aa7fb26b5067c4b64370e0"),
+     "205fde35294f85038637658cd422a3447c36afd46f2df9dec6415fb1fa096b36"),
     ("z^4 - z", "x^2*z^4 + 4*z^3 - 1", 24,
-     "6e8e491fe6707a406dceea48ffaba7dca7a638f8f0aa7fb26b5067c4b64370e0"),
+     "205fde35294f85038637658cd422a3447c36afd46f2df9dec6415fb1fa096b36"),
     # its pure-z part weights a product entry of the family
     ("z^4 - z", "-2*x^5*z + 2*y^3 + 6*z^5 + 5*z^4 - 3*z^2 - 2*z", None,
-     "36e06f98701bd813e78762c40a5285544cf268478d12eb98eade33865b70d917"),
+     "92fb92938ec3b40ceefa61cca4af6551c45984eebac34261244803984d7bc773"),
 ]
 
 
 @pytest.mark.parametrize("surface, target, bound, digest", PINNED_CERTIFICATES,
                          ids=[f"{s}: {t}, bound {b}" for s, t, b, _ in PINNED_CERTIFICATES])
 def test_certificates_are_pinned(surface, target, bound, digest):
-    f = parse_expression(make_surface(parse_unipoly(surface)), target)
-    cert = json.dumps(cert_to_obj(certify_shears_only(f, bound)), sort_keys=True)
+    s = make_surface(parse_unipoly(surface))
+    f = parse_expression(s, target)
+    expr = certify_shears_only(f, bound)
+    cert = json.dumps(cert_to_obj(expr), sort_keys=True)
     assert hashlib.sha256(cert.encode()).hexdigest() == digest
+    # the pinned certificate holds by both verifiers: the Poisson algebra's
+    # and the field-level oracle
+    assert verify_certificate(s, expr, f)
+    assert canonical_potential(potential_of(evaluate(s, expr))) == canonical_potential(f)
 
 
 # ---- cost of shared subtrees ------------------------------------------------------------
@@ -472,7 +483,7 @@ def test_shared_subtrees_cost_their_distinct_count(cubic):
 @pytest.mark.parametrize("surface", ["z^3 - z", "z^4 - z"])
 def test_certificates_read_back_as_shared_dags(surface):
     s = make_surface(parse_unipoly(surface))
-    for target in ("x", "x*z^2", "y^2*z", "x^3 + y^2*z"):
+    for target in ("x", "x*z^2 + y", "x^2 + y^2", "x*z^3 + y*z^2"):
         f = parse_expression(s, target)
         cert = certify_shears_only(f)
         back = cert_from_obj(json.loads(json.dumps(cert_to_obj(cert))))
@@ -540,11 +551,20 @@ def test_factored_solve_matches_gauss_jordan(system, mod_const):
         else:
             assert fresh == [weights[echelon.pivots.index(k)] if keep else 0
                              for k, keep in enumerate(kept)]
+        # split: target = sum(w_k * kept_k) + residual, the residual reduced
+        # already, and empty iff solve finds weights
+        split, residual = echelon.split(vector(target))
+        kept_columns = [c for c, keep in zip(columns, kept) if keep]
+        combination = sum((c.scale(w) for c, w in zip(kept_columns, split)), UniPoly())
+        assert vector(combination + UniPoly(residual)) == vector(target)
+        assert echelon.split(residual) == ([0] * len(kept_columns), residual)
+        assert (weights is None) == bool(residual)
+        assert weights is None or weights == split
 
 
 def test_one_elimination_per_column_set(monkeypatch):
     # Every Echelon the certifier makes is one elimination; it must make one
-    # per distinct column set (the family's, and one per x_high exponent),
+    # per distinct column set (the family's, and one per x-exponent of x_high),
     # however many targets it solves against each.
     made, offered = [], {}
     init, add = Echelon.__init__, Echelon.add
