@@ -54,7 +54,6 @@ from .ring import (
     SurfaceConfig,
     SurfacePolynomial,
     UniPoly,
-    poly_divrem,
     poly_rem_sparse,
     shared,
 )
@@ -309,11 +308,6 @@ class FamilyEntry(Record):
     potential: UniPoly  # pure-z, constant term included
 
 
-def _lift(expr: Bracket, i2: int) -> Bracket:
-    """Raise the index of the outer SF^x by i2: the potential gains x^i2."""
-    return Bracket(Leaf("SFx", expr.left.i + i2), expr.right)
-
-
 class SpanningFamily:
     """A pivot basis of certified shears-only expressions with pure-z potentials.
 
@@ -332,10 +326,10 @@ class SpanningFamily:
     entries; short of that (z^5 - z + 1 at bound 12) it reduces every
     candidate.  Every entry is a bracket [SF_i^x, ...], a shears-only
     expression of the hyperbolic field whose multiplier is the entry's
-    potential'.  `lifted` raises its outer index, which multiplies the
-    potential by a power of x, and `x_high_basis` nests it under x-shears; a
-    dropped candidate's derivative chain there would likewise be a
-    combination of earlier columns.
+    potential'.  `x_high_basis` nests it under x-shears, which multiplies
+    the potential's derivatives by a power of x; a dropped candidate's
+    derivative chain there would likewise be a combination of earlier
+    columns.
     """
 
     def __init__(self, surface: SurfaceConfig, max_deg: int):
@@ -417,57 +411,42 @@ class SpanningFamily:
 # -- shears-only certification -------------------------------------------------
 
 
-def _memoised(method):
-    """``method`` computed once per arguments, kept in the certifier's ``memo``."""
-    def once(self, *args):
-        key = (method.__name__, *args)
-        if key not in self.memo:
-            self.memo[key] = method(self, *args)
-        return self.memo[key]
-    return once
-
-
 class _Certifier:
     def __init__(self, surface: SurfaceConfig, max_deg: int):
         self.s = surface
         self.family = SpanningFamily(surface, max_deg)
-        self.memo: dict[tuple, object] = {}
+        self.x_high: dict[int, tuple] = {}  # x_high_basis(i), by i
 
-    def _combination(self, g: UniPoly) -> list[tuple[Fraction, FamilyEntry]]:
-        """Weighted family entries whose potentials sum to g modulo constants."""
-        entries = self.family.entries
-        sol = self.family.echelon.solve(_mod_const(g))
-        if sol is None:
-            raise SearchExhausted(
-                "no combination of spanning-family entries found for a pure-z "
-                f"potential of degree {g.degree} within degree bound "
-                f"{self.family.max_deg}; retry with a larger bound"
-            )
-        return [(w, e) for w, e in zip(sol, entries) if w]
+    def _exhausted(self, what: str) -> SearchExhausted:
+        """The failure of a search for ``what`` at this certifier's bound, with
+        what to try next: a larger bound, or none at the ceiling."""
+        bound = self.family.max_deg
+        if bound >= MAX_CERTIFY_DEGREE:
+            hint = "that is the ceiling MAX_CERTIFY_DEGREE, so no larger bound can be tried"
+        else:
+            hint = "retry with a larger bound"
+        return SearchExhausted(
+            f"no shears-only combination found for {what} within degree bound {bound}; {hint}"
+        )
 
     # potential == g(z) modulo constants
     def pure_z(self, g: UniPoly) -> BracketExpression:
-        return make_sum([(w, e.expr) for w, e in self._combination(g)])
+        sol = self.family.echelon.solve(_mod_const(g))
+        if sol is None:
+            raise self._exhausted(f"a pure-z potential of degree {g.degree}")
+        return make_sum([(w, e.expr) for w, e in zip(sol, self.family.entries) if w])
 
-    # potential exactly x^i2 * g, as lifted family entries; g must combine
-    # exactly (for g a derivative of a p-multiple this is automatic: a constant
-    # discrepancy c would force p | cz + d)
-    def lifted(self, g: UniPoly, i2: int) -> BracketExpression:
-        terms = self._combination(g)
-        if sum((e.potential.scale(w) for w, e in terms), UniPoly()) != g:
-            raise InternalInvariantViolation(
-                "mixed-term lift has a constant discrepancy"
-            )
-        return make_sum([(w, _lift(e.expr, i2)) for w, e in terms])
-
-    # The columns for x^i, any i >= 1, as an echelon and the expressions of
-    # the kept ones: chains of x-shears over certified hyperbolic fields
-    # give x^i f^(d) for every derivative order d <= i-1, a triangular family
-    # in the degree.
-    @_memoised
-    def x_high_basis(self, i: int) -> tuple[Echelon, list[BracketExpression]]:
+    # The columns for x^i, any i >= 1, as an echelon and the kept ones, each an
+    # expression with potential x^i g and its g.  Chains of x-shears over
+    # certified hyperbolic fields give x^i f^(d) for every derivative order
+    # d <= i-1, a triangular family in the degree.  Below x^deg(p), each kept
+    # column x^(i+1) g of x^(i+1) also gives [SF_0^y, x^(i+1) g], with
+    # potential {y, x^(i+1) g} = x^i ((i+1) g p' + p g').
+    def x_high_basis(self, i: int) -> tuple[Echelon, list[tuple[BracketExpression, UniPoly]]]:
+        if i in self.x_high:
+            return self.x_high[i]
         echelon = Echelon()
-        exprs: list[BracketExpression] = []
+        kept: list[tuple[BracketExpression, UniPoly]] = []
         for entry in self.family.entries:
             deriv = entry.potential.derivative()
             d = 0
@@ -476,57 +455,31 @@ class _Certifier:
                     inner = Bracket(Leaf("SFx", i - d - 1), entry.expr)
                     for _ in range(d):
                         inner = Bracket(Leaf("SFx", 0), inner)
-                    exprs.append(inner)
+                    kept.append((inner, deriv))
                 if deriv.is_zero():
                     break
                 deriv = deriv.derivative()
                 d += 1
-        return echelon, exprs
+        if i < self.s.degree:
+            p, pp = self.s.p, self.s.p_prime
+            for expr, g in self.x_high_basis(i + 1)[1]:
+                col = (g * pp).scale(i + 1) + p * g.derivative()
+                if echelon.add(col.c):
+                    kept.append((Bracket(Leaf("SFy", 0), expr), col))
+        self.x_high[i] = echelon, kept
+        return echelon, kept
 
-    @_memoised
-    def x_monomial(self, i: int, j: int) -> BracketExpression:
-        return self.x_part(i, UniPoly.monomial(j))
-
-    # potential exactly x^i p'(z) z^j
-    @_memoised
-    def w1(self, i: int, j: int) -> BracketExpression:
-        u = Bracket(Leaf("SFy", 0), self.x_monomial(i + 1, j))
-        v = self.lifted((self.s.p * UniPoly.monomial(j)).derivative(), i)
-        return make_sum([(Fraction(1, i), u), (Fraction(-1, i), v)])
-
-    # potential exactly x^i p(z) z^j
-    @_memoised
-    def w2(self, i: int, j: int) -> BracketExpression:
-        u = Bracket(Leaf("SFy", 0), self.x_monomial(i + 1, j + 1))
-        v = self.lifted((self.s.p * UniPoly.monomial(j + 1)).derivative(), i)
-        w = Fraction(1, i * (j + 1))
-        return make_sum([(w * (i + 1), v), (-w, u)])
-
-    # potential exactly x^i * g, any i >= 1: the part of g that the columns of
-    # x_high_basis(i) span is their weighted expressions; only the residual,
-    # and only below deg(p), descends through the Bezout identity
-    # 1 = u*p + v*p'
+    # potential exactly x^i * g, any i >= 1: the weighted columns of
+    # x_high_basis(i)
     def x_part(self, i: int, g: UniPoly) -> BracketExpression:
-        echelon, exprs = self.x_high_basis(i)
+        echelon, kept = self.x_high_basis(i)
         weights, residual = echelon.split(g.c)
-        terms = [(w, e) for w, e in zip(weights, exprs) if w]
         if residual:
-            r = UniPoly(residual)
-            if i >= self.s.degree:
-                raise SearchExhausted(
-                    f"no shears-only combination found for an x-part of x-degree {i}: "
-                    f"its residual of z-degree {r.degree} is outside the x-shear "
-                    f"chains within degree bound {self.family.max_deg}; retry with "
-                    "a larger bound"
-                )
-            # r = r*v*p' + r*u*p; with r*v = k*p + a this is a*p' + (r*u + k*p')*p.
-            # a is a remainder modulo p, so deg a < deg p: each level of the
-            # descent asks w1 for z-degrees below deg p, whatever the degree of r.
-            k, a = poly_divrem(r * self.s.gcd_v, self.s.p)  # a: coefficient of p'
-            b = r * self.s.gcd_u + k * self.s.p_prime  # coefficient of p
-            terms += [(v, self.w1(i, j)) for j, v in sorted(a.c.items())]
-            terms += [(v, self.w2(i, j)) for j, v in sorted(b.c.items())]
-        return make_sum(terms)
+            raise self._exhausted(
+                f"an x-part of x-degree {i}: its residual of z-degree "
+                f"{UniPoly(residual).degree} is outside the span of its columns"
+            )
+        return make_sum([(w, e) for w, (e, _) in zip(weights, kept) if w])
 
     def certify(self, f: SurfacePolynomial) -> BracketExpression:
         terms: list = []
@@ -554,12 +507,14 @@ def _certifier(surface: SurfaceConfig, max_deg: int) -> _Certifier:
 
 # Ceiling on the degree bound of certify_shears_only, the default bound
 # included.  The family's entries, their number and product degrees grow with
-# the bound: certifying x on z^3 - z (a tree of 68 nodes) takes 0.05 s of CPU
-# at 24 and 0.09 s at 32, and x*z on z^5 - z + 1 (551 nodes at both) 0.06 s
-# and 0.16 s; x on z^6 - z + 1 certifies at its default bound 24 in 0.08 s,
-# as 1,087 nodes (median CPU time of the call over three fresh processes,
-# Python 3.11, one core of a shared 2-core VM).  The tree a certificate may
-# print is bounded apart from this (parsing.MAX_CERT_NODES).
+# the bound, and so do the columns of every x_high_basis: certifying x on
+# z^3 - z (a tree of 19 nodes) takes 0.04 s of CPU at 24 and 0.10 s at 32,
+# and x*z on z^5 - z + 1 (38 nodes at both) 0.14 s and 0.34 s; x on
+# z^6 - z + 1 certifies at its default bound 24 in 0.18 s, as 189 nodes, and
+# x on z^9 - z + 1 at 32 in 0.78 s, as 490 (median CPU time of the call over
+# three fresh processes, Python 3.11, one core of a shared 2-core VM).  The
+# tree a certificate may print is bounded apart from this
+# (parsing.MAX_CERT_NODES).
 MAX_CERTIFY_DEGREE = 32
 
 

@@ -417,7 +417,7 @@ def bezout(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
 class SurfaceConfig:
     """The defining polynomial p together with derived exact data."""
 
-    __slots__ = ("p", "p_prime", "degree", "gcd_u", "gcd_v", "max_p_power", "_p_powers")
+    __slots__ = ("p", "p_prime", "degree", "max_p_power", "_p_powers")
 
     def __init__(self, p: UniPoly):
         if p.is_zero():
@@ -427,10 +427,8 @@ class SurfaceConfig:
         self.p = p
         self.p_prime = p.derivative()
         self.degree = p.degree
-        u, v, g = bezout(p, self.p_prime)
-        if g.degree != 0:
+        if bezout(p, self.p_prime)[2].degree != 0:
             raise RepeatedRoot("p has a repeated root: gcd(p, p') = nontrivial")
-        self.gcd_u, self.gcd_v = u, v
         # With d the common denominator of p and |d p|_1 the sum of the
         # absolute values of the coefficients of d p, every numerator and
         # denominator of p^m is at most B^m, B = max(d, |d p|_1).  The

@@ -95,34 +95,35 @@ def test_certify_and_verify(capsys, tmp_path):
 
 
 def test_a_certificate_of_unreduced_cofactors_still_verifies(capsys):
-    """x on z^3 - z as certify wrote it while x_part left the coefficient of p'
-    unreduced: 306 tree nodes, where certify now writes 68."""
+    """x on z^3 - z as certify wrote it while x_part descended through the
+    Bezout identity with the coefficient of p' unreduced: 306 tree nodes,
+    where certify now writes 19."""
     old = Path(__file__).parent / "certificates" / "x_on_cubic_unreduced_cofactors.json"
     assert expression_size(load_certificate_file(old.read_text())[2]) == 306
     code, out, _ = run(capsys, "verify-cert", str(old), "--surface", "z^3 - z")
     assert code == 0 and out == "true"
     code, out, _ = run(capsys, "certify", "x", "--surface", "z^3 - z", "--shears-only")
-    assert code == 0 and expression_size(cert_from_obj(json.loads(out)["certificate"])) == 68
+    assert code == 0 and expression_size(cert_from_obj(json.loads(out)["certificate"])) == 19
 
 
 def test_a_certificate_on_a_sextic_is_written_and_verifies(capsys, tmp_path):
-    """x on z^6 - z + 1 at its default bound: 1,087 tree nodes, far below
+    """x on z^6 - z + 1 at its default bound: 189 tree nodes, far below
     MAX_CERT_NODES."""
     cert = tmp_path / "cert.json"
     code, _, _ = run(capsys, "certify", "x", "--surface", "z^6 - z + 1", "--shears-only",
                      "--output", str(cert))
     assert code == 0
-    assert expression_size(load_certificate_file(cert.read_text())[2]) == 1087
+    assert expression_size(load_certificate_file(cert.read_text())[2]) == 189
     code, out, _ = run(capsys, "verify-cert", str(cert), "--surface", "z^6 - z + 1")
     assert code == 0 and out == "true"
 
 
 @pytest.fixture
 def node_ceiling(monkeypatch):
-    """parsing.MAX_CERT_NODES lowered below the 68 tree nodes of x on z^3 - z:
+    """parsing.MAX_CERT_NODES lowered below the 19 tree nodes of x on z^3 - z:
     no certificate tried within MAX_CERTIFY_DEGREE comes near 10^6 nodes (x on
-    z^7 - 2z^2 + 3 has 3,026), so the ceiling is tested in-process."""
-    monkeypatch.setattr(parsing, "MAX_CERT_NODES", 67)
+    z^9 - z + 1 at bound 32 has 490), so the ceiling is tested in-process."""
+    monkeypatch.setattr(parsing, "MAX_CERT_NODES", 18)
 
 
 def test_certificate_over_the_node_ceiling_writes_no_file(capsys, tmp_path, node_ceiling):
@@ -506,9 +507,9 @@ def test_verdicts_in_both_formats(capsys, tmp_path, argv, surface, exit_code, te
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_exhausted_search_names_its_bound(capsys, fmt):
-    """x on z^5 - z + 1 needs a pure-z potential of degree 5; at bound 12 the
-    spanning family holds 8 of its 9 entries and cannot combine it."""
-    code, out, err = run(capsys, "certify", "--shears-only", "x", "--surface",
+    """(p*z)' on z^5 - z + 1 is a pure-z potential of degree 5; at bound 12
+    the spanning family holds 8 of its 9 entries and cannot combine it."""
+    code, out, err = run(capsys, "certify", "--shears-only", "6*z^5 - 2*z + 1", "--surface",
                          "z^5 - z + 1", "--max-degree", "12", "--format", fmt)
     if fmt == "json":
         obj = json.loads(out)
@@ -537,6 +538,18 @@ ERROR_PATHS = {
         ["certify", "x^3*z^5", "--shears-only", "--max-degree", "3"], "z^3 - z", 1,
         "search-exhausted",
         ["x-part of x-degree 3", "z-degree 5", "bound 3", "retry with a larger bound"]),
+    # at the ceiling both searches say that no larger bound can be tried:
+    # (p*z)' on z^9 - z + 1, and an x-part of z-degree above the bound
+    "pure-z search at the ceiling": (
+        ["certify", "10*z^9 - 2*z + 1", "--shears-only", "--max-degree", "32"], "z^9 - z + 1",
+        1, "search-exhausted",
+        ["pure-z potential of degree 9", "bound 32",
+         "that is the ceiling MAX_CERTIFY_DEGREE, so no larger bound can be tried"]),
+    "x-part search at the ceiling": (
+        ["certify", "x^3*z^40", "--shears-only", "--max-degree", "32"], "z^3 - z", 1,
+        "search-exhausted",
+        ["x-part of x-degree 3", "z-degree 40", "bound 32",
+         "that is the ceiling MAX_CERTIFY_DEGREE, so no larger bound can be tried"]),
     # a syntax error inside a literal is placed from the start of the argument
     "shear index": (
         ["potential", "SFx(a)"], "z^2 - 1", 2, "syntax-error", ["(at position 4)"]),

@@ -13,8 +13,6 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
-from unittest.mock import patch
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -262,7 +260,7 @@ QUINTIC_AT_24 = ["x*z", "x*z^2", "x*z^3", "x*z^4", "y*z^2"]
 @pytest.mark.parametrize("target", QUINTIC_AT_24)
 def test_shears_only_on_a_quintic(target):
     """Shears-only certificates on z^5 - z + 1 at bound 24; the trees have 6
-    to 621 nodes."""
+    to 129 nodes."""
     s = make_surface(parse_unipoly("z^5 - z + 1"))
     f = parse_expression(s, target)
     cert = certify_shears_only(f, 24)
@@ -271,48 +269,38 @@ def test_shears_only_on_a_quintic(target):
                 lambda a, b: a and b)
 
 
-COFACTOR_SURFACES = ["z^2 - 1", "z^3 - z", "z^4 - z", "z^5 - z + 1", "z^6 - z + 1"]
+CERTIFY_SURFACES = ["z^2 - 1", "z^3 - z", "z^4 - z", "z^5 - z + 1", "z^6 - z + 1",
+                    "z^7 - 2*z^2 + 3"]
 mixed_terms = st.lists(st.tuples(st.integers(-5, 5).filter(bool), st.integers(0, 10),
                                  st.sampled_from([1, -1, 2, -3])), min_size=1, max_size=3)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(COFACTOR_SURFACES), mixed_terms, st.lists(st.integers(-2, 2), max_size=6))
-def test_reduced_cofactors_certify_accepted_potentials(surface, terms, q):
-    """c x^k z^j and c y^k z^j terms plus (p*q)', on surfaces of degree 2 to 6:
-    each certifies at the default bound and verifies, and x_part's
-    coefficient of p' has degree < deg(p), so w1 is asked for z-exponents
-    below deg(p) only."""
+@given(st.sampled_from(CERTIFY_SURFACES), mixed_terms, st.lists(st.integers(-2, 2), max_size=6))
+def test_accepted_potentials_certify_at_the_default_bound(surface, terms, q):
+    """c x^k z^j and c y^k z^j terms plus (p*q)', on surfaces of degree 2 to 7:
+    each certifies at the default bound and verifies."""
     s = make_surface(parse_unipoly(surface))
     f = s.from_unipoly((s.p * UniPoly(dict(enumerate(q)))).derivative())
     for k, j, c in terms:
         f = f + (s.x(k, j, c) if k > 0 else s.y(-k, j, c))
-    asked = []
-    w1 = _Certifier.w1
-
-    def spy(self, i, j):
-        asked.append(j)
-        return w1(self, i, j)
-
-    with patch.object(_Certifier, "w1", spy):
-        cert = certify_shears_only(f)
+    cert = certify_shears_only(f)
     assert verify_certificate(s, cert, f)
-    assert all(j < s.degree for j in asked)
 
 
-def test_reduced_cofactor_of_a_high_power(cubic):
-    # g = z^10 on z^3 - z: the x_high columns at x^1 leave a nonzero residual,
-    # which descends by reduced cofactors (unreduced ones asked w1 for
-    # z-exponents up to 14)
+def test_a_high_power_is_spanned_at_x_degree_one(cubic):
+    # g = z^10 on z^3 - z: the x-shear chains at x^1 do not span it, and the
+    # [SF_0^y, x^2 h] columns of x_high_basis(1) take the rest
     certifier = _Certifier(cubic, 24)
     g = UniPoly.monomial(10)
-    assert certifier.x_high_basis(1)[0].split(g.c)[1]
-    asked = []
-    w1 = certifier.w1
-    certifier.w1 = lambda i, j: asked.append(j) or w1(i, j)
-    expr = certifier.x_part(1, g)
-    assert asked and max(asked) < cubic.degree
-    assert verify_certificate(cubic, expr, cubic.x(1, 10))
+    echelon, kept = certifier.x_high_basis(1)
+    assert not echelon.split(g.c)[1]
+    chains = Echelon()
+    for expr, h in kept:
+        if expr.left.kind == "SFx":
+            chains.add(h.c)
+    assert chains.split(g.c)[1]
+    assert verify_certificate(cubic, certifier.x_part(1, g), cubic.x(1, 10))
 
 
 def test_certify_deep_nesting_bounds(cubic):
@@ -375,7 +363,7 @@ def test_family_matches_generate_all_reference(surface):
 
 @pytest.mark.parametrize("surface", FAMILY_SURFACES)
 def test_family_entries_are_x_shear_brackets(surface):
-    # one form per entry: `lifted` raises the outer SF^x index of the entry itself
+    # one form per entry: an SF^x-outer bracket, which x_high_basis nests as it is
     s = make_surface(parse_unipoly(surface))
     for bound in (12, 16, 24):
         for e in SpanningFamily(s, bound).entries:
@@ -395,9 +383,9 @@ PINNED_CERTIFICATES = [
     ("z^2 - 1", "x*z^2 - 2*y^3*z", 24,
      "dc188719d8473627632e386eb3b01f3dca2f86177f6aeacced78a5602fa8a166"),
     ("z^3 - z", "x^2*z + y*z^2 + z^2", None,
-     "0be91f394d2b9299f31ef3486410b15fb18b84cbbd6fc9b8487b000137704bdd"),
+     "007fd03bc9cba254f2c8d5144cc38167e43b727cd234b8fe4f1bebffd8c8b879"),
     ("z^3 - z", "x^2*z + y*z^2 + z^2", 24,
-     "0be91f394d2b9299f31ef3486410b15fb18b84cbbd6fc9b8487b000137704bdd"),
+     "007fd03bc9cba254f2c8d5144cc38167e43b727cd234b8fe4f1bebffd8c8b879"),
     ("z^3 - z", "x*z^3 - 2*y^3 + 5*z^4 - 3*z^2", None,
      "af8cb8214a1449abd398e39f443454fcd4d8b77d8be7f81ec7987aa29cd21c61"),
     ("z^3 - z", "x*z^3 - 2*y^3 + 5*z^4 - 3*z^2", 24,
@@ -413,6 +401,11 @@ PINNED_CERTIFICATES = [
     # its pure-z part weights a product entry of the family
     ("z^4 - z", "-2*x^5*z + 2*y^3 + 6*z^5 + 5*z^4 - 3*z^2 - 2*z", None,
      "92fb92938ec3b40ceefa61cca4af6551c45984eebac34261244803984d7bc773"),
+    # x on surfaces of degree 7 and 8 certifies at its default bound
+    ("z^7 - z + 1", "x", None,
+     "1988e73748048a7bb7d3d30b85ca70eb6317b5eb7e1014752a3d2c32257dd37f"),
+    ("z^8 - z + 1", "x", None,
+     "eb807e3bf69c514dd3868eb7b8fa50424c0eee65af853de5207a567b0ee540c1"),
 ]
 
 

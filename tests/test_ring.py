@@ -202,7 +202,8 @@ def test_surface_rejects_zero_and_repeated_roots():
 
 
 def test_bezout_identity_for_surface(cubic):
-    assert cubic.gcd_u * cubic.p + cubic.gcd_v * cubic.p_prime == UniPoly.const(1)
+    u, v, g = bezout(cubic.p, cubic.p_prime)
+    assert u * cubic.p + v * cubic.p_prime == g == UniPoly.const(1)
 
 
 @pytest.mark.parametrize("p", [P_QUAD, P_CUBIC, P_QUARTIC2,
