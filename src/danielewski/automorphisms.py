@@ -16,16 +16,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InternalInvariantViolation, InvalidGenerator, NotVolumePreserving
-from .fields import (
-    AlgebraicVectorField,
-    apply_field,
-    hamiltonian_of,
-    poisson_bracket,
-    potential_of,
-)
+from .errors import InternalInvariantViolation, InvalidGenerator
+from .fields import AlgebraicVectorField, hamiltonian_images
 from .records import Record
-from .ring import SurfaceConfig, SurfacePolynomial, UniPoly, constant_quotient, shared
+from .ring import SurfaceConfig, SurfacePolynomial, UniPoly, shared
 
 # -- generators ----------------------------------------------------------------
 
@@ -96,10 +90,7 @@ def _gen_images(surface: SurfaceConfig, g: Generator):
     if isinstance(g, XShear):
         coeffs = {e + 1: UniPoly.const(v) for e, v in g.f.c.items()}
         img_z = SurfacePolynomial(s, {0: UniPoly.var(), **coeffs})
-        # p(img_z) - p(z) has only weights >= 1: lowering each by one divides by x
-        rest = s.p.eval_generic(img_z, s.const(1)) - s.from_unipoly(s.p)
-        img_y = s.y() + SurfacePolynomial(s, {n - 1: q for n, q in rest.coeffs.items()})
-        return s.x(), img_y, img_z
+        return s.x(), s.p.eval_generic(img_z, s.const(1)).div_x(), img_z
     if isinstance(g, YShear):
         _, img_y, img_z = _gen_images(s, XShear(g.f))
         return img_y.swap_xy(), s.y(), img_z.swap_xy()
@@ -192,11 +183,10 @@ class PolynomialAutomorphism:
 
     The images are held with shared small-integer coefficients
     (``SurfacePolynomial.with_shared``), since an automorphism is often kept
-    long after it is built.  ``volume_factor`` fills ``_volume`` on its first
-    call, so a word built only to be composed or applied never pays for it.
+    long after it is built.
     """
 
-    __slots__ = ("surface", "word", "img_x", "img_y", "img_z", "_volume")
+    __slots__ = ("surface", "word", "img_x", "img_y", "img_z")
 
     def __init__(self, surface: SurfaceConfig, word: list):
         self.surface = surface
@@ -211,7 +201,6 @@ class PolynomialAutomorphism:
         if not relation.is_zero():
             raise InternalInvariantViolation("automorphism breaks the surface relation")
         self.img_x, self.img_y, self.img_z = (e.with_shared() for e in images)
-        self._volume = None
 
     def __eq__(self, other) -> bool:
         return (
@@ -258,48 +247,52 @@ def invert(phi: PolynomialAutomorphism) -> PolynomialAutomorphism:
     )
 
 
-def _conjugate_by_images(
-    phi: PolynomialAutomorphism, theta: AlgebraicVectorField
-) -> AlgebraicVectorField:
-    """(phi_* Theta)(g) = Theta(g o phi^-1) o phi; for g = x, y, z the
-    pullback g o phi^-1 is a coordinate image of phi^-1."""
-    inv = invert(phi)
-    return AlgebraicVectorField(*(
-        apply_auto(phi, apply_field(theta, g)) for g in (inv.img_x, inv.img_y, inv.img_z)
-    ))
-
-
 def conjugate_field(
     phi: PolynomialAutomorphism, theta: AlgebraicVectorField
 ) -> AlgebraicVectorField:
     """The push-forward phi_* Theta, with (phi_* Theta)(g) = Theta(g o phi^-1) o phi.
 
-    A volume-preserving Theta = H_f is pushed through its potential,
+    omega = dx/x ^ dz vanishes nowhere, so Theta -> i_Theta omega is an
+    isomorphism from tangent fields to 1-forms (Kaliman-Kutzschebauch,
+    Invent. Math. 181, 2010), and i_Theta omega = a dx + b dy + c dz gives
+    Theta = a H_x + b H_y + c H_z.  With H_x = (0, -p', -x), H_y = (p', 0, y)
+    and H_z = (x, -y, 0), the images Z = -a x + b y and X = b p' + c x give
 
-        phi_* H_f = H_{J (f o phi)},   J = volume_factor(phi),
+        a = -Z_{>0} / x,   b = Z_{<=0} / y,   c = (X - b p') / x,
 
-    because phi^* omega = J omega: one ``apply_auto`` of f, with no inverse
-    word and no image of a field.  H_g depends on g only modulo constants,
-    so f o phi needs no canonical form.  A field with no potential (the CLI
-    takes any tangent [X; Y; Z]) is pushed by the images of phi^-1.
+    where Z_{>0} is the part of Z of positive weight and Z_{<=0} the rest;
+    tangency makes each division exact.  Since phi^* omega = J omega, with
+    J = volume_factor(phi), phi_* H_g = J H_{g o phi}, and so
+
+        phi_* Theta = J sum (k o phi) H_{g o phi}  over (k, g) = (a, x), (b, y), (c, z).
+
+    Each g o phi is an image phi holds: no inverse word, and no image of a
+    field.
     """
-    try:
-        f = potential_of(theta)
-    except NotVolumePreserving:
-        return _conjugate_by_images(phi, theta)
-    return hamiltonian_of(apply_auto(phi, f).scale(volume_factor(phi)))
+    s = phi.surface
+    z = theta.img_z.coeffs
+    a = -SurfacePolynomial(s, {n: q for n, q in z.items() if n > 0}).div_x()
+    b = SurfacePolynomial(s, {n: q for n, q in z.items() if n <= 0}).swap_xy().div_x().swap_xy()
+    c = (theta.img_x - b * s.from_unipoly(s.p_prime)).div_x()
+    images = [s.zero()] * 3
+    for k, g in ((a, phi.img_x), (b, phi.img_y), (c, phi.img_z)):
+        if not k.is_zero():
+            k = apply_auto(phi, k)
+            images = [e + k * h for e, h in zip(images, hamiltonian_images(g))]
+    j = volume_factor(phi)
+    return AlgebraicVectorField(*(e.scale(j).with_shared() for e in images))
 
 
 def volume_factor(phi: PolynomialAutomorphism) -> Fraction:
-    """The constant J with phi^* omega = J * omega, for omega = dx/x ^ dz.
-
-    With X, Z the images of x, z, phi^* omega = dX/X ^ dZ, and in terms of
-    E = x d/dx and D = x d/dz (see ``fields``) J = (E X D Z - D X E Z)/(x X),
-    that is J X = H_Z(X), the un-normalised Poisson bracket {Z, X}.  It is
-    computed on the first call and kept on phi, as the shared Fraction when
-    it is a small integer (it is +-1 for every word of the generators).
+    """The constant J with phi^* omega = J * omega, for omega = dx/x ^ dz,
+    read off the word: shears and H preserve omega, I sends it to -omega and
+    Sym(c, b) to c * omega, so J = (-1)^(number of I) * prod c.  It is +-1,
+    as the shared Fraction.
     """
-    if phi._volume is None:
-        phi._volume = shared(
-            constant_quotient(poisson_bracket(phi.img_z, phi.img_x), phi.img_x))
-    return phi._volume
+    j = Fraction(1)
+    for g in phi.word:
+        if isinstance(g, Involution):
+            j = -j
+        elif isinstance(g, Symmetry):
+            j *= g.c
+    return shared(j)

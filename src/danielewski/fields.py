@@ -189,7 +189,7 @@ def potential_of(theta: AlgebraicVectorField) -> SurfacePolynomial:
     return f
 
 
-def _hamiltonian_images(f: SurfacePolynomial):
+def hamiltonian_images(f: SurfacePolynomial):
     """The images (D f, -i D i f, -E f) of x, y, z under H_f."""
     return f.x_dz(), -f.swap_xy().x_dz().swap_xy(), -f.euler()
 
@@ -201,14 +201,14 @@ def hamiltonian_of(f: SurfacePolynomial) -> AlgebraicVectorField:
     (``SurfacePolynomial.with_shared``), as the field is a result.
     """
     try:
-        return AlgebraicVectorField(*(e.with_shared() for e in _hamiltonian_images(f)))
+        return AlgebraicVectorField(*(e.with_shared() for e in hamiltonian_images(f)))
     except TangencyViolation as exc:
         raise InternalInvariantViolation(f"hamiltonian construction failed: {exc}")
 
 
 def poisson_bracket(f: SurfacePolynomial, g: SurfacePolynomial) -> SurfacePolynomial:
     """{f, g} = H_f(g), not normalised: a potential of [H_f, H_g]."""
-    return _leibniz(g, *_hamiltonian_images(f))
+    return _leibniz(g, *hamiltonian_images(f))
 
 
 class LndVerdict(Record):

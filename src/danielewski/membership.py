@@ -505,8 +505,8 @@ def _certifier(surface: SurfaceConfig, max_deg: int) -> _Certifier:
     return _Certifier(surface, max_deg)
 
 
-# Ceiling on the degree bound of certify_shears_only, the default bound
-# included.  The family's entries, their number and product degrees grow with
+# Ceiling on the degree bound of certify_shears_only, which the default
+# bound stops at.  The family's entries, their number and product degrees grow with
 # the bound, and so do the columns of every x_high_basis: certifying x on
 # z^3 - z (a tree of 19 nodes) takes 0.04 s of CPU at 24 and 0.10 s at 32,
 # and x*z on z^5 - z + 1 (38 nodes at both) 0.14 s and 0.34 s; x on
@@ -523,8 +523,8 @@ def certify_shears_only(
 ) -> BracketExpression:
     """A verified shears-only certificate for an accepted potential.
 
-    ``max_deg`` defaults to ``default_certify_bound(f)``; a bound above
-    MAX_CERTIFY_DEGREE raises DegreeGate.
+    ``max_deg`` defaults to ``default_certify_bound(f)``, which is at most
+    MAX_CERTIFY_DEGREE; a bound above it raises DegreeGate.
     """
     verdict = decide(f)
     if not verdict.accepted:
@@ -547,4 +547,4 @@ def default_certify_bound(f: SurfacePolynomial) -> int:
     deg = {k: q.degree for k, q in f.coeffs.items()}
     deg_z = deg.pop(0, 0)
     deg_mixed = max(deg.values(), default=0)
-    return max(4 * n, deg_z + 2 * n, deg_mixed + 3 * n, 12)
+    return min(max(4 * n, deg_z + 2 * n, deg_mixed + 3 * n, 12), MAX_CERTIFY_DEGREE)

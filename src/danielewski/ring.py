@@ -33,7 +33,8 @@ product by a ``power`` of z, so the membership test's rem(antiderivative(a0),
 p) costs the terms present times the log of the degree.
 
 The derivations the field calculus needs, x d/dx and x d/dz of the chart,
-are computed on the weights directly (``euler``, ``x_dz``).
+and the exact quotient by x are computed on the weights directly
+(``euler``, ``x_dz``, ``div_x``).
 """
 
 from __future__ import annotations
@@ -733,6 +734,20 @@ class SurfacePolynomial:
         t = self._terms
         return self._new(_sorted_table(zip(map(neg, t[0::3]), t[1::3], t[2::3])))
 
+    def div_x(self) -> "SurfacePolynomial":
+        """The exact quotient by x: x^n q -> x^(n-1) q for n >= 1 and, since
+        1/x = y/p, y^m q -> y^(m+1) q/p for m = -n >= 0.  A remainder of q
+        by p raises InternalInvariantViolation."""
+        s = self.surface
+        quotient = {}
+        for n, q in self.coeffs.items():
+            if n <= 0:
+                q, rem = poly_divrem(q, s.p)
+                if not rem.is_zero():
+                    raise InternalInvariantViolation(f"x does not divide the weight-{n} part")
+            quotient[n - 1] = q
+        return SurfacePolynomial(s, quotient)
+
     def eval_at(self, x0, y0, z0) -> Fraction:
         x0, y0, z0 = _frac(x0), _frac(y0), _frac(z0)
         return sum(
@@ -774,14 +789,3 @@ def from_chart(surface: SurfaceConfig, c: dict) -> SurfacePolynomial:
                 )
         coeffs[k] = q
     return SurfacePolynomial(surface, coeffs)
-
-
-def constant_quotient(num: SurfacePolynomial, den: SurfacePolynomial) -> Fraction:
-    """The constant J with num = J * den; InternalInvariantViolation otherwise."""
-    if den.is_zero():
-        raise InternalInvariantViolation("constant quotient by zero")
-    k, e, v = den._terms[-3:]  # the last term of den
-    j = num.coeff(k).coeff(e) / v
-    if not (num - den.scale(j)).is_zero():
-        raise InternalInvariantViolation("quotient is not a constant")
-    return j

@@ -13,6 +13,11 @@ Leibniz rule.  ``divrem_by_products`` divides polynomials one quotient term
 at a time, with one new quotient, product and remainder per term, where the
 library divides in place over one coefficient table.
 
+``conjugate_by_images`` pushes a field forward by the images of the
+inverse word, where the library pushes it through its 1-form, and
+``volume_factor_by_bracket`` takes J from the Poisson bracket of the
+images, where the library reads it off the word.
+
 ``is_identity`` reads whether a word normalized to nothing.  The rest check
 identities of the paper a second way: the group law of a shear flow and the
 Taylor series of conjugation by it, the z-degree of a word of shears, the
@@ -31,6 +36,7 @@ from danielewski.automorphisms import (
     YShear,
     apply_auto,
     conjugate_field,
+    invert,
 )
 from danielewski.errors import (
     DegreeGate,
@@ -38,7 +44,13 @@ from danielewski.errors import (
     InvalidGenerator,
     MalformedNesting,
 )
-from danielewski.fields import bracket, lnd_check
+from danielewski.fields import (
+    AlgebraicVectorField,
+    apply_field,
+    bracket,
+    lnd_check,
+    poisson_bracket,
+)
 from danielewski.membership import Bracket, Leaf, evaluate_potential
 from danielewski.ring import SurfacePolynomial, UniPoly, poly_divrem
 
@@ -200,6 +212,30 @@ def poisson_by_quotient(f, g):
             assert rem.is_zero(), f"x does not divide the weight-{n} part"
         quotient[n - 1] = q
     return SurfacePolynomial(s, quotient)
+
+
+# -- conjugation and the volume factor ----------------------------------------
+
+
+def conjugate_by_images(phi, theta):
+    """(phi_* Theta)(g) = Theta(g o phi^-1) o phi; for g = x, y, z the
+    pullback g o phi^-1 is a coordinate image of phi^-1.  Its cost grows
+    exponentially with the word."""
+    inv = invert(phi)
+    return AlgebraicVectorField(*(
+        apply_auto(phi, apply_field(theta, g)) for g in (inv.img_x, inv.img_y, inv.img_z)
+    ))
+
+
+def volume_factor_by_bracket(phi) -> Fraction:
+    """J with phi^* omega = J omega, omega = dx/x ^ dz: with X, Z the images
+    of x, z, phi^* omega = dX/X ^ dZ, and in terms of E = x d/dx and
+    D = x d/dz, J = (E X D Z - D X E Z)/(x X), that is J X = {Z, X}."""
+    num, den = poisson_bracket(phi.img_z, phi.img_x), phi.img_x
+    k, e, v = den._terms[-3:]  # the last term of den
+    j = num.coeff(k).coeff(e) / v
+    assert num == den.scale(j), "the bracket is not a constant multiple of X"
+    return j
 
 
 # -- flows of shear fields ---------------------------------------------------

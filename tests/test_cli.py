@@ -12,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from danielewski import errors, parsing
+from danielewski import errors, make_surface, parsing
+from danielewski.automorphisms import apply_auto
 from danielewski.cli import COMMANDS, main
-from danielewski.fields import MAX_LND_ITER
+from danielewski.fields import MAX_LND_ITER, apply_field
 from danielewski.membership import MAX_CERTIFY_DEGREE, expression_size
 from danielewski.parsing import (
     MAX_CERT_DEPTH,
@@ -23,6 +24,9 @@ from danielewski.parsing import (
     MAX_PARSED_TERMS,
     cert_from_obj,
     load_certificate_file,
+    parse_field,
+    parse_unipoly,
+    parse_word,
 )
 from danielewski.ring import MAX_DIGITS
 from danielewski.z2 import MAX_Z2_DEGREE
@@ -116,6 +120,26 @@ def test_a_certificate_on_a_sextic_is_written_and_verifies(capsys, tmp_path):
     assert expression_size(load_certificate_file(cert.read_text())[2]) == 189
     code, out, _ = run(capsys, "verify-cert", str(cert), "--surface", "z^6 - z + 1")
     assert code == 0 and out == "true"
+
+
+# Targets whose computed default bound is over MAX_CERTIFY_DEGREE: 4 deg p =
+# 36 on z^9 - z + 1, and deg + 2 deg p = 35 for a pure-z potential of degree
+# 29 on z^3 - z.  The default is then the ceiling, where both certify:
+# (target, surface, tree nodes).
+DEFAULT_BOUND_AT_THE_CEILING = {
+    "x on z^9 - z + 1": ("x", "z^9 - z + 1", 490),
+    "pure-z of degree 29 on z^3 - z": ("30*z^29 - 28*z^27", "z^3 - z", 124),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("target, surface, nodes", DEFAULT_BOUND_AT_THE_CEILING.values(),
+                         ids=DEFAULT_BOUND_AT_THE_CEILING.keys())
+def test_the_default_bound_stops_at_the_ceiling(capsys, target, surface, nodes, fmt):
+    code, out, err = run(capsys, "certify", target, "--shears-only", "--surface", surface,
+                         "--format", fmt)
+    assert (code, err) == (0, "")
+    assert expression_size(cert_from_obj(json.loads(out)["certificate"])) == nodes
 
 
 @pytest.fixture
@@ -269,6 +293,14 @@ PINNED_CONJUGATES = [
     ("z^3 - z", "id", "SFy(2)",
      "21ff603b1536ad5d0dc9254ab539e74b97bdb46de6f4ee335585c14dbd75c08f",
      "1ee998c24d8eaac3398240fd10d0e0eb266e0c8136ca000f4c97487b4ae79539"),
+    # x*H_{z^2} and x*H_z, with no potential: by the images of the inverse
+    # word they took 39 s and more than 120 s
+    ("z^3 - z", "Dy(-1 + 2*y);Dx(1)", "[2*x^2*z; 2*z^2 - 2*z^4; 0]",
+     "d0bf6ecb607c2be055b73f2fb3f54b6de2384d0ad3d218b780f9b1bcbee859e1",
+     "a665900dbf63832806f839d3cfc61269f1d6e477bdbbf646c7c0d3131dbe5ee0"),
+    ("z^4 - z", "Dx(1);Dy(1);Dx(1)", "[x^2; z - z^4; 0]",
+     "8c6b0b254bd98eefcd93dc76bacf87634805c427ad3668d9f6ebd1c4e90433cc",
+     "df43383d39ed2979eb7a1f736259a378e24a832fcddfe1fae7879941a2deda59"),
 ]
 
 
@@ -279,6 +311,20 @@ def test_conjugate_output_is_pinned(capsys, surface, word, field, text_digest, j
         code = main(["conjugate", word, field, "--surface", surface, "--format", fmt])
         out = capsys.readouterr().out
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_pinned_conjugates_without_potential_push_every_function(capsys):
+    """The printed field Psi of each of the last two PINNED_CONJUGATES rows
+    is checked with no inverse word: Psi(g o phi) = Theta(g) o phi for
+    g = x, y, z, and then for every function, since x, y, z generate."""
+    for surface, word, field, text_digest, _ in PINNED_CONJUGATES[-2:]:
+        assert main(["conjugate", word, field, "--surface", surface]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == text_digest
+        s = make_surface(parse_unipoly(surface))
+        phi, theta, psi = parse_word(s, word), parse_field(s, field), parse_field(s, out)
+        for g in (s.x(), s.y(), s.z()):
+            assert apply_field(psi, apply_auto(phi, g)) == apply_auto(phi, apply_field(theta, g))
 
 
 def test_flex_check(capsys):
@@ -602,9 +648,6 @@ CEILINGS = {
     # over the node ceiling as the node_ceiling fixture lowers it
     "certificate tree nodes": (
         ["certify", "x", "--shears-only"], "z^3 - z", "degree-gate", "MAX_CERT_NODES"),
-    "certify default bound": (
-        ["certify", "30*z^29 - 28*z^27", "--shears-only"],
-        "z^3-z", "degree-gate", "MAX_CERTIFY_DEGREE"),
     "lnd-check --max-iter": (
         ["lnd-check", "HF(z)", "--max-iter", str(MAX_LND_ITER + 1)],
         "z^3-z", "degree-gate", "MAX_LND_ITER"),

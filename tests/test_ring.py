@@ -504,6 +504,18 @@ def test_swap_xy_against_point_oracle(quad, cubic):
                 assert g.eval_at(x0, y0, z0) == f.eval_at(y0, x0, z0)
 
 
+def test_div_x_is_the_exact_quotient(quad, cubic):
+    """div_x undoes the product by x; 1 and y are not multiples of x."""
+    rng = random.Random(RNG_SEED + 9)
+    for s in (quad, cubic, make_surface(P_QUARTIC2)):
+        for _ in range(15):
+            e = random_surface_polynomial(s, rng)
+            assert (s.x() * e).div_x() == e
+        for e in (s.const(1), s.y()):
+            with pytest.raises(InternalInvariantViolation):
+                e.div_x()
+
+
 def _random_formal(rng, max_exp, n_terms=5, normal=False):
     """Random formal polynomial; with ``normal``, no monomial has both x and y."""
     f = {}
