@@ -140,14 +140,12 @@ def _rewrite_pair(a: Generator, b: Generator, s: SurfaceConfig):
     # by f(u) conjugated by u -> t*u, z -> c*z + b is the shear by c*t*f(t*u),
     # (t, c) = (lam, 1) for H(lam) on an x-shear, (1/lam, 1) on a y-shear, and
     # (1, c), (a0, c) for Sym(c, b) (y -> a0*y)
-    if isinstance(a, Symmetry):
-        a0 = a.factor(s)  # raises on a non-symmetry, whatever b is
     if isinstance(a, (Hyperbolic, Symmetry)) and isinstance(b, (XShear, YShear)):
         on_x = isinstance(b, XShear)
         if isinstance(a, Hyperbolic):
             t, c = (a.lam if on_x else 1 / a.lam), 1
         else:
-            t, c = (1 if on_x else a0), a.c
+            t, c = (1 if on_x else a.factor(s)), a.c
         return [type(b)(UniPoly({e: c * t ** (e + 1) * v for e, v in b.f.c.items()})), a]
     if isinstance(a, Involution):
         if isinstance(b, XShear):
@@ -179,28 +177,40 @@ def normalize_word(surface: SurfaceConfig, word: list) -> list:
 
 
 class PolynomialAutomorphism:
-    """Normalized word of generators with its cached ring action.
+    """Normalized word of generators; its ring action is built on first read.
 
-    The images are held with shared small-integer coefficients
-    (``SurfacePolynomial.with_shared``), since an automorphism is often kept
-    long after it is built.
+    The constructor checks every Sym against p, then normalizes the word.
+    The images img_x, img_y, img_z are built on the first read of any of
+    them, checked against the surface relation and held with shared
+    small-integer coefficients (``SurfacePolynomial.with_shared``), since an
+    automorphism is often kept long after it is built.
     """
 
     __slots__ = ("surface", "word", "img_x", "img_y", "img_z")
 
     def __init__(self, surface: SurfaceConfig, word: list):
+        for g in word:  # a Sym that merges away or stands last is refused too
+            if isinstance(g, Symmetry):
+                g.factor(surface)
         self.surface = surface
         self.word = normalize_word(surface, list(word))
+
+    def __getattr__(self, name: str):
+        """The images, on the first read of an unset image slot."""
+        if name not in ("img_x", "img_y", "img_z"):
+            raise AttributeError(name)
+        s = self.surface
         # Pullback along an o ... o a1 is subst_a1 o ... o subst_an.
-        images = surface.x(), surface.y(), surface.z()
+        images = s.x(), s.y(), s.z()
         for g in reversed(self.word):
-            gen = _gen_images(surface, g)
+            gen = _gen_images(s, g)
             images = [substitute(e, *gen) for e in images]
         x, y, z = images
-        relation = x * y - substitute(surface.from_unipoly(surface.p), x, y, z)
+        relation = x * y - substitute(s.from_unipoly(s.p), x, y, z)
         if not relation.is_zero():
             raise InternalInvariantViolation("automorphism breaks the surface relation")
         self.img_x, self.img_y, self.img_z = (e.with_shared() for e in images)
+        return getattr(self, name)
 
     def __eq__(self, other) -> bool:
         return (

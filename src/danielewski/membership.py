@@ -285,8 +285,8 @@ def solve_linear(
     echelon = Echelon()
     for c in columns:
         echelon.add(vector(c))
-    weights = echelon.solve(vector(target))
-    if weights is None:
+    weights, residual = echelon.split(vector(target))
+    if residual:
         return None
     sol = [Fraction(0)] * len(columns)
     for col, w in zip(echelon.pivots, weights):
@@ -431,8 +431,8 @@ class _Certifier:
 
     # potential == g(z) modulo constants
     def pure_z(self, g: UniPoly) -> BracketExpression:
-        sol = self.family.echelon.solve(_mod_const(g))
-        if sol is None:
+        sol, residual = self.family.echelon.split(_mod_const(g))
+        if residual:
             raise self._exhausted(f"a pure-z potential of degree {g.degree}")
         return make_sum([(w, e.expr) for w, e in zip(sol, self.family.entries) if w])
 

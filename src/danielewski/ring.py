@@ -262,8 +262,8 @@ class Echelon:
     expression in the kept columns in the rows < 0 (the k-th kept column's
     weight at row -1 - k).  One pass of ``_reduce`` over the stored vectors
     thus leaves a residual in the rows >= 0 and, in the rows < 0, the
-    weights on the kept columns of the combination it took, so every solve
-    against the same columns reuses one elimination.
+    weights on the kept columns of the combination it took, so every
+    ``split`` against the same columns reuses one elimination.
     """
 
     __slots__ = ("columns", "pivots", "_basis")
@@ -310,12 +310,6 @@ class Echelon:
         v = self._reduce(target)
         zero = Fraction(0)
         return [v.pop(-1 - k, zero) for k in range(len(self._basis))], v
-
-    def solve(self, target: dict) -> list[Fraction] | None:
-        """The weights w, one per kept column, with sum(w_k * kept_k) = target,
-        or None if no combination of the columns gives ``target``."""
-        weights, residual = self.split(target)
-        return None if residual else weights
 
 
 def _divide(r: dict, b: dict, q: dict | None = None) -> None:

@@ -32,6 +32,7 @@ from .membership import (
     make_sum,
     verified,
 )
+from .parsing import format_surface_polynomial
 from .records import Record
 from .ring import SurfaceConfig, SurfacePolynomial, UniPoly
 
@@ -125,14 +126,12 @@ def z2_avdp_check(surface: SurfaceConfig, max_deg: int) -> list[Z2ReportRow]:
         raise DegreeGate(
             f"degree bound {max_deg} is outside 1..MAX_Z2_DEGREE = {MAX_Z2_DEGREE}"
         )
-    targets: list[tuple[str, SurfacePolynomial]] = []
+    targets: list[SurfacePolynomial] = []
     for total in range(1, max_deg + 1, 2):
         for j in range(total + 1):
-            i = total - j
-            if j == 0:
-                targets.append((f"z^{i}", surface.from_unipoly(UniPoly.monomial(i))))
-            else:
-                targets.append((f"z^{i}*x^{j}" if i else f"x^{j}", surface.x(j, i)))
-                targets.append((f"z^{i}*y^{j}" if i else f"y^{j}", surface.y(j, i)))
+            targets.append(surface.x(j, total - j))  # z^total at j = 0
+            if j:
+                targets.append(surface.y(j, total - j))
     # z2_certificate verifies each certificate, and raises if one fails
-    return [Z2ReportRow(name, expression_size(z2_certificate(t)), True) for name, t in targets]
+    return [Z2ReportRow(format_surface_polynomial(t), expression_size(z2_certificate(t)), True)
+            for t in targets]

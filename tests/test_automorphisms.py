@@ -36,11 +36,13 @@ from danielewski import (
     shear_y,
     volume_factor,
 )
+from danielewski import automorphisms
 from danielewski.automorphisms import (
     _rewrite_pair,
     normalize_word,
     substitute,
 )
+from danielewski.errors import InternalInvariantViolation
 from danielewski.fields import apply_field
 from danielewski.parsing import format_field, format_word, parse_field, parse_unipoly, parse_word
 from danielewski.ring import shared
@@ -272,11 +274,65 @@ def test_moving_past_a_shear_is_pinned(p, word, normal):
 
 def test_a_non_symmetry_is_rejected_even_when_merged_away():
     # the two Sym merge into z -> z, but neither is a symmetry of z^3 - z:
-    # each is checked as it is moved past H
+    # every Sym is checked before the word is normalized, whether it is
+    # moved past H or merged at once, and the error names the Sym as written,
+    # not its merge with z -> -z
     s = make_surface(parse_unipoly("z^3 - z"))
-    with pytest.raises(InvalidGenerator) as err:
-        parse_word(s, "Sym(1,5);H(2);Sym(1,-5)")
-    assert str(err.value) == "z -> 1*z + 5 is not a symmetry of p (p(c z + b) != +-p(z))"
+    for word in ("Sym(1,5);H(2);Sym(1,-5)", "Sym(1,5);Sym(1,-5)", "Sym(-1,0);Sym(1,5)"):
+        with pytest.raises(InvalidGenerator) as err:
+            parse_word(s, word)
+        assert str(err.value) == "z -> 1*z + 5 is not a symmetry of p (p(c z + b) != +-p(z))"
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """The calls of substitute and _gen_images, counted by name."""
+    calls = {"substitute": 0, "_gen_images": 0}
+    for name in calls:
+        def spy(*args, _real=getattr(automorphisms, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(automorphisms, name, spy)
+    return calls
+
+
+def test_a_word_is_answered_without_its_images(cubic, counted):
+    """Building, composing, inverting, the volume factor, printing and
+    parsing read the word alone, and substitute nothing."""
+    word = [XShear(upoly({3: 1})), YShear(upoly({3: 1})), Symmetry(-1, Fraction(0)),
+            Hyperbolic(Fraction(2)), Involution(), XShear(upoly({1: 2}))]
+    phi = PolynomialAutomorphism(cubic, word)
+    psi = compose(phi, invert(phi))
+    assert psi.word == [] and volume_factor(phi) == 1  # Sym(-1, 0) and I
+    assert parse_word(cubic, format_word(phi)).word == phi.word
+    assert counted == {"substitute": 0, "_gen_images": 0}
+
+
+@pytest.mark.parametrize("read", [
+    lambda phi, s: apply_auto(phi, s.x() + s.z()),
+    lambda phi, s: conjugate_field(phi, shear_x(s, 1)),
+], ids=["apply_auto", "conjugate_field"])
+def test_images_are_built_once_on_first_read(cubic, counted, read):
+    word = [XShear(upoly({0: 1})), Involution(), YShear(upoly({1: 2}))]
+    phi = PolynomialAutomorphism(cubic, word)
+    first = read(phi, cubic)
+    assert counted["_gen_images"] == len(phi.word)
+    assert read(phi, cubic) == first
+    assert counted["_gen_images"] == len(phi.word)
+
+
+def test_a_broken_generator_image_is_caught_on_first_read(cubic, monkeypatch):
+    real = automorphisms._gen_images
+
+    def broken(s, g):
+        img_x, img_y, img_z = real(s, g)
+        return img_x, img_y + s.const(1), img_z
+
+    monkeypatch.setattr(automorphisms, "_gen_images", broken)
+    phi = PolynomialAutomorphism(cubic, [XShear(upoly({0: 1}))])  # no image read yet
+    for _ in range(2):  # a failed build keeps nothing
+        with pytest.raises(InternalInvariantViolation, match="surface relation"):
+            phi.img_x
 
 
 def test_normal_form_shape(quad):

@@ -233,6 +233,24 @@ def test_word_commands(capsys):
     assert code == 0 and out == "-1"
 
 
+# compose and volume-factor read the word alone: on z^3 - z the images of
+# these words take over 20 s to build, and each answer takes milliseconds.
+WORDS_WITHOUT_IMAGES = {
+    "compose": (["compose", "Dx(x^1000)", "Dy(y^1000)"], "Dy(y^1000);Dx(x^1000)"),
+    "volume-factor": (["volume-factor", "Dx(x);Dy(y);Dx(x);Dy(y)"], "1"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv, text", WORDS_WITHOUT_IMAGES.values(),
+                         ids=WORDS_WITHOUT_IMAGES.keys())
+def test_word_commands_build_no_images(capsys, argv, text, fmt):
+    with cpu_time_cap(5):
+        code, out, err = run(capsys, *argv, "--surface", "z^3 - z", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == (json.dumps({"result": text}) if fmt == "json" else text)
+
+
 def test_conjugate(capsys):
     code, out, _ = run(capsys, "conjugate", "Dx(1)", "SFy(0)",
                        "--surface", "z^2-1")
@@ -342,6 +360,20 @@ def test_z2_commands(capsys):
     assert rows and all(r["verified"] for r in rows)
     code, _, err = run(capsys, "z2-check", "--surface", "z^3-z")
     assert code == 2 and "wrong-surface" in err
+
+
+def test_z2_check_names_rows_as_every_command_prints(capsys):
+    """Each row is named by the canonical printer, and the name parses back
+    to its target: z^i, then x^j*z^i and y^j*z^i, by odd total degree."""
+    code, out, _ = run(capsys, "z2-check", "--max-degree", "3", "--surface", "z^2 - 1")
+    names = "z x y z^3 x*z^2 y*z^2 x^2*z y^2*z x^3 y^3".split()
+    sizes = [1, 2, 1, 2, 8, 8, 4, 4, 2, 2]
+    assert code == 0 and out == "\n".join(
+        f"{n}\tsize {k}\tok" for n, k in zip(names, sizes))
+    s = make_surface(parse_unipoly("z^2 - 1"))
+    targets = [s.z(), s.x(), s.y(), s.x(0, 3), s.x(1, 2), s.y(1, 2), s.x(2, 1), s.y(2, 1),
+               s.x(3), s.y(3)]
+    assert [parsing.parse_expression(s, n) for n in names] == targets
 
 
 def test_usage_errors(capsys):
@@ -569,6 +601,8 @@ def test_exhausted_search_names_its_bound(capsys, fmt):
 
 # Error paths in both formats: (argv after the subcommand, surface, exit
 # code, error code, phrases of the message).
+NOT_A_SYMMETRY = "z -> 1*z + 5 is not a symmetry of p (p(c z + b) != +-p(z))"
+
 ERROR_PATHS = {
     "symmetry of slope 2": (
         ["compose", "Sym(2, 0)", "id"], "z^2 - 1", 2, "invalid-generator", ["slope"]),
@@ -607,6 +641,18 @@ ERROR_PATHS = {
     "expansion in a field triple": (
         ["potential", "[x; y; (1+x+y+z)^80]"], "z^2 - 1", 2, "degree-gate",
         ["MAX_PARSED_TERMS", "(at position 19)"]),
+    # every Sym is checked when the word is built, also one that no rewrite
+    # moves: alone, or last
+    "lone non-symmetry in compose": (
+        ["compose", "Sym(1,5)", "id"], "z^3 - z", 2, "invalid-generator", [NOT_A_SYMMETRY]),
+    "trailing non-symmetry in compose": (
+        ["compose", "Dx(x);Sym(1,5)", "id"], "z^3 - z", 2, "invalid-generator",
+        [NOT_A_SYMMETRY]),
+    "lone non-symmetry in volume-factor": (
+        ["volume-factor", "Sym(1,5)"], "z^3 - z", 2, "invalid-generator", [NOT_A_SYMMETRY]),
+    "trailing non-symmetry in volume-factor": (
+        ["volume-factor", "Dx(x);Sym(1,5)"], "z^3 - z", 2, "invalid-generator",
+        [NOT_A_SYMMETRY]),
 }
 
 
