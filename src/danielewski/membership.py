@@ -10,8 +10,9 @@ Certificates are bracket-expression trees over the generator fields
 SF_i^x, SF_i^y and HF_q.  Two constructions are provided: a decomposition
 over shear and hyperbolic generators that always succeeds (avdp_decompose),
 and a shears-only construction (certify_shears_only) driven by exact linear
-solving over Q against a spanning family, a pivot basis of certified
-shears-only expressions with pure-z potentials; the latter is a
+solving over Q against a spanning family: one echelon per x-degree i of
+certified shears-only expressions with potentials x^i g, whose x-degree 0
+is a pivot basis of pure-z potentials (p h)'.  The latter is a
 semi-algorithm with a caller-tunable degree bound.
 
 A value of a bracket expression (its field, its potential, its size, its
@@ -28,8 +29,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement
-from math import prod
 
 from .errors import (
     DegreeGate,
@@ -303,33 +302,32 @@ def _mod_const(q: UniPoly) -> dict:
 
 
 class FamilyEntry(Record):
+    """A certified column of x-degree i: ``expr``, shears only, has the
+    potential x^i * ``potential`` (modulo constants at i = 0, the entries,
+    whose ``potential`` keeps its constant term)."""
+
     __slots__ = ("expr", "potential")
-    expr: BracketExpression  # [SF_i^x, ...], potential exactly `potential`
-    potential: UniPoly  # pure-z, constant term included
+    expr: BracketExpression
+    potential: UniPoly
 
 
 class SpanningFamily:
-    """A pivot basis of certified shears-only expressions with pure-z potentials.
+    """Certified shears-only expressions, one echelon per x-degree (``level``).
 
-    The candidates are [SF_i^x, SF_i^y], [SF_0^x, [SF_0^x, SF_1^y]], and the
-    derivative towers and product brackets over the hyperbolic fields these
-    seeds certify; every candidate's potential is (p*h)' for some h.  The
-    candidates are generated lazily, and each one's potential is reduced
-    modulo constants against the entries so far (``echelon``); only an
-    independent one is evaluated, verified and kept, so the entries are the
-    pivots of a column-order elimination over all the candidates' potentials.
-    A dropped candidate is a combination of earlier pivots; a solve takes
-    pivots in column order and sets free variables to 0, so it would never
-    have weighted it.  Every candidate lies in {(p h)' : deg <= bound} modulo
-    constants, of dimension bound + 2 - deg(p) (bound when deg(p) = 1, where
-    (p c)' is a constant), so the build stops once it holds that many
-    entries; short of that (z^5 - z + 1 at bound 12) it reduces every
-    candidate.  Every entry is a bracket [SF_i^x, ...], a shears-only
-    expression of the hyperbolic field whose multiplier is the entry's
-    potential'.  `x_high_basis` nests it under x-shears, which multiplies
-    the potential's derivatives by a power of x; a dropped candidate's
-    derivative chain there would likewise be a combination of earlier
-    columns.
+    The entries, of x-degree 0, are a pivot basis of pure-z potentials
+    modulo constants (``echelon``), each of the form (p*h)'.  The seeds are
+    [SF_i^x, SF_i^y], of potential p^i p', and [SF_0^x, [SF_0^x, SF_1^y]],
+    of potential (p p')'.  Every other entry is [SF_0^y, c] for a kept
+    column c of ``level(1)``, of potential x g, since {y, x g} = (p g)'.
+    A round offers these in increasing deg g, up to the degree bound of
+    (p g)', each reduced against the entries so far; only an independent
+    one is verified and kept.  After a round that keeps one, the levels are
+    rebuilt from every entry and the next round offers the new level(1);
+    a level keeps its columns in increasing degree, so a round builds only
+    the low-degree part it offers.  Every entry lies in
+    {(p h)' : deg <= bound} modulo constants, of dimension bound + 2 - deg(p)
+    (bound when deg(p) = 1, where (p c)' is a constant), so the build stops
+    once it holds that many entries, or after a round that keeps none.
     """
 
     def __init__(self, surface: SurfaceConfig, max_deg: int):
@@ -339,18 +337,16 @@ class SpanningFamily:
         self.max_deg = max_deg
         self.entries: list[FamilyEntry] = []
         self.echelon = Echelon()  # the entries' potentials modulo constants
+        self._levels: dict[tuple, tuple] = {}  # level(i, top), for these entries
         full = max_deg if surface.degree == 1 else max_deg + 2 - surface.degree
-        seeds = self._seeds()
-        # the non-constant seed potentials have distinct degrees, so they
-        # are all pivots: their multipliers seed the closure
-        current = [(pot.derivative(), expr) for expr, pot in seeds if pot.degree > 0]
-        for expr, pot in chain(seeds, self._towers(current), self._products(current)):
-            if not self.echelon.add(_mod_const(pot)):
-                continue
-            verified(expr, surface.from_unipoly(pot), "spanning-family entry")
-            self.entries.append(FamilyEntry(expr, pot))
-            if len(self.entries) == full:
-                break
+        p = surface.p
+        candidates = self._seeds()
+        while self._keep(candidates, full):
+            candidates = [
+                (Bracket(Leaf("SFy", 0), c.expr), (p * c.potential).derivative())
+                for c in self.level(1, max_deg + 1 - surface.degree)[1]
+            ]
+        self._levels.clear()  # the rounds' low-degree parts, not read again
 
     def _seeds(self) -> list:
         # [SF_i^x, SF_i^y] with potential p^i p', and [SF_0^x, [SF_0^x, SF_1^y]]
@@ -369,43 +365,68 @@ class SpanningFamily:
             out.append((e, pot2))
         return out
 
-    def _towers(self, current):
-        # [SF_{c-1}^x, [SF_0^y, [... [SF_0^y, E_f]...]]] (c nested SF_0^y)
-        # has potential (p^c f^(c-1))'.
-        s = self.surface
-        for f, ef in current:
-            deriv = f
-            tower = ef
-            c = 1
-            while not deriv.is_zero():
-                pot = (s.p_power(c) * deriv).derivative()
-                if pot.degree > self.max_deg:
-                    break
-                tower = Bracket(Leaf("SFy", 0), tower)
-                e = Bracket(Leaf("SFx", c - 1), tower)
-                yield e, pot
-                deriv = deriv.derivative()
-                c += 1
+    def _keep(self, candidates, full: int) -> bool:
+        """Keep every candidate (expr, potential) independent of the entries
+        so far, until the family is full; True iff one was kept and the
+        family is not full yet."""
+        kept = False
+        for expr, pot in candidates:
+            if len(self.entries) == full:
+                break
+            if self.echelon.add(_mod_const(pot)):
+                verified(expr, self.surface.from_unipoly(pot), "spanning-family entry")
+                self.entries.append(FamilyEntry(expr, pot))
+                self._levels.clear()
+                kept = True
+        return kept and len(self.entries) < full
 
-    def _products(self, current):
-        # [SF_i^x, [E_{f_k}, ... [SF_i^y, E_{f_1}]...]] has potential
-        # (-1)^(k-1) (i+1)^(k-1) (p^(i+1) f_1 .. f_k)'.
+    def level(self, i: int, top: int | None = None) -> tuple[Echelon, list[FamilyEntry]]:
+        """The echelon of x-degree i and its kept columns, those of z-degree
+        at most ``top`` (all when None); level 0 is the entries.
+
+        Chains of x-shears over the entries give x^i f^(d+1), d < i, for each
+        entry of potential f.  Below x^deg(p), each kept column x^(i+1) g of
+        level i + 1 also gives [SF_0^y, x^(i+1) g], of potential
+        {y, x^(i+1) g} = x^i ((i+1) g p' + p g'), of degree deg g + deg p - 1.
+        The columns are offered in increasing degree, so the kept ones of
+        degree at most ``top`` are those of the whole level, and a column of
+        degree below the number kept is spanned and not offered.
+        """
+        if i == 0:
+            return self.echelon, self.entries
+        if (i, top) in self._levels:
+            return self._levels[i, top]
         s = self.surface
-        for k in (1, 2, 3):
-            for combo in combinations_with_replacement(current, k):
-                fs, efs = zip(*combo)
-                product = prod(fs[1:], start=fs[0])
-                i = 0
-                while True:
-                    scale = Fraction(-(i + 1)) ** (k - 1)
-                    pot = (s.p_power(i + 1) * product).derivative().scale(scale)
-                    if pot.degree > self.max_deg:
-                        break
-                    inner = Bracket(Leaf("SFy", i), efs[0])
-                    for ef in efs[1:]:
-                        inner = Bracket(ef, inner)
-                    yield Bracket(Leaf("SFx", i), inner), pot
-                    i += 1
+        offers = []  # (degree, g, expr, d): a chain of d + 1 x-shears, or d None
+        for entry in self.entries:
+            deriv = entry.potential.derivative()
+            for d in range(i):
+                if deriv.is_zero():
+                    break
+                offers.append((deriv.degree, deriv, entry.expr, d))
+                deriv = deriv.derivative()
+        if i < s.degree:
+            upper = self.level(i + 1, None if top is None else top + 1 - s.degree)[1]
+            offers += [(c.potential.degree + s.degree - 1, c.potential, c.expr, None) for c in upper]
+        offers.sort(key=lambda offer: offer[0])
+        echelon, kept = Echelon(), []
+        for deg, g, expr, d in offers:
+            if top is not None and deg > top:
+                break
+            if deg < len(kept):
+                continue
+            if d is None:
+                g = (g * s.p_prime).scale(i + 1) + s.p * g.derivative()
+            if echelon.add(g.c):
+                if d is None:
+                    expr = Bracket(Leaf("SFy", 0), expr)
+                else:
+                    expr = Bracket(Leaf("SFx", i - d - 1), expr)
+                    for _ in range(d):
+                        expr = Bracket(Leaf("SFx", 0), expr)
+                kept.append(FamilyEntry(expr, g))
+        self._levels[i, top] = echelon, kept
+        return echelon, kept
 
 
 # -- shears-only certification -------------------------------------------------
@@ -413,9 +434,7 @@ class SpanningFamily:
 
 class _Certifier:
     def __init__(self, surface: SurfaceConfig, max_deg: int):
-        self.s = surface
         self.family = SpanningFamily(surface, max_deg)
-        self.x_high: dict[int, tuple] = {}  # x_high_basis(i), by i
 
     def _exhausted(self, what: str) -> SearchExhausted:
         """The failure of a search for ``what`` at this certifier's bound, with
@@ -429,57 +448,18 @@ class _Certifier:
             f"no shears-only combination found for {what} within degree bound {bound}; {hint}"
         )
 
-    # potential == g(z) modulo constants
-    def pure_z(self, g: UniPoly) -> BracketExpression:
-        sol, residual = self.family.echelon.split(_mod_const(g))
-        if residual:
-            raise self._exhausted(f"a pure-z potential of degree {g.degree}")
-        return make_sum([(w, e.expr) for w, e in zip(sol, self.family.entries) if w])
-
-    # The columns for x^i, any i >= 1, as an echelon and the kept ones, each an
-    # expression with potential x^i g and its g.  Chains of x-shears over
-    # certified hyperbolic fields give x^i f^(d) for every derivative order
-    # d <= i-1, a triangular family in the degree.  Below x^deg(p), each kept
-    # column x^(i+1) g of x^(i+1) also gives [SF_0^y, x^(i+1) g], with
-    # potential {y, x^(i+1) g} = x^i ((i+1) g p' + p g').
-    def x_high_basis(self, i: int) -> tuple[Echelon, list[tuple[BracketExpression, UniPoly]]]:
-        if i in self.x_high:
-            return self.x_high[i]
-        echelon = Echelon()
-        kept: list[tuple[BracketExpression, UniPoly]] = []
-        for entry in self.family.entries:
-            deriv = entry.potential.derivative()
-            d = 0
-            while d <= i - 1:
-                if echelon.add(deriv.c):
-                    inner = Bracket(Leaf("SFx", i - d - 1), entry.expr)
-                    for _ in range(d):
-                        inner = Bracket(Leaf("SFx", 0), inner)
-                    kept.append((inner, deriv))
-                if deriv.is_zero():
-                    break
-                deriv = deriv.derivative()
-                d += 1
-        if i < self.s.degree:
-            p, pp = self.s.p, self.s.p_prime
-            for expr, g in self.x_high_basis(i + 1)[1]:
-                col = (g * pp).scale(i + 1) + p * g.derivative()
-                if echelon.add(col.c):
-                    kept.append((Bracket(Leaf("SFy", 0), expr), col))
-        self.x_high[i] = echelon, kept
-        return echelon, kept
-
-    # potential exactly x^i * g, any i >= 1: the weighted columns of
-    # x_high_basis(i)
-    def x_part(self, i: int, g: UniPoly) -> BracketExpression:
-        echelon, kept = self.x_high_basis(i)
-        weights, residual = echelon.split(g.c)
+    # potential x^i * g (modulo constants at i = 0): the weighted kept
+    # columns of the family's level(i)
+    def part(self, i: int, g: UniPoly) -> BracketExpression:
+        echelon, kept = self.family.level(i)
+        weights, residual = echelon.split(g.c if i else _mod_const(g))
         if residual:
             raise self._exhausted(
                 f"an x-part of x-degree {i}: its residual of z-degree "
                 f"{UniPoly(residual).degree} is outside the span of its columns"
+                if i else f"a pure-z potential of degree {g.degree}"
             )
-        return make_sum([(w, e) for w, (e, _) in zip(weights, kept) if w])
+        return make_sum([(w, c.expr) for w, c in zip(weights, kept) if w])
 
     def certify(self, f: SurfacePolynomial) -> BracketExpression:
         terms: list = []
@@ -487,16 +467,16 @@ class _Certifier:
         for n in f.weights():
             q = coeffs[n]
             if n > 0:
-                terms.append((Fraction(1), self.x_part(n, q)))
+                terms.append((Fraction(1), self.part(n, q)))
             elif n < 0:
                 # mirroring negates the potential and swaps x with y; the
                 # terms are mirrored one by one, so that mirror_expr's memo
                 # never holds the sum made for this one call
-                x = self.x_part(-n, q)
+                x = self.part(-n, q)
                 x_terms = x.terms if isinstance(x, Sum) else [(1, x)]
                 terms += [(-w, mirror_expr(t)) for w, t in x_terms]
             elif q.degree > 0:
-                terms.append((Fraction(1), self.pure_z(q)))
+                terms.append((Fraction(1), self.part(0, q)))
         return make_sum(terms)
 
 
@@ -506,12 +486,12 @@ def _certifier(surface: SurfaceConfig, max_deg: int) -> _Certifier:
 
 
 # Ceiling on the degree bound of certify_shears_only, which the default
-# bound stops at.  The family's entries, their number and product degrees grow with
-# the bound, and so do the columns of every x_high_basis: certifying x on
-# z^3 - z (a tree of 19 nodes) takes 0.04 s of CPU at 24 and 0.10 s at 32,
-# and x*z on z^5 - z + 1 (38 nodes at both) 0.14 s and 0.34 s; x on
-# z^6 - z + 1 certifies at its default bound 24 in 0.18 s, as 189 nodes, and
-# x on z^9 - z + 1 at 32 in 0.78 s, as 490 (median CPU time of the call over
+# bound stops at.  The family's entries and the rounds that find them grow
+# with the bound, and so do the columns of every level: certifying x on
+# z^3 - z (a tree of 19 nodes) takes 0.03 s of CPU at 24 and 0.05 s at 32,
+# and x*z on z^5 - z + 1 (38 nodes at both) 0.09 s and 0.17 s; x on
+# z^6 - z + 1 certifies at its default bound 24 in 0.12 s, as 110 nodes, and
+# x on z^9 - z + 1 at 32 in 0.74 s, as 447 (median CPU time of the call over
 # three fresh processes, Python 3.11, one core of a shared 2-core VM).  The
 # tree a certificate may print is bounded apart from this
 # (parsing.MAX_CERT_NODES).

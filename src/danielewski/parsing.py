@@ -559,8 +559,8 @@ def cert_from_obj(obj) -> BracketExpression:
 
 # Ceiling on the tree nodes of a certificate that is printed or written: the
 # file form is the expanded tree, 150 to 300 bytes per node as indented JSON.
-# x on z^6 - z + 1 has 189 nodes at its default bound (a 27 KB file), and
-# x on z^9 - z + 1 at bound 32 has 490.  No certificate tried within
+# x on z^6 - z + 1 has 110 nodes at its default bound (a 15 KB file), and
+# x on z^9 - z + 1 at bound 32 has 447.  No certificate tried within
 # MAX_CERTIFY_DEGREE comes near the ceiling; it stands against an input that
 # does.
 MAX_CERT_NODES = 10**6

@@ -2,8 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from danielewski import UniPoly, make_surface
+
+# Every run draws the same examples (seeded from each test, no example
+# database), so the suite's wall time compares between two versions of the
+# code; each test keeps its own max_examples.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 def upoly(coeffs: dict) -> UniPoly:

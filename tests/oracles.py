@@ -1,10 +1,8 @@
 """Reference implementations the tests compare the library against.
 
-``row_reduce`` is a plain Gauss-Jordan elimination of a dense matrix,
-``gauss_jordan_solve`` solves one system on its augmented matrix [A | b],
-and ``reference_family`` builds the spanning family by generating every
-candidate and picking the pivots with one ``row_reduce``.  The library does
-all three with ``ring.Echelon``, one column at a time.
+``row_reduce`` is a plain Gauss-Jordan elimination of a dense matrix, and
+``gauss_jordan_solve`` solves one system on its augmented matrix [A | b].
+The library does both with ``ring.Echelon``, one column at a time.
 ``substitute_by_powers`` substitutes into a ring element term by term, with
 one power of the z-image per term, where the library uses Horner's scheme.
 ``poisson_by_quotient`` computes {f, g} as the chart quotient
@@ -26,7 +24,7 @@ x*y = z^2 - 1.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import product
 
 from danielewski.automorphisms import (
     Hyperbolic,
@@ -116,64 +114,6 @@ def gauss_jordan_solve(columns, target, mod_const=False):
     for row, col in zip(a, pivots):
         sol[col] = row[m]
     return sol
-
-
-def family_candidates(surface, max_deg) -> list:
-    """Every spanning-family candidate (expr, potential), in order."""
-    p, pp = surface.p, surface.p_prime
-    seeds = []
-    i = 0
-    while (pot := p**i * pp).degree <= max_deg:
-        seeds.append((Bracket(Leaf("SFx", i), Leaf("SFy", i)), pot))
-        i += 1
-    pot2 = (p * pp).derivative()
-    if pot2.degree <= max_deg:
-        seeds.append((Bracket(Leaf("SFx", 0), Bracket(Leaf("SFx", 0), Leaf("SFy", 1))), pot2))
-    current = [(pot.derivative(), expr) for expr, pot in seeds if pot.degree > 0]
-
-    towers = []
-    for f, ef in current:
-        deriv, tower, c = f, ef, 1
-        while not deriv.is_zero():
-            pot = (p**c * deriv).derivative()
-            if pot.degree > max_deg:
-                break
-            tower = Bracket(Leaf("SFy", 0), tower)
-            towers.append((Bracket(Leaf("SFx", c - 1), tower), pot))
-            deriv = deriv.derivative()
-            c += 1
-
-    # [SF_i^x, [E_{f_k}, ... [SF_i^y, E_{f_1}]...]] has potential
-    # (-1)^(k-1) (i+1)^(k-1) (p^(i+1) f_1 .. f_k)'
-    products = []
-    for k in (1, 2, 3):
-        for combo in combinations_with_replacement(range(len(current)), k):
-            fs = [current[idx][0] for idx in combo]
-            efs = [current[idx][1] for idx in combo]
-            prod = fs[0]
-            for f in fs[1:]:
-                prod = prod * f
-            i = 0
-            while True:
-                pot = (p ** (i + 1) * prod).derivative().scale(Fraction(-(i + 1)) ** (k - 1))
-                if pot.degree > max_deg:
-                    break
-                inner = Bracket(Leaf("SFy", i), efs[0])
-                for ef in efs[1:]:
-                    inner = Bracket(ef, inner)
-                products.append((Bracket(Leaf("SFx", i), inner), pot))
-                i += 1
-    return seeds + towers + products
-
-
-def reference_family(surface, max_deg):
-    """(entries as (expr, potential), number of candidates): the pivots of
-    one ``row_reduce`` over every candidate's potential modulo constants."""
-    cands = family_candidates(surface, max_deg)
-    pots = [pot for _, pot in cands]
-    rows = sorted({e for pot in pots for e in pot.c if e})
-    a = [[pot.coeff(e) for pot in pots] for e in rows]
-    return [cands[k] for k in row_reduce(a, len(pots))], len(cands)
 
 
 # -- substitution ------------------------------------------------------------

@@ -15,8 +15,8 @@ import pytest
 from danielewski import errors, make_surface, parsing
 from danielewski.automorphisms import apply_auto
 from danielewski.cli import COMMANDS, main
-from danielewski.fields import MAX_LND_ITER, apply_field
-from danielewski.membership import MAX_CERTIFY_DEGREE, expression_size
+from danielewski.fields import MAX_LND_ITER, apply_field, canonical_potential, potential_of
+from danielewski.membership import MAX_CERTIFY_DEGREE, evaluate, expression_size
 from danielewski.parsing import (
     MAX_CERT_DEPTH,
     MAX_EXPONENT,
@@ -24,6 +24,7 @@ from danielewski.parsing import (
     MAX_PARSED_TERMS,
     cert_from_obj,
     load_certificate_file,
+    parse_expression,
     parse_field,
     parse_unipoly,
     parse_word,
@@ -111,15 +112,25 @@ def test_a_certificate_of_unreduced_cofactors_still_verifies(capsys):
 
 
 def test_a_certificate_on_a_sextic_is_written_and_verifies(capsys, tmp_path):
-    """x on z^6 - z + 1 at its default bound: 189 tree nodes, far below
+    """x on z^6 - z + 1 at its default bound: 110 tree nodes, far below
     MAX_CERT_NODES."""
     cert = tmp_path / "cert.json"
     code, _, _ = run(capsys, "certify", "x", "--surface", "z^6 - z + 1", "--shears-only",
                      "--output", str(cert))
     assert code == 0
-    assert expression_size(load_certificate_file(cert.read_text())[2]) == 189
+    expr = load_certificate_file(cert.read_text())[2]
+    assert expression_size(expr) == 110
+    assert holds_by_fields(expr, "x", "z^6 - z + 1")
     code, out, _ = run(capsys, "verify-cert", str(cert), "--surface", "z^6 - z + 1")
     assert code == 0 and out == "true"
+
+
+def holds_by_fields(expr, target, surface) -> bool:
+    """Whether the field-level oracle gives the certificate the potential of
+    ``target``."""
+    s = make_surface(parse_unipoly(surface))
+    f = parse_expression(s, target)
+    return canonical_potential(potential_of(evaluate(s, expr))) == canonical_potential(f)
 
 
 # Targets whose computed default bound is over MAX_CERTIFY_DEGREE: 4 deg p =
@@ -127,8 +138,8 @@ def test_a_certificate_on_a_sextic_is_written_and_verifies(capsys, tmp_path):
 # 29 on z^3 - z.  The default is then the ceiling, where both certify:
 # (target, surface, tree nodes).
 DEFAULT_BOUND_AT_THE_CEILING = {
-    "x on z^9 - z + 1": ("x", "z^9 - z + 1", 490),
-    "pure-z of degree 29 on z^3 - z": ("30*z^29 - 28*z^27", "z^3 - z", 124),
+    "x on z^9 - z + 1": ("x", "z^9 - z + 1", 447),
+    "pure-z of degree 29 on z^3 - z": ("30*z^29 - 28*z^27", "z^3 - z", 95),
 }
 
 
@@ -139,14 +150,15 @@ def test_the_default_bound_stops_at_the_ceiling(capsys, target, surface, nodes, 
     code, out, err = run(capsys, "certify", target, "--shears-only", "--surface", surface,
                          "--format", fmt)
     assert (code, err) == (0, "")
-    assert expression_size(cert_from_obj(json.loads(out)["certificate"])) == nodes
+    expr = cert_from_obj(json.loads(out)["certificate"])
+    assert expression_size(expr) == nodes and holds_by_fields(expr, target, surface)
 
 
 @pytest.fixture
 def node_ceiling(monkeypatch):
     """parsing.MAX_CERT_NODES lowered below the 19 tree nodes of x on z^3 - z:
     no certificate tried within MAX_CERTIFY_DEGREE comes near 10^6 nodes (x on
-    z^9 - z + 1 at bound 32 has 490), so the ceiling is tested in-process."""
+    z^9 - z + 1 at bound 32 has 447), so the ceiling is tested in-process."""
     monkeypatch.setattr(parsing, "MAX_CERT_NODES", 18)
 
 
@@ -585,10 +597,10 @@ def test_verdicts_in_both_formats(capsys, tmp_path, argv, surface, exit_code, te
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_exhausted_search_names_its_bound(capsys, fmt):
-    """(p*z)' on z^5 - z + 1 is a pure-z potential of degree 5; at bound 12
-    the spanning family holds 8 of its 9 entries and cannot combine it."""
-    code, out, err = run(capsys, "certify", "--shears-only", "6*z^5 - 2*z + 1", "--surface",
-                         "z^5 - z + 1", "--max-degree", "12", "--format", fmt)
+    """(p*z)' on z^5 - z is a pure-z potential of degree 5; at bound 12 the
+    spanning family holds 8 of its 9 entries and cannot combine it."""
+    code, out, err = run(capsys, "certify", "--shears-only", "6*z^5 - 2*z", "--surface",
+                         "z^5 - z", "--max-degree", "12", "--format", fmt)
     if fmt == "json":
         obj = json.loads(out)
         assert (code, err, obj["error"]) == (1, "", "search-exhausted")
@@ -597,6 +609,19 @@ def test_exhausted_search_names_its_bound(capsys, fmt):
         assert (code, out) == (1, "") and err.startswith("error [search-exhausted]: ")
         message = err
     assert "bound 12" in message and "retry with a larger bound" in message
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_full_family_certifies_at_a_low_bound(capsys, tmp_path, fmt):
+    """(p*z)' on z^5 - z + 1 at bound 12, where the spanning family holds all
+    9 of its entries: certified, and the printed certificate verifies."""
+    code, out, err = run(capsys, "certify", "--shears-only", "6*z^5 - 2*z + 1", "--surface",
+                         "z^5 - z + 1", "--max-degree", "12", "--format", fmt)
+    assert (code, err) == (0, "")
+    cert = tmp_path / "cert.json"
+    cert.write_text(out)
+    code, out, _ = run(capsys, "verify-cert", str(cert), "--surface", "z^5 - z + 1")
+    assert code == 0 and out == "true"
 
 
 # Error paths in both formats: (argv after the subcommand, surface, exit

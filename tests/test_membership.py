@@ -50,7 +50,7 @@ from danielewski.membership import (
 )
 from danielewski.parsing import cert_from_obj, cert_to_obj, parse_expression, parse_unipoly
 from danielewski.ring import Echelon
-from oracles import gauss_jordan_solve, nested_shear_shape, reference_family, row_reduce
+from oracles import gauss_jordan_solve, nested_shear_shape, row_reduce
 
 from conftest import P_CUBIC, P_QUAD, P_QUARTIC2, random_surface_polynomial, upoly
 
@@ -290,17 +290,17 @@ def test_accepted_potentials_certify_at_the_default_bound(surface, terms, q):
 
 def test_a_high_power_is_spanned_at_x_degree_one(cubic):
     # g = z^10 on z^3 - z: the x-shear chains at x^1 do not span it, and the
-    # [SF_0^y, x^2 h] columns of x_high_basis(1) take the rest
+    # [SF_0^y, x^2 h] columns of the family's level(1) take the rest
     certifier = _Certifier(cubic, 24)
     g = UniPoly.monomial(10)
-    echelon, kept = certifier.x_high_basis(1)
+    echelon, kept = certifier.family.level(1)
     assert not echelon.split(g.c)[1]
     chains = Echelon()
-    for expr, h in kept:
-        if expr.left.kind == "SFx":
-            chains.add(h.c)
+    for c in kept:
+        if c.expr.left.kind == "SFx":
+            chains.add(c.potential.c)
     assert chains.split(g.c)[1]
-    assert verify_certificate(cubic, certifier.x_part(1, g), cubic.x(1, 10))
+    assert verify_certificate(cubic, certifier.part(1, g), cubic.x(1, 10))
 
 
 def test_certify_deep_nesting_bounds(cubic):
@@ -340,35 +340,58 @@ FAMILY_SURFACES = ["z^2 - 1", "z^3 - z", "z^4 - z", "z^3 - 2", "z^4 - 2*z^2 + z 
 
 
 @pytest.mark.parametrize("surface", FAMILY_SURFACES)
-def test_family_matches_generate_all_reference(surface):
-    # the lazy build that stops at full rank keeps exactly the pivots of one
-    # row_reduce over every candidate
+def test_family_entries_are_certified_and_independent(surface):
+    # each entry's potential is its expression's by the field-level oracle,
+    # and is accepted: (p h)' modulo constants; the potentials are
+    # independent modulo constants, and no more than the bound lets them be
     s = make_surface(parse_unipoly(surface))
-    full_rank = {bound: bound + 2 - s.degree for bound in (12, 16, 24)}
     for bound in (12, 16, 24):
         family = SpanningFamily(s, bound)
-        entries, candidates = reference_family(s, bound)
-        assert [(e.expr, e.potential) for e in family.entries] == entries
-        assert family.echelon.columns <= candidates
-        if family.echelon.columns < candidates:
-            assert len(family.entries) == full_rank[bound]
-        if surface == "z^3 - z":  # full early: 31 of 298 candidates at bound 24
-            assert family.echelon.columns < candidates
-    if surface == "z^5 - z + 1":
-        # 8 of 9 entries at bound 12: never full, so every candidate is reduced
-        family = SpanningFamily(s, 12)
-        assert len(family.entries) == 8 < full_rank[12]
-        assert family.echelon.columns == reference_family(s, 12)[1]
+        pots = [e.potential for e in family.entries]
+        for e in family.entries:
+            f = s.from_unipoly(e.potential)
+            assert canonical_potential(potential_of(evaluate(s, e.expr))) == canonical_potential(f)
+            assert decide(f).accepted
+        rows = [[q.coeff(k) for q in pots] for k in range(1, bound + 1)]
+        assert len(row_reduce(rows, len(pots))) == len(pots) <= bound + 2 - s.degree
 
 
 @pytest.mark.parametrize("surface", FAMILY_SURFACES)
-def test_family_entries_are_x_shear_brackets(surface):
-    # one form per entry: an SF^x-outer bracket, which x_high_basis nests as it is
+def test_family_entries_are_seeds_or_y_shear_brackets(surface):
+    # an entry is a seed, or [SF_0^y, c] for an expression c of potential
+    # x g, whose potential is {y, x g} = (p g)'
     s = make_surface(parse_unipoly(surface))
     for bound in (12, 16, 24):
+        seeds = {Bracket(Leaf("SFx", 0), Bracket(Leaf("SFx", 0), Leaf("SFy", 1)))}
+        seeds |= {Bracket(Leaf("SFx", i), Leaf("SFy", i)) for i in range(bound)}
         for e in SpanningFamily(s, bound).entries:
-            assert isinstance(e.expr, Bracket)
-            assert isinstance(e.expr.left, Leaf) and e.expr.left.kind == "SFx"
+            if e.expr in seeds:
+                continue
+            assert e.expr.left == Leaf("SFy", 0)
+            c = evaluate_potential(s, e.expr.right)
+            assert list(c.coeffs) == [1]
+            assert (s.p * c.coeffs[1]).derivative() == e.potential
+
+
+# (surface, bound, entries): how full the family is, against the
+# bound + 2 - deg(p) entries of a full one
+FAMILY_SIZES = [
+    ("z^3 - z", 12, 11),
+    ("z^5 - z + 1", 12, 9),
+    ("z^5 - z", 12, 8),
+    ("z^5 - z", 16, 13),
+    ("z^6 - z + 1", 16, 9),
+    ("z^6 - z + 1", 24, 20),
+    ("z^7 - 2*z^2 + 3", 24, 18),
+    ("z^8 - z + 1", 32, 24),
+]
+
+
+@pytest.mark.parametrize("surface, bound, entries", FAMILY_SIZES,
+                         ids=[f"{s} at {b}" for s, b, _ in FAMILY_SIZES])
+def test_family_fullness_is_pinned(surface, bound, entries):
+    s = make_surface(parse_unipoly(surface))
+    assert len(SpanningFamily(s, bound).entries) == entries <= bound + 2 - s.degree
 
 
 # sha256 of the sorted-key JSON of each certificate: a change to the family
@@ -383,9 +406,9 @@ PINNED_CERTIFICATES = [
     ("z^2 - 1", "x*z^2 - 2*y^3*z", 24,
      "dc188719d8473627632e386eb3b01f3dca2f86177f6aeacced78a5602fa8a166"),
     ("z^3 - z", "x^2*z + y*z^2 + z^2", None,
-     "007fd03bc9cba254f2c8d5144cc38167e43b727cd234b8fe4f1bebffd8c8b879"),
+     "d0e713e8d7a076b727ef2c0ba9d6127a19d2fed4910dc0f628df91daf19ce4ae"),
     ("z^3 - z", "x^2*z + y*z^2 + z^2", 24,
-     "007fd03bc9cba254f2c8d5144cc38167e43b727cd234b8fe4f1bebffd8c8b879"),
+     "d0e713e8d7a076b727ef2c0ba9d6127a19d2fed4910dc0f628df91daf19ce4ae"),
     ("z^3 - z", "x*z^3 - 2*y^3 + 5*z^4 - 3*z^2", None,
      "af8cb8214a1449abd398e39f443454fcd4d8b77d8be7f81ec7987aa29cd21c61"),
     ("z^3 - z", "x*z^3 - 2*y^3 + 5*z^4 - 3*z^2", 24,
@@ -398,14 +421,14 @@ PINNED_CERTIFICATES = [
      "205fde35294f85038637658cd422a3447c36afd46f2df9dec6415fb1fa096b36"),
     ("z^4 - z", "x^2*z^4 + 4*z^3 - 1", 24,
      "205fde35294f85038637658cd422a3447c36afd46f2df9dec6415fb1fa096b36"),
-    # its pure-z part weights a product entry of the family
+    # its pure-z part weights two [SF_0^y, c] entries of the family
     ("z^4 - z", "-2*x^5*z + 2*y^3 + 6*z^5 + 5*z^4 - 3*z^2 - 2*z", None,
-     "92fb92938ec3b40ceefa61cca4af6551c45984eebac34261244803984d7bc773"),
+     "f58c23f18d6dc9c0c35b4de3a14b03c02487530d5d267ae8ae64a062d45f47c2"),
     # x on surfaces of degree 7 and 8 certifies at its default bound
     ("z^7 - z + 1", "x", None,
-     "1988e73748048a7bb7d3d30b85ca70eb6317b5eb7e1014752a3d2c32257dd37f"),
+     "1787746ce4effb1000acc40c270431bbaae5a23d9eefa3d7b11268c9d9071747"),
     ("z^8 - z + 1", "x", None,
-     "eb807e3bf69c514dd3868eb7b8fa50424c0eee65af853de5207a567b0ee540c1"),
+     "d5c46b820d58bb3954afb7324e97d59260b0099b8deaea3169e84d58fcd3525c"),
 ]
 
 
@@ -552,9 +575,12 @@ def test_factored_solve_matches_gauss_jordan(system, mod_const):
 
 
 def test_one_elimination_per_column_set(monkeypatch):
-    # Every Echelon the certifier makes is one elimination; it must make one
-    # per distinct column set (the family's, and one per x-exponent of x_high),
-    # however many targets it solves against each.
+    # Every Echelon the certifier makes is one elimination.  The family's
+    # build makes one per distinct column set (its own, and one per level
+    # build of each round); certifying then makes one per x-degree level it
+    # reads, however many targets it solves against each.  From x^deg(p) up
+    # a level holds only chains, whose potentials repeat from one x-degree
+    # to the next, so those are counted rather than compared.
     made, offered = [], {}
     init, add = Echelon.__init__, Echelon.add
 
@@ -576,13 +602,18 @@ def test_one_elimination_per_column_set(monkeypatch):
     }
     for surface, srcs in targets.items():
         s = make_surface(parse_unipoly(surface))
+        first = len(made)
         certifier = _Certifier(s, 16)
-        for src in srcs:
-            f = parse_expression(s, src)
-            assert decide(f).accepted
-            assert verify_certificate(s, certifier.certify(f), f)
-    columns = [tuple(offered.get(id(e), ())) for e in made]
-    assert len(set(columns)) == len(columns) >= 4
+        columns = [tuple(offered.get(id(e), ())) for e in made[first:]]
+        assert len(set(columns)) == len(columns) >= 4
+        built = len(made)
+        fs = [parse_expression(s, src) for src in srcs]
+        for _ in range(2):
+            for f in fs:
+                assert decide(f).accepted
+                assert verify_certificate(s, certifier.certify(f), f)
+        # the targets read every x-degree from 1 to the highest one
+        assert len(made) - built == max(abs(n) for f in fs for n in f.weights())
 
 
 def test_only_membership_dispatches_on_expression_nodes():
