@@ -21,16 +21,20 @@ streamed to stdout in both formats.  A DanielewskiError prints
 ``error [CODE]: TEXT`` on stderr; under JSON an argparse usage error is a
 ``syntax-error`` too.
 
-This module imports only ``errors``, ``ring`` and ``parsing``; each handler
-imports the library module it calls (``fields``, ``automorphisms``,
-``membership`` or ``z2``) when it runs, so a cold process loads and
-compiles only what its subcommand needs.
+A cold process pays only for its own subcommand.  Of the library this module
+imports only ``errors``, ``ring`` and ``parsing``; each handler imports the
+library module it calls (``fields``, ``automorphisms``, ``membership`` or
+``z2``) when it runs.  Of the standard library it imports ``argparse``,
+``os``, ``sys`` and ``itertools``; ``json`` is imported where a JSON document
+is written or read (the --format json output and errors, certificate files),
+and no module of the package imports ``typing``.  When argv[0] names a
+command, the parser holds that command's subparser alone; help, a missing
+command and an unknown one build them all.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from itertools import islice
@@ -60,9 +64,18 @@ def _truth(ok: bool):
     return "true" if ok else "false", {"result": ok}, 0 if ok else 1
 
 
+def _json_line(obj) -> str:
+    """``obj`` as one line of JSON with sorted keys."""
+    import json
+
+    return json.dumps(obj, sort_keys=True)
+
+
 def _write_certificate(obj: dict, out) -> None:
     """Write the certificate file of ``obj``: its JSON with sorted keys and an
     indent of 2, in blocks of encoder chunks (never one string), and a newline."""
+    import json
+
     chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj)
     while block := "".join(islice(chunks, 4096)):
         out.write(block)
@@ -249,15 +262,23 @@ def _usage_error(message: str):
     raise ParseError(message)
 
 
-def _build_parser(as_json: bool) -> argparse.ArgumentParser:
+def _build_parser(argv: list, as_json: bool) -> argparse.ArgumentParser:
+    """The parser of argv: when argv[0] names a command, the top parser holds
+    that command's subparser alone (its usage line still lists every
+    command); otherwise it holds all of them, for help and for the error
+    that names the choices."""
     ap = argparse.ArgumentParser(
         prog="danielewski",
         description="Exact computations on the surface x*y = p(z): ring "
         "arithmetic, volume-preserving vector fields and their potentials, "
         "automorphism words, and bracket-expression certificates.",
     )
-    sp = ap.add_subparsers(dest="command", required=True)
-    for name, (arguments, _) in COMMANDS.items():
+    one = bool(argv) and argv[0] in COMMANDS
+    # The metavar is the choices of the full parser, for its usage line.
+    sp = ap.add_subparsers(dest="command", required=True,
+                           metavar="{%s}" % ",".join(COMMANDS) if one else None)
+    for name in argv[:1] if one else COMMANDS:
+        arguments, _ = COMMANDS[name]
         sub = sp.add_parser(name)
         for arg, kw in arguments:
             sub.add_argument(arg, **kw)
@@ -293,7 +314,7 @@ def _run(argv) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     as_json = _json_requested(argv)
     try:
-        args = _build_parser(as_json).parse_args(argv)
+        args = _build_parser(argv, as_json).parse_args(argv)
         as_json = args.format == "json"
         if args.format not in ("text", "json"):  # argparse checks no default
             raise ParseError(f"DANIELEWSKI_FORMAT must be text or json, not {args.format!r}")
@@ -302,13 +323,13 @@ def _run(argv) -> int:
             _write_certificate(out, sys.stdout)
             return 0
         text, data, code = out
-        print(json.dumps(data, sort_keys=True) if as_json else text)
+        print(_json_line(data) if as_json else text)
         return code
     except SystemExit as exc:  # argparse: -h, or a usage error in text mode
         return 2 if exc.code else 0
     except DanielewskiError as exc:
         if as_json:
-            print(json.dumps({"error": exc.code, "message": str(exc)}, sort_keys=True))
+            print(_json_line({"error": exc.code, "message": str(exc)}))
         else:
             print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -19,11 +19,9 @@ first).
 from __future__ import annotations
 
 import gc
-import json
 import sys
 from fractions import Fraction
 from math import comb, prod
-from typing import TYPE_CHECKING
 
 from .errors import DegreeGate, NegativeExponent, ParseError
 from .ring import (
@@ -40,8 +38,12 @@ from .ring import (
 )
 
 # The readers and printers of fields, words and certificates import
-# ``fields``, ``automorphisms`` or ``membership`` when they run, so that
-# reading and printing ring elements loads only ``errors`` and ``ring``.
+# ``fields``, ``automorphisms`` or ``membership`` when they run, and
+# ``load_certificate_file`` imports ``json``, so that reading and printing
+# ring elements loads only ``errors`` and ``ring``.  A type checker reads
+# the annotation-only imports below as it reads ``typing.TYPE_CHECKING``;
+# the interpreter never runs them, and never imports ``typing``.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .automorphisms import Generator, PolynomialAutomorphism
     from .fields import AlgebraicVectorField
@@ -594,6 +596,8 @@ def load_certificate_file(text: str):
     containers it creates hold no cycles, and on a large file the collector's
     passes over them took most of the read.
     """
+    import json
+
     collecting = gc.isenabled()
     gc.disable()
     try:

@@ -429,15 +429,24 @@ class SurfaceConfig:
         # denominator of p^m is at most B^m, B = max(d, |d p|_1).  The
         # largest m with B^m < 10^MAX_DIGITS is 3321 on z^3 - z (B = 2).
         # B = 1 only for p = +-z, whose powers are +-z^m: no bound (None).
+        # m is found exactly, in about 2 log2(m) powers of B: hi doubles until
+        # B^hi >= 10^MAX_DIGITS, then bisection keeps B^lo < 10^MAX_DIGITS <=
+        # B^hi until hi = lo + 1, and m = lo.
         cs = p.c.values()
         d = lcm(*(v.denominator for v in cs))
         b = max(d, sum(abs(v.numerator) * (d // v.denominator) for v in cs))
-        m, h = None, b
+        m = None
         if b > 1:
-            m = 0
-            while h < HEIGHT:
-                m += 1
-                h *= b
+            lo, hi = 0, 1
+            while b**hi < HEIGHT:
+                lo, hi = hi, 2 * hi
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if b**mid < HEIGHT:
+                    lo = mid
+                else:
+                    hi = mid
+            m = lo
         self.max_p_power = m
         self._p_powers = [UniPoly.const(1)]  # [p^0, p^1, ...], up to _P_TABLE_MAX
 

@@ -16,6 +16,9 @@ inverse word, where the library pushes it through its 1-form, and
 ``volume_factor_by_bracket`` takes J from the Poisson bracket of the
 images, where the library reads it off the word.
 
+``max_p_power_by_steps`` finds the ceiling on powers of p one product of
+the bound at a time, where the library doubles and bisects.
+
 ``is_identity`` reads whether a word normalized to nothing.  The rest check
 identities of the paper a second way: the group law of a shear flow and the
 Taylor series of conjugation by it, the z-degree of a word of shears, the
@@ -25,6 +28,7 @@ x*y = z^2 - 1.
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from danielewski.automorphisms import (
     Hyperbolic,
@@ -50,7 +54,7 @@ from danielewski.fields import (
     poisson_bracket,
 )
 from danielewski.membership import Bracket, Leaf, evaluate_potential
-from danielewski.ring import SurfacePolynomial, UniPoly, poly_divrem
+from danielewski.ring import HEIGHT, SurfacePolynomial, UniPoly, poly_divrem
 
 
 def divrem_by_products(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
@@ -68,6 +72,22 @@ def divrem_by_products(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
         q = q + t
         r = r - t * b
     return q, r
+
+
+def max_p_power_by_steps(p: UniPoly):
+    """The largest m with B^m < 10^MAX_DIGITS, B = max(d, |d p|_1) for d the
+    common denominator of p, found by stepping m up one product at a time;
+    None when B = 1."""
+    cs = p.c.values()
+    d = lcm(*(v.denominator for v in cs))
+    b = max(d, sum(abs(v.numerator) * (d // v.denominator) for v in cs))
+    if b == 1:
+        return None
+    m, h = 0, b
+    while h < HEIGHT:
+        m += 1
+        h *= b
+    return m
 
 
 def row_reduce(rows: list[list[Fraction]], ncols: int) -> list[int]:

@@ -406,7 +406,35 @@ def test_error_json(capsys):
 
 
 def test_unknown_command_is_usage_error(capsys):
-    assert main(["frobnicate", "--surface", "z^2-1"]) == 2
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "frobnicate", "--surface", "z^2-1", "--format", fmt)
+        assert code == 2
+        # the message still names every command, in order
+        message = json.loads(out)["message"] if fmt == "json" else err
+        choices = re.search(r"choose from (.*)\)", message).group(1)
+        assert re.findall(r"[\w-]+", choices) == list(COMMANDS)
+
+
+# The top usage line, with argparse's line breaks read as spaces.
+FULL_USAGE = "usage: danielewski [-h] {%s} ..." % ",".join(COMMANDS)
+
+
+def _words(text: str) -> str:
+    return " ".join(text.split())
+
+
+def test_help_and_usage_list_every_command(capsys):
+    code, out, err = run(capsys, "-h")
+    assert code == 0 and err == "" and _words(out).startswith(FULL_USAGE)
+    code, out, err = run(capsys, "reduce", "-h")
+    assert code == 0 and err == "" and out.startswith("usage: danielewski reduce [-h]")
+    # after a named command, an argument no parser takes is reported under
+    # the top usage line, as when every command's parser is built
+    code, out, err = run(capsys, "reduce", "x", "y", "--surface", "z^2-1")
+    assert code == 2 and out == ""
+    assert _words(err) == f"{FULL_USAGE} danielewski: error: unrecognized arguments: y"
+    code, out, err = run(capsys)
+    assert code == 2 and out == "" and _words(err).startswith(FULL_USAGE)
 
 
 ARGPARSE_ERRORS = {

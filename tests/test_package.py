@@ -3,7 +3,9 @@ library's exact arithmetic (no float in its code).
 
 `danielewski/__init__.py` resolves its public names on first use, and
 `danielewski.cli` imports each library module inside the handler that
-calls it, so a cold process compiles only what its subcommand runs.
+calls it, so a cold process compiles only what its subcommand runs.  The
+standard library is held to the same rule: only a process that writes or
+reads a JSON document loads `json`, and no process loads `typing`.
 """
 
 import ast
@@ -20,42 +22,57 @@ from pathlib import Path
 import pytest
 
 import danielewski
+from danielewski.cli import main
 
 ROOT = Path(__file__).parents[1]
 ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
 BASE = {"errors", "ring", "parsing", "cli"}
+CERTIFY = BASE | {"records", "fields", "membership"}
 
-# subcommand argv -> the danielewski submodules it may load
+# subcommand argv -> (the danielewski submodules it may load, whether it loads json)
 IMPORT_SURFACE = {
-    "reduce": (["reduce", "x*y + z"], BASE),
-    "mul": (["mul", "x + z", "y"], BASE),
-    "potential": (["potential", "SFx(1)"], BASE | {"records", "fields"}),
-    "decide": (["decide", "1/2*z^2"], BASE | {"records", "fields", "membership"}),
+    "reduce": (["reduce", "x*y + z"], BASE, False),
+    "reduce --format json": (["reduce", "x*y + z", "--format", "json"], BASE, True),
+    "mul": (["mul", "x + z", "y"], BASE, False),
+    "potential": (["potential", "SFx(1)"], BASE | {"records", "fields"}, False),
+    "decide": (["decide", "1/2*z^2"], CERTIFY, False),
     "volume-factor": (["volume-factor", "H(2);I"],
-                      BASE | {"records", "fields", "automorphisms"}),
-    "z2-certify": (["z2-certify", "x"], BASE | {"records", "fields", "membership", "z2"}),
+                      BASE | {"records", "fields", "automorphisms"}, False),
+    "certify": (["certify", "x", "--shears-only"], CERTIFY, True),
+    "verify-cert": (["verify-cert", "cert.json"], CERTIFY, True),
+    "z2-certify": (["z2-certify", "x"], CERTIFY | {"z2"}, True),
 }
 
+# sys.modules is read before the report's own json is imported.  -S: no site
+# hook runs, so a module that a .pth file preloads (some environments load
+# typing that way) cannot hide one that the package imports.
 _PROBE = """
-import json, sys
+import sys
 import danielewski.cli
 code = danielewski.cli.main(sys.argv[1:])
-print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+modules = sorted(sys.modules)
+import json
+print(json.dumps({"code": code, "modules": modules}))
 """
 
 
 @pytest.mark.parametrize("name", IMPORT_SURFACE)
-def test_a_subcommand_loads_only_what_it_runs(name):
-    argv, expected = IMPORT_SURFACE[name]
+def test_a_subcommand_loads_only_what_it_runs(name, tmp_path):
+    argv, expected, loads_json = IMPORT_SURFACE[name]
     # z^2 - 1 is the one surface that z2-certify accepts
-    run = subprocess.run([sys.executable, "-c", _PROBE, *argv, "--surface", "z^2 - 1"],
-                         env=ENV, capture_output=True, text=True, timeout=60)
+    surface = ["--surface", "z^2 - 1"]
+    if "cert.json" in argv:
+        assert main(["certify", "x", *surface, "--output", str(tmp_path / "cert.json")]) == 0
+    run = subprocess.run([sys.executable, "-S", "-c", _PROBE, *argv, *surface],
+                         env=ENV, cwd=tmp_path, capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     report = json.loads(run.stdout.splitlines()[-1])
     assert report["code"] == 0
     loaded = {m.split(".", 1)[1] for m in report["modules"] if m.startswith("danielewski.")}
     assert loaded == expected
+    assert ("json" in report["modules"]) is loads_json
+    assert "typing" not in report["modules"]
     assert "dataclasses" not in report["modules"]
 
 

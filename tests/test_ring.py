@@ -27,6 +27,7 @@ from danielewski import (
 from danielewski.parsing import parse_expression
 from danielewski.ring import (
     _P_TABLE_MAX,
+    HEIGHT,
     MAX_DIGITS,
     bezout,
     formal_mul,
@@ -41,7 +42,7 @@ from danielewski.ring import (
 )
 
 from conftest import P_CUBIC, P_QUAD, P_QUARTIC, P_QUARTIC2, random_surface_polynomial, upoly
-from oracles import divrem_by_products
+from oracles import divrem_by_products, max_p_power_by_steps
 
 RNG_SEED = 20260826
 
@@ -234,6 +235,60 @@ def test_p_power_gate_comes_before_the_table():
     with pytest.raises(DegreeGate):
         s.p_power(s.max_p_power + 1)
     assert len(s._p_powers) == stored
+
+
+def _root_below(n: int, m: int) -> int:
+    """The largest r with r^m <= n, by Newton's method on integers."""
+    r = 1 << -(-n.bit_length() // m)
+    while True:
+        s = ((m - 1) * r + n // r ** (m - 1)) // m
+        if s >= r:
+            return r
+        r = s
+
+
+# p = z -+ (B - 1) has the bound B, so these draw B at the places where the
+# ceiling moves: B = 2, 10^k and its neighbours (10^k itself reaches
+# 10^MAX_DIGITS exactly when k divides MAX_DIGITS), and each side of the
+# largest B with B^m < 10^MAX_DIGITS.
+exact_powers = st.sampled_from([k for k in range(1, MAX_DIGITS + 1) if MAX_DIGITS % k == 0])
+integer_bounds = st.one_of(
+    st.just(2),
+    st.integers(2, 10**6),
+    st.builds(lambda k, e: 10**k + e, exact_powers | st.integers(1, MAX_DIGITS + 1),
+              st.integers(-1, 1)),
+    st.builds(lambda m, e: max(2, _root_below(HEIGHT - 1, m) + e),
+              st.integers(1, 3400), st.integers(-1, 2)),
+)
+
+
+@settings(max_examples=80)
+@given(integer_bounds, st.sampled_from([1, -1]))
+def test_max_p_power_matches_the_stepping_oracle_on_integer_p(b, sign):
+    p = upoly({1: 1, 0: sign * (b - 1)})
+    m = make_surface(p).max_p_power
+    assert m == max_p_power_by_steps(p)
+    assert b**m < HEIGHT <= b ** (m + 1)
+
+
+rational_coeffs = st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**30))
+
+
+@settings(max_examples=60)
+@given(st.lists(rational_coeffs, min_size=2, max_size=5).filter(lambda cs: cs[-1] != 0))
+def test_max_p_power_matches_the_stepping_oracle_on_rational_p(cs):
+    p = UniPoly(dict(enumerate(cs)))
+    try:
+        s = make_surface(p)
+    except RepeatedRoot:
+        return
+    assert s.max_p_power == max_p_power_by_steps(p)
+
+
+def test_max_p_power_of_plus_or_minus_z_is_none():
+    for sign in (1, -1):
+        p = upoly({1: sign})
+        assert make_surface(p).max_p_power is None is max_p_power_by_steps(p)
 
 
 # ---- normal form and evaluation oracle ------------------------------------------
