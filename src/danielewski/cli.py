@@ -134,6 +134,8 @@ def _decide(s, a):
 
 
 def _certify(s, a):
+    if a.max_degree is not None and not a.shears_only:
+        raise ParseError("--max-degree applies only with --shears-only")
     from .membership import avdp_decompose, certify_shears_only
 
     f = parse_expression(s, a.expr)

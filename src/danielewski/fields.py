@@ -40,7 +40,7 @@ from .errors import (
     TangencyViolation,
 )
 from .records import Record
-from .ring import Echelon, SurfaceConfig, SurfacePolynomial, UniPoly, bezout
+from .ring import Echelon, SurfaceConfig, SurfacePolynomial, UniPoly, gcd
 
 
 class AlgebraicVectorField:
@@ -262,7 +262,7 @@ def default_flex_fields(surface: SurfaceConfig) -> list[AlgebraicVectorField]:
     fields = [shear_x(surface, 0), shear_y(surface, 0)]
     p_prime = surface.p_prime
     # p' is not zero (deg p >= 1), so neither is the gcd
-    n_roots = p_prime.degree - bezout(p_prime, p_prime.derivative())[2].degree
+    n_roots = p_prime.degree - gcd(p_prime, p_prime.derivative()).degree
     for k in range(1, n_roots + 1):
         alpha = PolynomialAutomorphism(surface, [XShear(UniPoly.const(k))])
         fields.append(conjugate_field(alpha, shear_y(surface, 0)))

@@ -436,17 +436,21 @@ class _Certifier:
     def __init__(self, surface: SurfaceConfig, max_deg: int):
         self.family = SpanningFamily(surface, max_deg)
 
-    def _exhausted(self, what: str) -> SearchExhausted:
-        """The failure of a search for ``what`` at this certifier's bound, with
-        what to try next: a larger bound, or none at the ceiling."""
+    def _exhausted(self, i: int, degree: int) -> SearchExhausted:
+        """The failure of the search for the x-degree-``i`` part, whose residual
+        (at i = 0, the pure-z potential) has z-degree ``degree``, at this
+        certifier's bound: the fields ``x_degree``, ``degree`` and ``bound``, and
+        a message of what to try next, a larger bound or none at the ceiling."""
         bound = self.family.max_deg
-        if bound >= MAX_CERTIFY_DEGREE:
-            hint = "that is the ceiling MAX_CERTIFY_DEGREE, so no larger bound can be tried"
-        else:
-            hint = "retry with a larger bound"
-        return SearchExhausted(
+        hint = ("that is the ceiling MAX_CERTIFY_DEGREE, so no larger bound can be tried"
+                if bound >= MAX_CERTIFY_DEGREE else "retry with a larger bound")
+        what = (f"an x-part of x-degree {i}: its residual of z-degree {degree} is outside "
+                "the span of its columns" if i else f"a pure-z potential of degree {degree}")
+        exc = SearchExhausted(
             f"no shears-only combination found for {what} within degree bound {bound}; {hint}"
         )
+        exc.x_degree, exc.degree, exc.bound = i, degree, bound
+        return exc
 
     # potential x^i * g (modulo constants at i = 0): the weighted kept
     # columns of the family's level(i)
@@ -454,11 +458,7 @@ class _Certifier:
         echelon, kept = self.family.level(i)
         weights, residual = echelon.split(g.c if i else _mod_const(g))
         if residual:
-            raise self._exhausted(
-                f"an x-part of x-degree {i}: its residual of z-degree "
-                f"{UniPoly(residual).degree} is outside the span of its columns"
-                if i else f"a pure-z potential of degree {g.degree}"
-            )
+            raise self._exhausted(i, UniPoly(residual).degree if i else g.degree)
         return make_sum([(w, c.expr) for w, c in zip(weights, kept) if w])
 
     def certify(self, f: SurfacePolynomial) -> BracketExpression:

@@ -1,6 +1,9 @@
 """Parsing and printing for polynomial expressions, vector-field literals,
 automorphism words and certificate files.
 
+An expression parses to a formal polynomial in x, y, z (``parse_formal``),
+and ``reduce`` rewrites x*y to p(z) in it to give the ring's normal form.
+
 Polynomial grammar (terms over x, y, z):
 
     expr     := term (('+' | '-') term)*
@@ -30,9 +33,7 @@ from .ring import (
     SurfaceConfig,
     SurfacePolynomial,
     UniPoly,
-    formal_mul,
     make_surface,
-    reduce,
     table_add,
     table_scale,
 )
@@ -113,6 +114,45 @@ class _Tokens:
 
     def done(self) -> bool:
         return self.peek() == ""
+
+
+# -- formal polynomials in x, y, z (pre-reduction) -------------------------
+#
+# A formal polynomial is a dict (a, b, c) -> Fraction for the monomial
+# x^a y^b z^c, with no zero values: what the parser builds, and what
+# ``reduce`` takes to the normal form.  ``ring.table_add`` and
+# ``ring.table_scale`` add and scale them.
+
+
+def formal_mul(f: dict, g: dict) -> dict:
+    r = {}
+    for (a1, b1, c1), v1 in f.items():
+        for (a2, b2, c2), v2 in g.items():
+            k = (a1 + a2, b1 + b2, c1 + c2)
+            if k in r:
+                w = r[k] + v1 * v2
+                if w:
+                    r[k] = w
+                else:
+                    del r[k]
+            else:
+                r[k] = v1 * v2
+    return r
+
+
+def reduce(surface: SurfaceConfig, raw: dict) -> SurfacePolynomial:
+    """Rewrite every occurrence of x*y to p(z); result is in normal form.
+
+    Order of rewriting does not matter: x^a y^b z^c always collapses to
+    weight a - b with coefficient z^c p^m, m = min(a, b).
+    """
+    coeffs: dict[int, UniPoly] = {}
+    for (a, b, c), v in raw.items():
+        m = min(a, b)
+        q = surface.p_power(m) * UniPoly.monomial(c, v) if m else UniPoly.monomial(c, v)
+        n = a - b
+        coeffs[n] = coeffs[n] + q if n in coeffs else q
+    return SurfacePolynomial(surface, coeffs)
 
 
 # -- polynomial expressions ----------------------------------------------------

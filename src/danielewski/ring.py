@@ -11,6 +11,8 @@ build elements with the SurfaceConfig constructors or from a dict
 {n: q_n} and read them through ``coeffs``, the {n: q_n} view, which is
 built afresh on each read; only this module reads the table.  The term
 views ``xpart``/``ypart``/``zpart`` are for readers outside the library.
+The parser's formal polynomials in x, y, z, taken before x*y is rewritten
+to p(z), live in ``parsing``; this module holds the normal form alone.
 
 ``SurfacePolynomial`` is the only element class.  Sums, scaling, the
 partials, ``euler``, ``swap_xy`` and comparison work on the table.  Only
@@ -26,8 +28,8 @@ each of them is formed once.
 
 ``poly_divrem`` is one pass of long division over one copy of the
 dividend's coefficients, visiting only the exponents present, highest
-first; ``from_chart`` divides by p^n with it, and ``bezout`` takes its
-quotients from it.  ``poly_rem_sparse`` takes a remainder with no quotient,
+first; ``from_chart`` divides by p^n with it, and ``gcd`` takes its
+remainders from it.  ``poly_rem_sparse`` takes a remainder with no quotient,
 as ``eval_generic`` at z in Q[z]/(divisor), each gap between exponents one
 product by a ``power`` of z, so the membership test's rem(antiderivative(a0),
 p) costs the terms present times the log of the degree.
@@ -395,18 +397,12 @@ def poly_rem_sparse(a: UniPoly, m: UniPoly) -> UniPoly:
     return a.eval_generic(_Residue(UniPoly.var(), m), _Residue(UniPoly.const(1), m)).q
 
 
-def bezout(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
-    """Extended Euclid: u*a + v*b = g = gcd(a, b), g monic; a and b not both 0."""
-    r0, r1 = a, b
-    u0, u1 = UniPoly.const(1), UniPoly()
-    v0, v1 = UniPoly(), UniPoly.const(1)
-    while not r1.is_zero():
-        q, r = poly_divrem(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    s = 1 / r0.lead()
-    return u0.scale(s), v0.scale(s), r0.scale(s)
+def gcd(a: UniPoly, b: UniPoly) -> UniPoly:
+    """The monic gcd of a and b, not both 0: Euclid's algorithm on the
+    remainders alone, with no cofactors."""
+    while not b.is_zero():
+        a, b = b, poly_divrem(a, b)[1]
+    return a.scale(1 / a.lead())
 
 
 class SurfaceConfig:
@@ -422,7 +418,7 @@ class SurfaceConfig:
         self.p = p
         self.p_prime = p.derivative()
         self.degree = p.degree
-        if bezout(p, self.p_prime)[2].degree != 0:
+        if gcd(p, self.p_prime).degree != 0:
             raise RepeatedRoot("p has a repeated root: gcd(p, p') = nontrivial")
         # With d the common denominator of p and |d p|_1 the sum of the
         # absolute values of the coefficients of d p, every numerator and
@@ -501,44 +497,6 @@ class SurfaceConfig:
 
 def make_surface(p: UniPoly) -> SurfaceConfig:
     return SurfaceConfig(p)
-
-
-# -- formal polynomials in x, y, z (pre-reduction) ----------------------------
-#
-# A formal polynomial is a dict (a, b, c) -> Fraction for the monomial
-# x^a y^b z^c, with no zero values.  Used by the parser, by ``reduce`` and
-# by test oracles; ``table_add`` and ``table_scale`` add and scale them.
-
-
-def formal_mul(f: dict, g: dict) -> dict:
-    r = {}
-    for (a1, b1, c1), v1 in f.items():
-        for (a2, b2, c2), v2 in g.items():
-            k = (a1 + a2, b1 + b2, c1 + c2)
-            if k in r:
-                w = r[k] + v1 * v2
-                if w:
-                    r[k] = w
-                else:
-                    del r[k]
-            else:
-                r[k] = v1 * v2
-    return r
-
-
-def reduce(surface: SurfaceConfig, raw: dict) -> "SurfacePolynomial":
-    """Rewrite every occurrence of x*y to p(z); result is in normal form.
-
-    Order of rewriting does not matter: x^a y^b z^c always collapses to
-    weight a - b with coefficient z^c p^m, m = min(a, b).
-    """
-    coeffs: dict[int, UniPoly] = {}
-    for (a, b, c), v in raw.items():
-        m = min(a, b)
-        q = surface.p_power(m) * UniPoly.monomial(c, v) if m else UniPoly.monomial(c, v)
-        n = a - b
-        coeffs[n] = coeffs[n] + q if n in coeffs else q
-    return SurfacePolynomial(surface, coeffs)
 
 
 def _flatten(triples) -> tuple:

@@ -9,7 +9,9 @@ one power of the z-image per term, where the library uses Horner's scheme.
 (D f * E g - E f * D g) / x, where the library applies H_f to g by the
 Leibniz rule.  ``divrem_by_products`` divides polynomials one quotient term
 at a time, with one new quotient, product and remainder per term, where the
-library divides in place over one coefficient table.
+library divides in place over one coefficient table.  ``bezout`` is the
+extended Euclidean algorithm, with the cofactors of the gcd, where the library
+has the plain ``gcd``.
 
 ``conjugate_by_images`` pushes a field forward by the images of the
 inverse word, where the library pushes it through its 1-form, and
@@ -72,6 +74,22 @@ def divrem_by_products(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
         q = q + t
         r = r - t * b
     return q, r
+
+
+def bezout(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
+    """Extended Euclid: u*a + v*b = g = gcd(a, b), g monic; a and b not both 0.
+    The quotients come from ``divrem_by_products``, and the cofactors u, v are
+    carried along, where the library's gcd keeps the remainders alone."""
+    r0, r1 = a, b
+    u0, u1 = UniPoly.const(1), UniPoly()
+    v0, v1 = UniPoly(), UniPoly.const(1)
+    while not r1.is_zero():
+        q, r = divrem_by_products(r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    s = 1 / r0.lead()
+    return u0.scale(s), v0.scale(s), r0.scale(s)
 
 
 def max_p_power_by_steps(p: UniPoly):

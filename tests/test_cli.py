@@ -16,7 +16,12 @@ from danielewski import errors, make_surface, parsing
 from danielewski.automorphisms import apply_auto
 from danielewski.cli import COMMANDS, main
 from danielewski.fields import MAX_LND_ITER, apply_field, canonical_potential, potential_of
-from danielewski.membership import MAX_CERTIFY_DEGREE, evaluate, expression_size
+from danielewski.membership import (
+    MAX_CERTIFY_DEGREE,
+    certify_shears_only,
+    evaluate,
+    expression_size,
+)
 from danielewski.parsing import (
     MAX_CERT_DEPTH,
     MAX_EXPONENT,
@@ -626,7 +631,12 @@ def test_verdicts_in_both_formats(capsys, tmp_path, argv, surface, exit_code, te
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_exhausted_search_names_its_bound(capsys, fmt):
     """(p*z)' on z^5 - z is a pure-z potential of degree 5; at bound 12 the
-    spanning family holds 8 of its 9 entries and cannot combine it."""
+    spanning family holds 8 of its 9 entries and cannot combine it.  The
+    exception carries the x-degree, the z-degree and the bound as fields."""
+    f = parse_expression(make_surface(parse_unipoly("z^5 - z")), "6*z^5 - 2*z")
+    with pytest.raises(errors.SearchExhausted) as exc:
+        certify_shears_only(f, 12)
+    assert (exc.value.x_degree, exc.value.degree, exc.value.bound) == (0, 5, 12)
     code, out, err = run(capsys, "certify", "--shears-only", "6*z^5 - 2*z", "--surface",
                          "z^5 - z", "--max-degree", "12", "--format", fmt)
     if fmt == "json":
@@ -683,6 +693,10 @@ ERROR_PATHS = {
         "search-exhausted",
         ["x-part of x-degree 3", "z-degree 40", "bound 32",
          "that is the ceiling MAX_CERTIFY_DEGREE, so no larger bound can be tried"]),
+    # the bound is the shears-only search's; without it the option is refused
+    "certify --max-degree without --shears-only": (
+        ["certify", "x", "--max-degree", "2"], "z^3 - z", 2, "syntax-error",
+        ["--max-degree applies only with --shears-only"]),
     # a syntax error inside a literal is placed from the start of the argument
     "shear index": (
         ["potential", "SFx(a)"], "z^2 - 1", 2, "syntax-error", ["(at position 4)"]),

@@ -20,15 +20,22 @@ from hypothesis import strategies as st
 from danielewski import (
     Bracket,
     DegreeGate,
+    Hyperbolic,
+    Involution,
     Leaf,
     MalformedNesting,
     MembershipRejected,
+    PolynomialAutomorphism,
     Sum,
+    Symmetry,
     UniPoly,
+    XShear,
+    YShear,
     avdp_decompose,
     bracket,
     canonical_potential,
     certify_shears_only,
+    conjugate_field,
     decide,
     evaluate,
     expression_size,
@@ -40,6 +47,7 @@ from danielewski import (
     shear_y,
     verify_certificate,
 )
+from danielewski.fields import poisson_bracket
 from danielewski.membership import (
     SpanningFamily,
     _Certifier,
@@ -444,6 +452,74 @@ def test_certificates_are_pinned(surface, target, bound, digest):
     # and the field-level oracle
     assert verify_certificate(s, expr, f)
     assert canonical_potential(potential_of(evaluate(s, expr))) == canonical_potential(f)
+
+
+# ---- the paper's theorem as a property ---------------------------------------------
+#
+# Conjugating a locally nilpotent field by an automorphism gives a locally
+# nilpotent field, and brackets stay in the Lie algebra they generate, so
+# every potential below must be accepted, certified and verified.  The words
+# have 1 to 3 generators, shears Dx(f), Dy(f) with deg f <= 1 and
+# coefficients in +-1, +-2.  The images, and the z-degrees of the
+# conjugates, grow fast with the shears of degree 1: a word takes at most
+# one, on z^2 - 1 only.  Past that the certifier exhausts at its ceiling
+# MAX_CERTIFY_DEGREE = 32 (ROADMAP items 3 and 9): SF_2^y pushed along
+# Dx(2+2x);Dy(2+2y);Dx(2+2x) on z^2 - 1 has an x-part of z-degree 40, and
+# SF_1^x pushed along Dy(2);Dx(2+2x);Dy(2) on z^3 - z one of z-degree 38;
+# and two such shears on z^2 - 1 took up to 9 s of CPU for one word.
+
+THEOREM_SURFACES = st.sampled_from([make_surface(P_QUAD), make_surface(P_CUBIC)])
+_coefficients = st.sampled_from([1, -1, 2, -2])
+_shear_kinds = st.sampled_from([XShear, YShear])
+_constant_shears = st.builds(lambda kind, c: kind(UniPoly.const(c)), _shear_kinds, _coefficients)
+_linear_shears = st.builds(lambda kind, c0, c1: kind(UniPoly({0: c0, 1: c1})),
+                           _shear_kinds, _coefficients, _coefficients)
+_generators = st.one_of(
+    _constant_shears,
+    st.sampled_from([Fraction(2), Fraction(-1), Fraction(1, 2)]).map(Hyperbolic),
+    st.just(Involution()),
+    st.sampled_from([1, -1]).map(lambda c: Symmetry(c, 0)),
+)
+
+
+def _in_the_lie_algebra(s, f):
+    assert decide(f).accepted
+    assert verify_certificate(s, certify_shears_only(f), f)
+
+
+@pytest.mark.parametrize("p, linear", [(P_QUAD, True), (P_CUBIC, False)],
+                         ids=["z^2 - 1", "z^3 - z"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_conjugated_shears_lie_in_the_lie_algebra(p, linear, data):
+    """The potentials of phi_* SF_i^x and phi_* SF_i^y for i <= 2, and the
+    Poisson bracket of two of them; with ``linear``, one generator of the
+    word may be a shear of degree 1."""
+    s = make_surface(p)
+    word = data.draw(st.lists(_generators, min_size=1, max_size=3))
+    if linear and data.draw(st.booleans()):
+        word[data.draw(st.integers(0, len(word) - 1))] = data.draw(_linear_shears)
+    phi = PolynomialAutomorphism(s, word)
+    potentials = [potential_of(conjugate_field(phi, shear(s, i)))
+                  for i in range(3) for shear in (shear_x, shear_y)]
+    for f in potentials:
+        _in_the_lie_algebra(s, f)
+    j, k = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    _in_the_lie_algebra(s, poisson_bracket(potentials[j], potentials[k]))
+
+
+def _shear_brackets(depth):
+    leaf = st.builds(Leaf, st.sampled_from(["SFx", "SFy"]), st.integers(0, 2))
+    if not depth:
+        return leaf
+    sub = _shear_brackets(depth - 1)
+    return st.one_of(leaf, st.builds(Bracket, sub, sub))
+
+
+@settings(max_examples=60, deadline=None)
+@given(THEOREM_SURFACES, _shear_brackets(3))
+def test_shear_brackets_are_accepted(s, expr):
+    assert decide(evaluate_potential(s, expr)).accepted
 
 
 # ---- cost of shared subtrees ------------------------------------------------------------
