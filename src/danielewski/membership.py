@@ -12,12 +12,14 @@ over shear and hyperbolic generators that always succeeds (avdp_decompose),
 and a shears-only construction (certify_shears_only) driven by exact linear
 solving over Q against a spanning family: one echelon per x-degree i of
 certified shears-only expressions with potentials x^i g, whose x-degree 0
-is a pivot basis of pure-z potentials (p h)'.  The latter is a
-semi-algorithm with a caller-tunable degree bound.
+is a pivot basis of pure-z potentials (p h)'; a y-part y^i g combines
+the same echelon's columns mirrored (``mirror_expr``).  The family keeps
+each echelon and its mirrored columns from their first read.  This search
+is a semi-algorithm with a caller-tunable degree bound.
 
 A value of a bracket expression (its field, its potential, its size, its
-file form) is computed by ``fold``: bottom-up, once per distinct subtree,
-from a value per leaf, per sum and per bracket.  Certificates are verified
+mirror, its file form) is computed by ``fold``: bottom-up, once per
+distinct subtree, from a value per leaf, per sum and per bracket.  Certificates are verified
 in the Poisson algebra of potentials, through the Lie algebra isomorphism
 [H_f, H_g] = H_{f, g} (``evaluate_potential``): one Poisson bracket
 {f, g} = H_f(g) per bracket node, constants dropped once at the root, no
@@ -178,24 +180,19 @@ def evaluate_potential(surface: SurfaceConfig, expr: BracketExpression) -> Surfa
     return canonical_potential(fold(expr, leaf, sum_, poisson_bracket))
 
 
-# The certifier mirrors its cached sub-certificates over and over; the memo
-# makes equal subtrees of the mirrored certificates one shared object.
-@lru_cache(maxsize=4096)
 def mirror_expr(expr: BracketExpression) -> BracketExpression:
     """Conjugation by the involution: SFx <-> SFy, HF_q -> -HF_q.
 
     The mirrored expression evaluates to the involution-conjugated field;
     its potential is -f(y, x, z) when the original's is f(x, y, z).
     """
-    if isinstance(expr, Leaf):
-        if expr.kind == "SFx":
-            return Leaf("SFy", expr.i)
-        if expr.kind == "SFy":
-            return Leaf("SFx", expr.i)
-        return make_sum([(Fraction(-1), expr)])
-    if isinstance(expr, Sum):
-        return make_sum([(w, mirror_expr(t)) for w, t in expr.terms])
-    return Bracket(mirror_expr(expr.left), mirror_expr(expr.right))
+
+    def leaf(e):
+        if e.kind == "HF":
+            return make_sum([(Fraction(-1), e)])
+        return Leaf("SFy" if e.kind == "SFx" else "SFx", e.i)
+
+    return fold(expr, leaf, make_sum, Bracket)
 
 
 def expression_size(expr: BracketExpression) -> int:
@@ -321,13 +318,13 @@ class SpanningFamily:
     column c of ``level(1)``, of potential x g, since {y, x g} = (p g)'.
     A round offers these in increasing deg g, up to the degree bound of
     (p g)', each reduced against the entries so far; only an independent
-    one is verified and kept.  After a round that keeps one, the levels are
-    rebuilt from every entry and the next round offers the new level(1);
-    a level keeps its columns in increasing degree, so a round builds only
-    the low-degree part it offers.  Every entry lies in
-    {(p h)' : deg <= bound} modulo constants, of dimension bound + 2 - deg(p)
-    (bound when deg(p) = 1, where (p c)' is a constant), so the build stops
-    once it holds that many entries, or after a round that keeps none.
+    one is verified and kept.  After a round that keeps one, the next round
+    offers level(1) built from every entry; a level keeps its columns in
+    increasing degree, so a round builds only the low-degree part it offers,
+    and reads it once.  Every entry lies in {(p h)' : deg <= bound} modulo
+    constants, of dimension bound + 2 - deg(p) (bound when deg(p) = 1, where
+    (p c)' is a constant), so the build stops once it holds that many
+    entries, or after a round that keeps none.
     """
 
     def __init__(self, surface: SurfaceConfig, max_deg: int):
@@ -337,7 +334,8 @@ class SpanningFamily:
         self.max_deg = max_deg
         self.entries: list[FamilyEntry] = []
         self.echelon = Echelon()  # the entries' potentials modulo constants
-        self._levels: dict[tuple, tuple] = {}  # level(i, top), for these entries
+        self._levels: dict[int, tuple] = {}  # level(i), whole
+        self._mirrored: dict[int, list] = {}  # mirrored(i)
         full = max_deg if surface.degree == 1 else max_deg + 2 - surface.degree
         p = surface.p
         candidates = self._seeds()
@@ -346,7 +344,6 @@ class SpanningFamily:
                 (Bracket(Leaf("SFy", 0), c.expr), (p * c.potential).derivative())
                 for c in self.level(1, max_deg + 1 - surface.degree)[1]
             ]
-        self._levels.clear()  # the rounds' low-degree parts, not read again
 
     def _seeds(self) -> list:
         # [SF_i^x, SF_i^y] with potential p^i p', and [SF_0^x, [SF_0^x, SF_1^y]]
@@ -376,7 +373,6 @@ class SpanningFamily:
             if self.echelon.add(_mod_const(pot)):
                 verified(expr, self.surface.from_unipoly(pot), "spanning-family entry")
                 self.entries.append(FamilyEntry(expr, pot))
-                self._levels.clear()
                 kept = True
         return kept and len(self.entries) < full
 
@@ -390,12 +386,13 @@ class SpanningFamily:
         {y, x^(i+1) g} = x^i ((i+1) g p' + p g'), of degree deg g + deg p - 1.
         The columns are offered in increasing degree, so the kept ones of
         degree at most ``top`` are those of the whole level, and a column of
-        degree below the number kept is spanned and not offered.
+        degree below the number kept is spanned and not offered.  A whole
+        level is kept; a part up to ``top`` is built for one round's read.
         """
         if i == 0:
             return self.echelon, self.entries
-        if (i, top) in self._levels:
-            return self._levels[i, top]
+        if top is None and i in self._levels:
+            return self._levels[i]
         s = self.surface
         offers = []  # (degree, g, expr, d): a chain of d + 1 x-shears, or d None
         for entry in self.entries:
@@ -425,8 +422,15 @@ class SpanningFamily:
                     for _ in range(d):
                         expr = Bracket(Leaf("SFx", 0), expr)
                 kept.append(FamilyEntry(expr, g))
-        self._levels[i, top] = echelon, kept
+        if top is None:
+            self._levels[i] = echelon, kept
         return echelon, kept
+
+    def mirrored(self, i: int) -> list[BracketExpression]:
+        """level(i)'s kept columns, mirrored: potentials -y^i g for x^i g."""
+        if i not in self._mirrored:
+            self._mirrored[i] = [mirror_expr(c.expr) for c in self.level(i)[1]]
+        return self._mirrored[i]
 
 
 # -- shears-only certification -------------------------------------------------
@@ -436,48 +440,40 @@ class _Certifier:
     def __init__(self, surface: SurfaceConfig, max_deg: int):
         self.family = SpanningFamily(surface, max_deg)
 
-    def _exhausted(self, i: int, degree: int) -> SearchExhausted:
-        """The failure of the search for the x-degree-``i`` part, whose residual
-        (at i = 0, the pure-z potential) has z-degree ``degree``, at this
-        certifier's bound: the fields ``x_degree``, ``degree`` and ``bound``, and
-        a message of what to try next, a larger bound or none at the ceiling."""
+    def _exhausted(self, n: int, degree: int) -> SearchExhausted:
+        """The failure of the search for the part of weight ``n``, whose
+        residual (at n = 0, the pure-z potential) has z-degree ``degree``, at
+        this certifier's bound: the fields ``x_degree`` (``n``, negative for a
+        y-part), ``degree`` and ``bound``, and a message of what to try next,
+        a larger bound or none at the ceiling."""
         bound = self.family.max_deg
         hint = ("that is the ceiling MAX_CERTIFY_DEGREE, so no larger bound can be tried"
                 if bound >= MAX_CERTIFY_DEGREE else "retry with a larger bound")
-        what = (f"an x-part of x-degree {i}: its residual of z-degree {degree} is outside "
-                "the span of its columns" if i else f"a pure-z potential of degree {degree}")
+        kind = "an x-part of x" if n > 0 else "a y-part of y"
+        what = (f"{kind}-degree {abs(n)}: its residual of z-degree {degree} is outside the "
+                "span of its columns" if n else f"a pure-z potential of degree {degree}")
         exc = SearchExhausted(
             f"no shears-only combination found for {what} within degree bound {bound}; {hint}"
         )
-        exc.x_degree, exc.degree, exc.bound = i, degree, bound
+        exc.x_degree, exc.degree, exc.bound = n, degree, bound
         return exc
 
-    # potential x^i * g (modulo constants at i = 0): the weighted kept
-    # columns of the family's level(i)
-    def part(self, i: int, g: UniPoly) -> BracketExpression:
+    # potential x^n g (modulo constants at n = 0), or y^-n g for n < 0: the
+    # weighted kept columns of the family's level(|n|), mirrored for n < 0,
+    # since mirroring swaps x with y and negates the potential
+    def part(self, n: int, g: UniPoly) -> BracketExpression:
+        i = abs(n)
         echelon, kept = self.family.level(i)
         weights, residual = echelon.split(g.c if i else _mod_const(g))
         if residual:
-            raise self._exhausted(i, UniPoly(residual).degree if i else g.degree)
+            raise self._exhausted(n, UniPoly(residual).degree if i else g.degree)
+        if n < 0:
+            return make_sum([(-w, e) for w, e in zip(weights, self.family.mirrored(i)) if w])
         return make_sum([(w, c.expr) for w, c in zip(weights, kept) if w])
 
     def certify(self, f: SurfacePolynomial) -> BracketExpression:
-        terms: list = []
         coeffs = f.coeffs
-        for n in f.weights():
-            q = coeffs[n]
-            if n > 0:
-                terms.append((Fraction(1), self.part(n, q)))
-            elif n < 0:
-                # mirroring negates the potential and swaps x with y; the
-                # terms are mirrored one by one, so that mirror_expr's memo
-                # never holds the sum made for this one call
-                x = self.part(-n, q)
-                x_terms = x.terms if isinstance(x, Sum) else [(1, x)]
-                terms += [(-w, mirror_expr(t)) for w, t in x_terms]
-            elif q.degree > 0:
-                terms.append((Fraction(1), self.part(0, q)))
-        return make_sum(terms)
+        return make_sum([(1, self.part(n, coeffs[n])) for n in f.weights()])
 
 
 @lru_cache(maxsize=16)

@@ -649,6 +649,15 @@ def test_exhausted_search_names_its_bound(capsys, fmt):
     assert "bound 12" in message and "retry with a larger bound" in message
 
 
+def test_an_exhausted_y_part_carries_its_signed_weight():
+    """The weight of the part that exhausts is signed as in the ring's
+    grading: y^3 z^5 has weight -3."""
+    f = parse_expression(make_surface(parse_unipoly("z^3 - z")), "y^3*z^5")
+    with pytest.raises(errors.SearchExhausted) as exc:
+        certify_shears_only(f, 3)
+    assert (exc.value.x_degree, exc.value.degree, exc.value.bound) == (-3, 5, 3)
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_a_full_family_certifies_at_a_low_bound(capsys, tmp_path, fmt):
     """(p*z)' on z^5 - z + 1 at bound 12, where the spanning family holds all
@@ -681,6 +690,11 @@ ERROR_PATHS = {
         ["certify", "x^3*z^5", "--shears-only", "--max-degree", "3"], "z^3 - z", 1,
         "search-exhausted",
         ["x-part of x-degree 3", "z-degree 5", "bound 3", "retry with a larger bound"]),
+    # a y-part is certified by the mirrored columns of its level, and says so
+    "y-part over the bound": (
+        ["certify", "y^3*z^5", "--shears-only", "--max-degree", "3"], "z^3 - z", 1,
+        "search-exhausted",
+        ["y-part of y-degree 3", "z-degree 5", "bound 3", "retry with a larger bound"]),
     # at the ceiling both searches say that no larger bound can be tried:
     # (p*z)' on z^9 - z + 1, and an x-part of z-degree above the bound
     "pure-z search at the ceiling": (

@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from danielewski import (
@@ -47,6 +47,7 @@ from danielewski import (
     shear_y,
     verify_certificate,
 )
+from danielewski import membership
 from danielewski.fields import poisson_bracket
 from danielewski.membership import (
     SpanningFamily,
@@ -95,16 +96,6 @@ def test_expression_size():
     e = Bracket(Leaf("SFx", 0), Bracket(Leaf("SFx", 0), Leaf("SFy", 1)))
     assert expression_size(e) == 5
     assert expression_size(Leaf("SFx", 0)) == 1
-
-
-def test_mirror_expr(quad):
-    e = Bracket(Leaf("SFx", 1), Leaf("HF", poly=upoly({1: 1})))
-    m = mirror_expr(e)
-    th = evaluate(quad, e)
-    mth = evaluate(quad, m)
-    # mirroring swaps the roles of x and y and flips the hyperbolic sign
-    assert mth.img_x == th.img_y.swap_xy()
-    assert mth.img_y == th.img_x.swap_xy()
 
 
 # ---- decision test ----------------------------------------------------------------
@@ -192,6 +183,33 @@ def test_potential_evaluation_matches_field_oracle(s, terms, data):
         w, t = terms[k]
         bumped = Sum(tuple(terms[:k]) + ((w + 1, t),) + tuple(terms[k + 1:]))
         assert not verify_certificate(s, bumped, f)
+
+
+def _expressions(depth):
+    """Bracket expressions over SF and HF leaves, with Sums, nested at most
+    ``depth`` deep."""
+    if not depth:
+        return leaves
+    sub = _expressions(depth - 1)
+    return st.one_of(
+        leaves,
+        st.builds(Bracket, sub, sub),
+        st.lists(st.tuples(weights, sub), min_size=1, max_size=2).map(lambda t: Sum(tuple(t))),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ORACLE_SURFACES[:2]), _expressions(3))
+@example(ORACLE_SURFACES[0], Bracket(Leaf("SFx", 1), Leaf("HF", poly=upoly({1: 1}))))
+def test_mirror_expr(s, e):
+    m = mirror_expr(e)
+    th = evaluate(s, e)
+    mth = evaluate(s, m)
+    # mirroring swaps the roles of x and y and flips the hyperbolic sign
+    assert mth.img_x == th.img_y.swap_xy()
+    assert mth.img_y == th.img_x.swap_xy()
+    # and is an involution
+    assert evaluate_potential(s, mirror_expr(m)) == evaluate_potential(s, e)
 
 
 def test_avdp_decompose_roundtrip(quad, cubic):
@@ -668,8 +686,15 @@ def test_one_elimination_per_column_set(monkeypatch):
         offered.setdefault(id(self), []).append(tuple(sorted(column.items())))
         return add(self, column)
 
+    mirrored, mirror = [], membership.mirror_expr
+
+    def counted_mirror(expr):
+        mirrored.append(expr)
+        return mirror(expr)
+
     monkeypatch.setattr(Echelon, "__init__", counted_init)
     monkeypatch.setattr(Echelon, "add", recorded_add)
+    monkeypatch.setattr(membership, "mirror_expr", counted_mirror)
     targets = {
         "z^3 - z": ["x^3*z + x^4", "x^3*z^2 - x^5*z", "y^4*z + x^4*z^3", "x^2*z + y*z^2 + z^2",
                     "x*z^3 - 2*y^3 + 5*z^4 - 3*z^2", "x^3 + y^3*z^2", "5*z^4 - 3*z^2 + x^6"],
@@ -685,11 +710,15 @@ def test_one_elimination_per_column_set(monkeypatch):
         built = len(made)
         fs = [parse_expression(s, src) for src in srcs]
         for _ in range(2):
+            mirrored.clear()
             for f in fs:
                 assert decide(f).accepted
                 assert verify_certificate(s, certifier.certify(f), f)
-        # the targets read every x-degree from 1 to the highest one
+        # the targets read every x-degree from 1 to the highest one, and the
+        # second pass mirrors nothing: the y-parts read the family's
+        # mirrored columns
         assert len(made) - built == max(abs(n) for f in fs for n in f.weights())
+        assert not mirrored
 
 
 def test_only_membership_dispatches_on_expression_nodes():
